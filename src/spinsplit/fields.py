@@ -7,6 +7,7 @@ treated as z-independent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,6 +36,15 @@ class Envelope:
 
     def value(self, t):
         """Envelope at local time t (t = 0 is the start of the rise)."""
+        if isinstance(t, float):
+            plateau_hi = self.rise + self.plateau
+            if self.rise <= t <= plateau_hi:
+                return 1.0
+            if 0.0 <= t < self.rise:
+                return math.sin(0.5 * math.pi * t / self.rise) ** 2
+            if plateau_hi < t < self.duration:
+                return math.sin(0.5 * math.pi * (self.duration - t) / self.fall) ** 2
+            return 0.0
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         if self.rise > 0:
@@ -153,6 +163,22 @@ def vector_potential(stage: FieldStage, t, z):
     return f * (
         stage.ea1 * np.cos(w * t - k * z) + stage.ea2 * np.cos(2.0 * w * t + 2.0 * k * z)
     )
+
+
+def spatial_harmonics(stage: FieldStage, t: float) -> tuple[complex, complex]:
+    """(alpha_1, alpha_2): the coefficients of e^{ikz} and e^{2ikz} in
+    e*A_x(t, z) at one time t, envelope included.  e*A_x is real and has no
+    uniform part, so alpha_{-j} = conj(alpha_j) and alpha_0 = 0."""
+    f = stage_envelope(stage, t)
+    w = stage.omega
+    if isinstance(stage, MonoStandingWave):
+        half = 0.5 * f * stage.ea0 * math.cos(2.0 * w * t)
+        return 0j, complex(half * math.cos(0.5 * stage.chi), half * math.sin(0.5 * stage.chi))
+    # cos(w t - k z) carries e^{-i w t}/2 on e^{ikz}; cos(2 w t + 2 k z) e^{2i w t}/2 on e^{2ikz}
+    a1 = 0.5 * f * stage.ea1
+    a2 = 0.5 * f * stage.ea2
+    return (complex(a1 * math.cos(w * t), -a1 * math.sin(w * t)),
+            complex(a2 * math.cos(2.0 * w * t), a2 * math.sin(2.0 * w * t)))
 
 
 def magnetic_field(stage: FieldStage, t, z):

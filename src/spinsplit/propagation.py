@@ -10,12 +10,18 @@ Three backends share one scenario interface:
 * ``effective``    - same splitting with the cycle-averaged lattices; inside
   pulse edges the monochromatic lattice scales as f(t)^2 and the bichromatic
   one as f(t)^3 (two resp. three field factors drive them).
-* ``mode-lattice`` - amplitudes c_n on momenta n*hbar*k, |n| <= N, integrated
-  in the interaction picture with all Fourier components of (eA)^2 and B_y.
-  The integrator is the two-stage 4th-order Gauss-Legendre implicit
-  Runge-Kutta scheme, which preserves the norm to iteration tolerance at any
-  step size (an explicit RK4 cannot hold the required drift bounds against
-  the large off-resonant ponderomotive couplings).
+* ``mode-lattice`` - amplitudes c_n on momenta n*hbar*k, |n| <= N, under all
+  Fourier components of (eA)^2 and B_y, in closed form from the stage
+  formulas.  [sigma_y, H] = 0 splits the lattice into the two sigma_y
+  sectors, each a (2N+1)-mode Hermitian problem with coupling a_j +- b_j.
+  Each step is the exact exponential of the 4th-order Magnus expansion
+  (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)) in the
+  Schroedinger picture, so it is unitary to rounding at any step size.
+  Steps lie on the carrier lattice t_i = i T/M, T = 2 pi/omega.  On a pulse
+  plateau H(t + T) = H(t), so a plateau's M step propagators are computed
+  once and whole periods advance by their product U_T (Shirley, Phys. Rev.
+  138, B979 (1965)); only the sin^2 edges are stepped afresh.  Amplitudes
+  outside the engine are in the interaction picture.
 
 The spatially uniform (eA)^2/2m Fourier component is dropped in the mode
 lattice: it multiplies the identity and contributes only a global phase.
@@ -39,7 +45,7 @@ from .analytic import (
 )
 from .observables import ChannelReport, _bloch_from_spinors, spin_momentum_entanglement
 from .states import SpatialGrid, SpinorWavefunction, gaussian_packet, normalize_spin
-from .units import MC2_EV, um_to_natural
+from .units import MC2_EV, natural_to_fs, um_to_natural
 
 BACKENDS = ("full-field", "effective", "mode-lattice")
 
@@ -174,7 +180,7 @@ def default_timestep(backend: str, stages, snapshot_every: float) -> float:
     if backend == "full-field":
         return np.pi / (64.0 * w) if w > 0 else snapshot_every
     if backend == "mode-lattice":
-        return np.pi / (128.0 * w) if w > 0 else snapshot_every
+        return np.pi / (256.0 * w) if w > 0 else snapshot_every
     om = max((_stage_rabi(s) for s in stages), default=0.0)
     return 1e-3 / om if om > 0 else snapshot_every
 
@@ -363,23 +369,58 @@ def step_effective(psi: SpinorWavefunction, potentials, dt: float) -> SpinorWave
 # ---------------------------------------------------------------------------
 # mode lattice
 
-_GL_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_GL_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_GL_A11 = 0.25
-_GL_A12 = 0.25 - math.sqrt(3.0) / 6.0
-_GL_A21 = 0.25 + math.sqrt(3.0) / 6.0
-_GL_A22 = 0.25
+_GAUSS_C = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ sqrt(3)/6 of a step
+_MAGNUS_K = math.sqrt(3.0) / 12.0        # weight of the commutator term
+# Largest 1-norm at which the degree-9 Taylor remainder ||X||^10/10! stays
+# below 2^-53; larger exponents are scaled down by powers of two first.
+_TAYLOR_THETA = 0.11
+_TAYLOR_C = [1.0 / math.factorial(n) for n in range(10)]
 
-_N_SAMPLES = 32  # samples per field period; exact for harmonics |j| <= 4
+
+def _expm_skew(x: np.ndarray) -> np.ndarray:
+    """exp of a stack of small anti-Hermitian matrices (..., m, m): degree-9
+    Taylor series in Paterson-Stockmeyer form, four matrix products, with
+    scaling and squaring.  Each squaring doubles the rounding error, so x is
+    scaled no further than its 1-norm requires."""
+    norm = float(np.abs(x).sum(axis=-2).max())
+    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm > 0.0 else 0
+    if squarings:
+        x = x * 0.5**squarings
+    c = _TAYLOR_C
+    x2 = x @ x
+    x3 = x2 @ x
+    # sum_n c_n x^n = (c0 + c1 x + c2 x2) + x3 [(c3 + c4 x + c5 x2) + x3 (c6 + ... + c9 x3)]
+    inner = x3 * c[9] + x2 * c[8] + x * c[7]
+    _add_to_diagonal(inner, c[6])
+    outer = x3 @ inner + x2 * c[5] + x * c[4]
+    _add_to_diagonal(outer, c[3])
+    u = x3 @ outer + x2 * c[2] + x
+    _add_to_diagonal(u, 1.0)
+    for _ in range(squarings):
+        u = u @ u
+    return u
+
+
+def _add_to_diagonal(x: np.ndarray, value) -> None:
+    """x[..., n, n] += value in place."""
+    np.einsum("...ii->...i", x)[...] += value
+
+
+def _apply(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Sector propagators (2, m, m) applied to sector amplitudes (2, m)."""
+    return (u @ amps[:, :, None])[:, :, 0]
 
 
 class ModeLatticeEngine:
     """Coupled amplitudes c_n (Pauli spinor each) on momenta n*hbar*k.
 
-    ``field_model`` is "full" (Fourier components of the exact (eA)^2 and B_y,
-    extracted per evaluation time by a small FFT over one field period) or
-    "effective" (the static cycle-averaged lattices, with envelope powers).
-    State layout: (2N+1, 2) complex, index n+N.
+    ``field_model`` is "full" (the Fourier components of the exact (eA)^2
+    and B_y, in closed form from ``fields.spatial_harmonics``) or "effective"
+    (the static cycle-averaged lattices, with envelope powers).  State layout
+    outside the engine: (2N+1, 2) complex, index n+N, z spin basis,
+    interaction picture.  Inside, the state is held in the two sigma_y
+    sectors in the Schroedinger picture, where the plateau Hamiltonian
+    repeats every carrier period T = 2 pi/omega.
     """
 
     def __init__(self, wavenumber: float, halfwidth: int, stages=(), potentials=(),
@@ -396,8 +437,16 @@ class ModeLatticeEngine:
         m = 2 * halfwidth + 1
         n_index = np.arange(m) - halfwidth
         self.energies = (n_index * wavenumber) ** 2 / (2.0 * MC2_EV)
-        self._zs = np.arange(_N_SAMPLES) * (2.0 * np.pi / wavenumber) / _N_SAMPLES
-        self._dE = {j: self.energies[j:] - self.energies[:-j] for j in range(1, 5)}
+        # carrier period of the plateau Hamiltonian; None: no carrier lattice
+        w = _max_omega(self.stages)
+        self.period = 2.0 * np.pi / w if field_model == "full" and w > 0 else None
+        # H[r, c] = band[4 + r - c] for |r - c| <= 4, else band[9] = 0
+        diff = n_index[:, None] - n_index[None, :]
+        self._gather = np.where(np.abs(diff) <= 4, diff + 4, 9)
+        self._kinetic = np.diag(self.energies).astype(complex)
+        self._plateau = None    # (stages on their plateau, M) that the cache serves
+        self._cache = {}        # lattice phase i mod M -> step propagators
+        self._period_u = None   # product of the cached steps over one period
 
     def initial_state(self, mode: int, spin) -> np.ndarray:
         if abs(mode) > self.N:
@@ -407,8 +456,9 @@ class ModeLatticeEngine:
         return c
 
     def harmonics(self, t: float):
-        """Complex coefficients (a_j, b_j) for e^{i j k z}, j = 1..4; the j=0
-        component is gauged away."""
+        """(a, b): the coefficients a_j, b_j (j = 1..4) of e^{ijkz} in
+        a = (eA)^2/2m and b = eB_y/2m at time t, or None when no stage is on.
+        The j = 0 term of a multiplies the identity and is gauged away."""
         if self.field_model == "effective":
             a4 = 0.0 + 0.0j
             b4 = 0.0 + 0.0j
@@ -420,72 +470,175 @@ class ModeLatticeEngine:
                     a4 += 0.5 * pot.strength * np.exp(1j * pot.chi) * f**power
                 else:
                     b4 += 0.5j * pot.strength * f**power
-            return {4: (a4, b4)}
-        ea = None
-        eb = None
+            return (0j, 0j, 0j, a4), (0j, 0j, 0j, b4)
+        al1 = al2 = 0j
+        on = False
         for s in self.stages:
-            if not (s.start <= t <= s.end):
+            if s.start <= t <= s.end:
+                c1, c2 = F.spatial_harmonics(s, t)
+                al1 += c1
+                al2 += c2
+                on = True
+        if not on:
+            return None
+        # (eA)^2 is the self-convolution of eA's coefficients alpha_{+-1, +-2};
+        # d/dz multiplies e^{ijkz} by i j k.
+        scale = 0.5 / MC2_EV
+        a = (2.0 * scale * al2 * al1.conjugate(), scale * al1 * al1,
+             2.0 * scale * al1 * al2, scale * al2 * al2)
+        kb = 1j * self.k * scale
+        return a, (kb * al1, 2.0 * kb * al2, 0j, 0j)
+
+    def _magnus(self, t: float, dt: float):
+        """Sector propagators of [t, t + dt] (Schroedinger picture) from one
+        4th-order Magnus step: exp(-i dt/2 (H1 + H2) + sqrt(3)/12 dt^2 [H1, H2])
+        with H at the two Gauss nodes.  None when no field acts at either node."""
+        # Toeplitz bands of a +- b, row-wise: node 1 (y+, y-), node 2 (y+, y-)
+        rows = []
+        on = False
+        for tn in (t + (0.5 - _GAUSS_C) * dt, t + (0.5 + _GAUSS_C) * dt):
+            hm = self.harmonics(tn)
+            on = on or hm is not None
+            a, b = hm or ((0j,) * 4, (0j,) * 4)
+            for sector in ([x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]):
+                rows.append([v.conjugate() for v in sector[::-1]] + [0j] + sector + [0j])
+        if not on:
+            return None
+        h = np.array(rows)[:, self._gather] + self._kinetic
+        h1, h2 = h[:2], h[2:]
+        # [H1, H2] = H1 H2 - (H1 H2)^dagger for Hermitian H1, H2
+        prod = h1 @ h2
+        omega = (h1 + h2) * (-0.5j * dt)
+        omega += (prod - prod.conj().swapaxes(-1, -2)) * (_MAGNUS_K * dt * dt)
+        return _expm_skew(omega)
+
+    def _step_class(self, t0: float, t1: float):
+        """Indices of the stages overlapping [t0, t1] if every one of them is
+        on its plateau throughout; () if none overlaps; None on an edge."""
+        on = []
+        for idx, s in enumerate(self.stages):
+            if t1 <= s.start or t0 >= s.end:
                 continue
-            fa = F.vector_potential(s, t, self._zs)
-            fb = F.magnetic_field(s, t, self._zs)
-            ea = fa if ea is None else ea + fa
-            eb = fb if eb is None else eb + fb
-        if ea is None:
+            lo = s.start + s.envelope.rise
+            if not (lo <= t0 and t1 <= lo + s.envelope.plateau):
+                return None
+            on.append(idx)
+        return tuple(on)
+
+    def _lattice_step(self, t: float, dt: float):
+        """(i, M) when [t, t + dt] is step i of the lattice t_i = i T/M."""
+        if self.period is None:
             return None
-        a_coeff = np.fft.fft(ea * ea / (2.0 * MC2_EV)) / _N_SAMPLES
-        b_coeff = np.fft.fft(eb / (2.0 * MC2_EV)) / _N_SAMPLES
-        return {j: (a_coeff[j], b_coeff[j]) for j in range(1, 5)}
-
-    def _matvec(self, harmonics, t: float):
-        """Returns y -> -i V_I(t) y for fixed harmonic coefficients."""
-        if harmonics is None:
+        steps = round(self.period / dt)
+        i = round(t / dt)
+        if steps < 1 or abs(steps * dt - self.period) > 1e-12 * self.period \
+                or abs(i * dt - t) > 1e-9 * dt + 4e-16 * abs(t):
             return None
-        phases = {j: np.exp(1j * self._dE[j] * t) for j in self._dE}
+        return i, steps
 
-        def mv(c: np.ndarray) -> np.ndarray:
-            syc = np.empty_like(c)
-            syc[:, 0] = -1j * c[:, 1]
-            syc[:, 1] = 1j * c[:, 0]
-            out = np.zeros_like(c)
-            for j, (aj, bj) in harmonics.items():
-                if aj == 0.0 and bj == 0.0:
-                    continue
-                ph = phases[j]
-                up = aj * c[:-j] + bj * syc[:-j]
-                out[j:] += ph[:, None] * up
-                dn = np.conj(aj) * c[j:] + np.conj(bj) * syc[j:]
-                out[:-j] += np.conj(ph)[:, None] * dn
-            out *= -1j
-            return out
+    def _propagator(self, t: float, dt: float, lattice=None):
+        """Sector propagators of [t, t + dt], or None when no stage overlaps it.
 
-        return mv
+        With ``lattice`` = (i, M), the step is step i of the carrier lattice
+        t_i = i T/M: a plateau step is then served from the cache keyed by
+        (stages on their plateau, i mod M), and any other lattice step ends
+        the cache, so that a cache lives only as long as its plateau."""
+        if self.period is None:
+            return self._magnus(t, dt)
+        key = self._step_class(t, t + dt)
+        if lattice is not None:
+            i, steps = lattice
+            if self._plateau != (key, steps):
+                self._plateau = (key, steps) if key else None
+                self._cache = {}
+                self._period_u = None
+            if key:
+                u = self._cache.get(i % steps)
+                if u is None:
+                    u = self._cache[i % steps] = self._magnus(t, dt)
+                return u
+        return None if key == () else self._magnus(t, dt)
+
+    def _sector_step(self, amps: np.ndarray, t: float, dt: float, lattice=None) -> np.ndarray:
+        u = self._propagator(t, dt, lattice)
+        return amps * np.exp(-1j * dt * self.energies) if u is None else _apply(u, amps)
+
+    def _period_propagator(self, key: tuple, steps: int):
+        """U_T from lattice phase 0 once the cache of plateau ``key`` holds
+        every step of the period, else None."""
+        if self._plateau != (key, steps) or len(self._cache) < steps:
+            return None
+        if self._period_u is None:
+            u = self._cache[0]
+            for p in range(1, steps):
+                u = self._cache[p] @ u
+            self._period_u = u
+        return self._period_u
+
+    def _to_sectors(self, c: np.ndarray, t: float) -> np.ndarray:
+        """Interaction-picture z-basis amplitudes (m, 2) at t -> Schroedinger-
+        picture sigma_y sector amplitudes (2, m), rows y+ and y-."""
+        ph = np.exp(-1j * t * self.energies) * math.sqrt(0.5)
+        return np.stack([(c[:, 0] - 1j * c[:, 1]) * ph, (c[:, 0] + 1j * c[:, 1]) * ph])
+
+    def _from_sectors(self, amps: np.ndarray, t: float) -> np.ndarray:
+        """Inverse of ``_to_sectors``."""
+        ph = np.exp(1j * t * self.energies) * math.sqrt(0.5)
+        return np.stack([(amps[0] + amps[1]) * ph, 1j * (amps[0] - amps[1]) * ph], axis=1)
 
     def gl2_step(self, c: np.ndarray, t: float, dt: float) -> np.ndarray:
-        """One 4th-order Gauss-Legendre step; unitary to iteration tolerance."""
-        mv1 = self._matvec(self.harmonics(t + _GL_C1 * dt), t + _GL_C1 * dt)
-        mv2 = self._matvec(self.harmonics(t + _GL_C2 * dt), t + _GL_C2 * dt)
-        if mv1 is None and mv2 is None:
+        """Advance interaction-picture amplitudes c from t to t + dt by one
+        exact-exponential 4th-order Magnus step in the sigma_y sectors
+        (unitary to rounding).  A plateau step of the carrier lattice
+        (dt = T/M, t a multiple of dt) is served from the plateau cache.
+        Returns c itself when no stage overlaps the step."""
+        u = self._propagator(t, dt, self._lattice_step(t, dt))
+        if u is None:
             return c
+        return self._from_sectors(_apply(u, self._to_sectors(c, t)), t + dt)
 
-        def zero(y):
-            return np.zeros_like(y)
+    def advance(self, c: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
+        """Interaction-picture amplitudes c at ta -> at tb.
 
-        f1 = mv1 or zero
-        f2 = mv2 or zero
-        k1 = f1(c)
-        k2 = f2(c)
-        for _ in range(40):
-            k1n = f1(c + dt * (_GL_A11 * k1 + _GL_A12 * k2))
-            k2n = f2(c + dt * (_GL_A21 * k1 + _GL_A22 * k2))
-            delta = max(np.max(np.abs(k1n - k1)), np.max(np.abs(k2n - k2)))
-            k1, k2 = k1n, k2n
-            if delta < 1e-14 * max(1.0, np.max(np.abs(k1)) * 0.5 + np.max(np.abs(k2)) * 0.5):
-                break
-        else:
-            raise PropagationError(
-                "implicit stage iteration did not converge; reduce the mode-lattice dt"
-            )
-        return c + 0.5 * dt * (k1 + k2)
+        Steps lie on the carrier lattice t_i = i T/M, with M the smallest
+        integer that makes them no longer than dt; fresh fractional steps
+        join ta and tb to it.  A run of steps outside every stage is one
+        phase factor, and whole plateau periods are one product U_T each.
+        """
+        if self.period is None:
+            raise ScenarioError("advance needs the full field model and a stage")
+        steps = max(1, math.ceil(self.period / dt - 1e-9))
+        h = self.period / steps
+        amps = self._to_sectors(c, ta)
+        i = math.ceil(ta / h)
+        j = math.floor(tb / h)
+        if i > j:
+            return self._from_sectors(self._sector_step(amps, ta, tb - ta), tb)
+        if i * h > ta:
+            amps = self._sector_step(amps, ta, i * h - ta)
+        # the class of a step changes only next to a stage boundary
+        breaks = sorted({math.floor(x / h) + d for s in self.stages
+                         for x in (s.start, s.start + s.envelope.rise,
+                                   s.start + s.envelope.rise + s.envelope.plateau, s.end)
+                         for d in (-1, 0, 1, 2)})
+        while i < j:
+            end = min([b for b in breaks if b > i] + [j])
+            key = self._step_class(i * h, (i + 1) * h)
+            if key == ():
+                amps = self._sector_step(amps, i * h, (end - i) * h)
+                i = end
+            while i < end:
+                period = self._period_propagator(key, steps) if i % steps == 0 else None
+                if period is not None and end - i >= steps:
+                    for _ in range((end - i) // steps):
+                        amps = _apply(period, amps)
+                    i += (end - i) // steps * steps
+                else:
+                    amps = self._sector_step(amps, i * h, h, (i, steps))
+                    i += 1
+        if tb > j * h:
+            amps = self._sector_step(amps, j * h, tb - j * h)
+        return self._from_sectors(amps, tb)
 
     def edge_population(self, c: np.ndarray) -> float:
         return float(np.sum(np.abs(c[0]) ** 2) + np.sum(np.abs(c[-1]) ** 2))
@@ -549,8 +702,17 @@ def _analysis_wavenumber(scn: Scenario) -> float:
     return 1.0
 
 
-def _snapshot_times(duration: float, cadence: float) -> np.ndarray:
+def _warn(run_warnings: list, msg: str) -> None:
+    run_warnings.append(msg)
+    warnings.warn(msg)
+
+
+def _snapshot_times(duration: float, cadence: float, run_warnings: list) -> np.ndarray:
     n = max(1, int(round(duration / cadence)))
+    if abs(n * cadence - duration) > 1e-9 * duration:
+        _warn(run_warnings, f"snapshot_every {natural_to_fs(cadence):.6g} fs does not divide "
+                            f"the duration {natural_to_fs(duration):.6g} fs; snapshots are "
+                            f"{natural_to_fs(duration / n):.6g} fs apart")
     return np.linspace(0.0, duration, n + 1)
 
 
@@ -601,6 +763,7 @@ def _run_grid(scn: Scenario) -> ScenarioResult:
     halfwidth = cfg.bin_halfwidth or hbar_k
     collector = _RowCollector()
     snapshots = []
+    run_warnings = []
     norm0 = float(np.sum(np.abs(psi) ** 2).real * dz)
     kinetic_cache: dict = {}
 
@@ -624,7 +787,7 @@ def _run_grid(scn: Scenario) -> ScenarioResult:
     def window_active(ta, tb):
         return any(s.start < tb - 1e-15 and s.end > ta + 1e-15 for s in scn.stages)
 
-    times = _snapshot_times(scn.duration, cadence)
+    times = _snapshot_times(scn.duration, cadence, run_warnings)
     observe(0.0, psi)
     for ta, tb in zip(times[:-1], times[1:]):
         seg = tb - ta
@@ -650,7 +813,7 @@ def _run_grid(scn: Scenario) -> ScenarioResult:
     final = SpinorWavefunction(grid, psi)
     return ScenarioResult(
         scenario=scn, backend=cfg.backend, timeseries=collector.series(),
-        final_report=report, final_psi=final, snapshots=snapshots,
+        final_report=report, final_psi=final, warnings=run_warnings, snapshots=snapshots,
     )
 
 
@@ -675,9 +838,11 @@ def _run_modes(scn: Scenario) -> ScenarioResult:
     collector = _RowCollector()
     snapshots = []
     run_warnings = []
+    edge_warned = False
     norm0 = float(np.sum(np.abs(c) ** 2))
 
     def observe(t, cc):
+        nonlocal edge_warned
         norm = float(np.sum(np.abs(cc) ** 2))
         if not np.isfinite(norm):
             raise PropagationError(f"non-finite norm at t={t:.6g}")
@@ -689,25 +854,20 @@ def _run_modes(scn: Scenario) -> ScenarioResult:
         collector.add(t, report, entropy, norm, norm0, sy_total)
         if cfg.keep_snapshots:
             snapshots.append((t, cc.copy()))
-        if eng.edge_population(cc) > 1e-6 and not run_warnings:
-            msg = (f"population {eng.edge_population(cc):.2e} at |n| = {eng.N} "
-                   f"at t={t:.6g}; increase mode_halfwidth")
-            run_warnings.append(msg)
-            warnings.warn(msg)
+        if eng.edge_population(cc) > 1e-6 and not edge_warned:
+            edge_warned = True
+            _warn(run_warnings, f"population {eng.edge_population(cc):.2e} at |n| = {eng.N} "
+                                f"at t={t:.6g}; increase mode_halfwidth")
         return report
 
     def window_active(ta, tb):
         return any(s.start < tb - 1e-15 and s.end > ta + 1e-15 for s in scn.stages)
 
-    times = _snapshot_times(scn.duration, cadence)
+    times = _snapshot_times(scn.duration, cadence, run_warnings)
     observe(0.0, c)
     for ta, tb in zip(times[:-1], times[1:]):
-        seg = tb - ta
         if window_active(ta, tb):
-            n = max(1, math.ceil(seg / dt_hint - 1e-12))
-            dt = seg / n
-            for i in range(n):
-                c = eng.gl2_step(c, ta + i * dt, dt)
+            c = eng.advance(c, ta, tb, dt_hint)
         # inactive: interaction-picture amplitudes are exactly constant
         report = observe(tb, c)
 

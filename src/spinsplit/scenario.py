@@ -2,7 +2,8 @@
 ordered laser stages, propagation settings and output choices.
 
 Unknown keys are rejected.  Validation failures raise ScenarioFileError
-carrying the full list of problems with (approximate) line positions.
+carrying the full list of problems, each with the line of the offending
+entry (or of its enclosing mapping when the entry is missing).
 """
 
 from __future__ import annotations
@@ -50,31 +51,48 @@ class OutputSpec:
     snapshots: str = "snapshots"
 
 
+def _node_lines(node, path: str, lines: dict) -> dict:
+    """path ("stages[1].plateau") -> 1-based line, from the YAML node marks."""
+    lines[path] = node.start_mark.line + 1
+    if isinstance(node, yaml.MappingNode):
+        for key, value in node.value:
+            child = f"{path}.{key.value}" if path else str(key.value)
+            _node_lines(value, child, lines)
+            lines[child] = key.start_mark.line + 1
+    elif isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _node_lines(item, f"{path}[{i}]", lines)
+    return lines
+
+
 class _Validator:
-    def __init__(self, text: str):
-        self.text_lines = text.splitlines()
+    def __init__(self, lines: dict):
+        self.lines = lines
         self.errors: list[str] = []
 
-    def _line_of(self, key: str) -> str:
-        for i, line in enumerate(self.text_lines, start=1):
-            stripped = line.split("#", 1)[0]
-            if stripped.strip().lstrip("- ").startswith(f"{key}:"):
-                return f"line {i}"
+    def _line_of(self, path: str) -> str:
+        # top-level scalars are reported as "scenario.<key>"; a missing entry
+        # is reported at the nearest enclosing node that exists
+        path = path.removeprefix("scenario.")
+        while path:
+            if path in self.lines:
+                return f"line {self.lines[path]}"
+            path = path[:path.rindex("[")] if path.endswith("]") else path.rpartition(".")[0]
         return "line ?"
 
-    def error(self, key: str, path: str, message: str):
-        self.errors.append(f"{self._line_of(key)}: {path}: {message}")
+    def error(self, path: str, message: str):
+        self.errors.append(f"{self._line_of(path)}: {path}: {message}")
 
     def check_keys(self, mapping: dict, allowed: set, path: str):
         for key in mapping:
             if key not in allowed:
-                self.error(str(key), f"{path}.{key}", "unknown key")
+                self.error(f"{path}.{key}", "unknown key")
 
     def number(self, mapping: dict, key: str, path: str, *, required=False,
                default=None, minimum=None, positive=False):
         if key not in mapping or mapping[key] is None:
             if required:
-                self.error(key, f"{path}.{key}", "missing required field")
+                self.error(f"{path}.{key}", "missing required field")
             return default
         value = mapping[key]
         if isinstance(value, str):
@@ -82,17 +100,17 @@ class _Validator:
             try:
                 value = float(value)
             except ValueError:
-                self.error(key, f"{path}.{key}", f"expected a number, got {value!r}")
+                self.error(f"{path}.{key}", f"expected a number, got {value!r}")
                 return default
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.error(key, f"{path}.{key}", f"expected a number, got {value!r}")
+            self.error(f"{path}.{key}", f"expected a number, got {value!r}")
             return default
         value = float(value)
         if positive and value <= 0:
-            self.error(key, f"{path}.{key}", f"must be positive, got {value}")
+            self.error(f"{path}.{key}", f"must be positive, got {value}")
             return default
         if minimum is not None and value < minimum:
-            self.error(key, f"{path}.{key}", f"must be >= {minimum}, got {value}")
+            self.error(f"{path}.{key}", f"must be >= {minimum}, got {value}")
             return default
         return value
 
@@ -110,21 +128,21 @@ def _parse_spin(raw, val: _Validator):
             elif isinstance(item, (list, tuple)) and len(item) == 2:
                 comps.append(complex(item[0], item[1]))
             else:
-                val.error("spin", "electron.spin", f"bad spin component {item!r}")
+                val.error("electron.spin", f"bad spin component {item!r}")
                 return "up"
         return np.array(comps, dtype=complex)
-    val.error("spin", "electron.spin", f"expected a name or two components, got {raw!r}")
+    val.error("electron.spin", f"expected a name or two components, got {raw!r}")
     return "up"
 
 
 def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator):
     path = f"stages[{idx}]"
     if not isinstance(raw, dict):
-        val.error("stages", path, "each stage must be a mapping")
+        val.error(path, "each stage must be a mapping")
         return None
     kind = raw.get("kind")
     if kind not in ("monochromatic", "bichromatic"):
-        val.error("kind", f"{path}.kind", f"must be monochromatic or bichromatic, got {kind!r}")
+        val.error(f"{path}.kind", f"must be monochromatic or bichromatic, got {kind!r}")
         return None
     allowed = _STAGE_KEYS_MONO if kind == "monochromatic" else _STAGE_KEYS_BI
     val.check_keys(raw, allowed, path)
@@ -142,7 +160,7 @@ def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator)
     if kind == "monochromatic":
         a0 = val.number(raw, "a0", path, required=True, minimum=0.0)
         if "chi" in raw and "chi_pi" in raw:
-            val.error("chi", f"{path}.chi", "give chi or chi_pi, not both")
+            val.error(f"{path}.chi", "give chi or chi_pi, not both")
         chi = val.number(raw, "chi", path, default=None)
         chi_pi = val.number(raw, "chi_pi", path, default=None)
         if chi is None:
@@ -166,34 +184,38 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
                         dt_as: float | None = None, snapshot_every_fs: float | None = None,
                         grid_points: int | None = None,
                         mode_halfwidth: int | None = None) -> tuple[Scenario, OutputSpec]:
-    val = _Validator(text)
+    loader = yaml.SafeLoader(text)
     try:
-        raw = yaml.safe_load(text)
+        node = loader.get_single_node()
+        raw = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
         raise ScenarioFileError(path, [f"YAML parse error: {exc}"]) from exc
+    finally:
+        loader.dispose()
+    val = _Validator(_node_lines(node, "", {}) if node is not None else {})
     if not isinstance(raw, dict):
         raise ScenarioFileError(path, ["scenario must be a mapping"])
 
     val.check_keys(raw, _TOP_KEYS, "scenario")
     units = raw.get("units") or {}
     if not isinstance(units, dict):
-        val.error("units", "units", "must be a mapping")
+        val.error("units", "must be a mapping")
         units = {}
     val.check_keys(units, _UNIT_KEYS, "units")
     time_unit = units.get("time", "fs")
     length_unit = units.get("length", "um")
     if time_unit not in _TIME_UNITS:
-        val.error("time", "units.time", f"unknown time unit {time_unit!r}")
+        val.error("units.time", f"unknown time unit {time_unit!r}")
         time_unit = "fs"
     if length_unit not in _LENGTH_UNITS:
-        val.error("length", "units.length", f"unknown length unit {length_unit!r}")
+        val.error("units.length", f"unknown length unit {length_unit!r}")
         length_unit = "um"
     to_time = _TIME_UNITS[time_unit]
     to_length = _LENGTH_UNITS[length_unit]
 
     electron = raw.get("electron")
     if not isinstance(electron, dict):
-        val.error("electron", "electron", "missing or not a mapping")
+        val.error("electron", "missing or not a mapping")
         electron = {}
     val.check_keys(electron, _ELECTRON_KEYS, "electron")
     center = val.number(electron, "center", "electron", default=0.0)
@@ -203,28 +225,28 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
 
     prop = raw.get("propagation") or {}
     if not isinstance(prop, dict):
-        val.error("propagation", "propagation", "must be a mapping")
+        val.error("propagation", "must be a mapping")
         prop = {}
     val.check_keys(prop, _PROP_KEYS, "propagation")
     backend_name = backend or prop.get("backend", "full-field")
     if backend_name not in BACKENDS:
-        val.error("backend", "propagation.backend", f"must be one of {BACKENDS}")
+        val.error("propagation.backend", f"must be one of {BACKENDS}")
         backend_name = "full-field"
     convention_name = convention or prop.get("mono_convention", "traveling")
     if convention_name not in CONVENTIONS:
-        val.error("mono_convention", "propagation.mono_convention",
+        val.error("propagation.mono_convention",
                   f"must be one of {CONVENTIONS}")
         convention_name = "traveling"
     dt_file = val.number(prop, "dt", "propagation", default=None, positive=True)
     snap_file = val.number(prop, "snapshot_every", "propagation", default=None, positive=True)
     points = grid_points or prop.get("grid_points", 16384)
     if not isinstance(points, int) or points <= 0:
-        val.error("grid_points", "propagation.grid_points", f"bad value {points!r}")
+        val.error("propagation.grid_points", f"bad value {points!r}")
         points = 16384
     glen = val.number(prop, "grid_length", "propagation", default=None, positive=True)
     halfwidth = mode_halfwidth or prop.get("mode_halfwidth", 8)
     if not isinstance(halfwidth, int) or halfwidth < 4:
-        val.error("mode_halfwidth", "propagation.mode_halfwidth",
+        val.error("propagation.mode_halfwidth",
                   f"must be an integer >= 4, got {halfwidth!r}")
         halfwidth = 8
     bin_halfwidth = val.number(prop, "bin_halfwidth", "propagation", default=None, positive=True)
@@ -235,7 +257,7 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
     if stages_raw is None:
         stages_raw = []
     if not isinstance(stages_raw, list):
-        val.error("stages", "stages", "must be a list")
+        val.error("stages", "must be a list")
         stages_raw = []
     stages = []
     for i, item in enumerate(stages_raw):
@@ -245,12 +267,12 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
 
     outputs_raw = raw.get("outputs") or {}
     if not isinstance(outputs_raw, dict):
-        val.error("outputs", "outputs", "must be a mapping")
+        val.error("outputs", "must be a mapping")
         outputs_raw = {}
     val.check_keys(outputs_raw, _OUTPUT_KEYS, "outputs")
     fmt = outputs_raw.get("format", "csv")
     if fmt not in ("csv", "binary"):
-        val.error("format", "outputs.format", f"must be csv or binary, got {fmt!r}")
+        val.error("outputs.format", f"must be csv or binary, got {fmt!r}")
         fmt = "csv"
     out_spec = OutputSpec(
         format=fmt,

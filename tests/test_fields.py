@@ -41,6 +41,18 @@ class TestEnvelope:
         for t in (2.0, 4.0, 7.0):
             assert envelope_value(env, t) == 1.0
 
+    @pytest.mark.parametrize("rise,plateau,fall", [(2.0, 5.0, 2.0), (0.0, 5.0, 0.0),
+                                                   (3.0, 0.0, 1.0)])
+    def test_scalar_path_matches_array_path(self, rise, plateau, fall):
+        env = Envelope(rise=rise, plateau=plateau, fall=fall)
+        breaks = [0.0, rise, rise + plateau, env.duration]
+        ts = np.concatenate([np.linspace(-1.0, env.duration + 1.0, 501), breaks])
+        for t in ts:
+            assert env.value(float(t)) == pytest.approx(float(env.value(np.array(t))),
+                                                        abs=1e-15)
+        assert [env.value(float(t)) for t in breaks] == [float(env.value(np.array(t)))
+                                                         for t in breaks]
+
     def test_continuity(self):
         env = Envelope(rise=3.0, plateau=4.0, fall=5.0)
         ts = np.linspace(-1, 13, 20001)

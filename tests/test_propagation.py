@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from spinsplit.analytic import EffectivePotential, stage_unitary
-from spinsplit.fields import BichromaticWave, Envelope, MonoStandingWave
+from spinsplit.fields import (
+    BichromaticWave,
+    Envelope,
+    MonoStandingWave,
+    magnetic_field,
+    vector_potential,
+)
 from spinsplit.observables import channel_report
 from spinsplit.propagation import (
     ModeLatticeEngine,
@@ -214,8 +220,53 @@ class TestModeLattice:
             c = engine.gl2_step(c, i * dt, dt)
         assert float(np.sum(np.abs(c[0]) ** 2)) == pytest.approx(1.0, abs=1e-8)
 
+    def test_harmonics_match_fft_of_sampled_fields(self):
+        # closed-form a_j, b_j against the FFT of (eA)^2/2m and eB_y/2m
+        # sampled over one spatial period, with a mono and a bichromatic
+        # stage overlapping on their edges
+        env = Envelope(0.5, 1.0, 0.5)
+        stages = [MonoStandingWave(ea0=3000.0, photon_energy=K, chi=0.7, envelope=env),
+                  BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=K, envelope=env,
+                                  start=0.3)]
+        engine = ModeLatticeEngine(K, 8, stages=stages)
+        z = np.arange(32) * (2 * np.pi / K) / 32
+        for t in (0.1, 0.45, 0.9, 1.95):
+            ea = sum(vector_potential(s, t, z) for s in stages if s.start <= t <= s.end)
+            eb = sum(magnetic_field(s, t, z) for s in stages if s.start <= t <= s.end)
+            a_fft = np.fft.fft(ea * ea / (2 * MC2_EV))[1:5] / 32
+            b_fft = np.fft.fft(eb / (2 * MC2_EV))[1:5] / 32
+            a, b = engine.harmonics(t)
+            np.testing.assert_allclose(a, a_fft, rtol=0, atol=1e-12 * np.max(np.abs(a_fft)))
+            np.testing.assert_allclose(b, b_fft, rtol=0, atol=1e-12 * np.max(np.abs(b_fft)))
+        assert engine.harmonics(2.5) is None
+
+    def test_shared_engine_matches_fresh_engines(self):
+        # One engine reuses its plateau propagators (keyed by the active
+        # stages and the lattice phase i mod M); a fresh engine per step
+        # computes every step anew.  Across rise, plateau, fall and the free
+        # steps after it the amplitudes must agree.
+        period = 2 * np.pi / 1200.0
+        env = Envelope(2.0 * period, 3.0 * period, 2.0 * period)
+        stage = MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.3,
+                                 envelope=env, start=1.3 * period)
+        per_period = 64
+        dt = period / per_period
+        shared = ModeLatticeEngine(1200.0, 8, stages=[stage])
+        calls = []
+        harmonics = shared.harmonics
+        shared.harmonics = lambda t: calls.append(t) or harmonics(t)
+        c_shared = c_fresh = shared.initial_state(+2, "up")
+        n_steps = int((stage.end + period) / dt)
+        for i in range(n_steps):
+            c_shared = shared.gl2_step(c_shared, i * dt, dt)
+            c_fresh = ModeLatticeEngine(1200.0, 8, stages=[stage]).gl2_step(c_fresh, i * dt, dt)
+        np.testing.assert_allclose(c_shared, c_fresh, rtol=0, atol=1e-13)
+        assert np.sum(np.abs(c_shared[2 + 8]) ** 2) < 0.999  # the stage did act
+        # the last two plateau periods came from the cache
+        assert len(calls) <= 2 * (n_steps - 2 * per_period)
+
     def test_norm_conserved_at_large_coupling(self):
-        # the implicit Gauss step must hold the norm even when lambda*dt ~ 0.4
+        # the exponential step must hold the norm even when lambda*dt ~ 0.4
         engine = ModeLatticeEngine(1600.0, 6, potentials=[
             (EffectivePotential("monochromatic", 500.0, 1600.0, 0.0), 1, None)],
             field_model="effective")
@@ -302,6 +353,42 @@ class TestStagePulseAreas:
             areas[s.kind] = theta
         assert areas["monochromatic"] == pytest.approx(np.pi, rel=1e-12)
         assert areas["bichromatic"] == pytest.approx(np.pi / 2, rel=1e-12)
+
+
+# desk-mono on the mode lattice as integrated by the implicit Gauss-Legendre
+# (GL2) stepper this package used before the Magnus stepper, at its default
+# dt = pi/(128 omega) and at dt/2: (pop_plus, pop_minus, pop_plus*sy_plus,
+# pop_minus*sy_minus).
+DESK_MONO_GL2_DT = (0.5039293781719123, 0.49195915927204764,
+                    0.5039293781719122, 0.49195915927204775)
+DESK_MONO_GL2_DT_HALF = (0.5039293781718541, 0.49195915927209116,
+                         0.5039293781718543, 0.4919591592720913)
+
+
+def test_mode_lattice_matches_gl2_desk_mono():
+    # The stage ends at 0.2173 fs, between the snapshots at 0.215 and
+    # 0.220 fs, so one snapshot interval holds fresh edge steps and free
+    # steps; the plateau before runs on cached steps and period products.
+    # Allowed error: the GL2 timestep-convergence error, floored at 1e-12.
+    from spinsplit.scenario import load_scenario
+
+    scn, _ = load_scenario("desk-mono", backend="mode-lattice")
+    rep = run_scenario(scn).final_report
+    got = (rep.pop_plus, rep.pop_minus, rep.pop_plus * rep.sy_plus,
+           rep.pop_minus * rep.sy_minus)
+    tol = max(max(abs(a - b) for a, b in zip(DESK_MONO_GL2_DT, DESK_MONO_GL2_DT_HALF)), 1e-12)
+    np.testing.assert_allclose(got, DESK_MONO_GL2_DT_HALF, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("backend", ["effective", "mode-lattice"])
+def test_uneven_snapshot_spacing_warns(backend):
+    # 1 fs in snapshots of 0.3 fs: re-spaced to 3 intervals of 0.333 fs
+    scn = effective_scenario([], tail_fs=1.0, points=256, snapshot_every=fs_to_natural(0.3))
+    scn.config.backend = backend
+    with pytest.warns(UserWarning, match="does not divide"):
+        result = run_scenario(scn)
+    assert result.timeseries.t.size == 4
+    assert any("0.333333 fs apart" in w for w in result.warnings)
 
 
 @pytest.mark.parametrize("backend", ["full-field", "effective"])

@@ -5,6 +5,7 @@ from spinsplit.fields import BichromaticWave, MonoStandingWave
 from spinsplit.scenario import (
     ScenarioFileError,
     bundled_scenario_names,
+    bundled_scenario_path,
     load_scenario,
     parse_scenario_text,
 )
@@ -106,6 +107,15 @@ class TestParsing:
         with pytest.raises(ScenarioFileError) as err:
             parse_scenario_text(text)
         assert "plateau" in str(err.value)
+
+    def test_error_reports_line_of_the_offending_stage(self):
+        # fig2's second plateau is on line 31; the first, on line 22, is fine
+        lines = bundled_scenario_path("fig2").read_text().splitlines(keepends=True)
+        assert lines[30].strip().startswith("plateau:")
+        lines[30] = "    plateau: -3.0\n"
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text("".join(lines))
+        assert err.value.errors == ["line 31: stages[1].plateau: must be >= 0.0, got -3.0"]
 
     def test_chi_conflict_rejected(self):
         text = MINIMAL.replace("stages: []", """stages:

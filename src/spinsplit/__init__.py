@@ -34,7 +34,6 @@ from .fields import (
     Envelope,
     FieldStage,
     MonoStandingWave,
-    envelope_value,
     magnetic_field,
     vector_potential,
 )

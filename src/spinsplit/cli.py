@@ -72,9 +72,9 @@ def snapshot_binary(t, psi, scenario_hash) -> bytes:
         "length_um": natural_to_um(grid.length),
         "layout": "float64 rows: z_um, re_up, im_up, re_dn, im_dn",
     }
-    z_um = np.array([natural_to_um(z) for z in (grid.z,)])[0]
     block = np.vstack([
-        z_um, psi.psi[0].real, psi.psi[0].imag, psi.psi[1].real, psi.psi[1].imag,
+        natural_to_um(grid.z),
+        psi.psi[0].real, psi.psi[0].imag, psi.psi[1].real, psi.psi[1].imag,
     ]).astype(np.float64)
     return json.dumps(header, sort_keys=True).encode() + b"\n" + block.tobytes(order="C")
 

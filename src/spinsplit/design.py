@@ -62,10 +62,6 @@ def xi_from_amplitude(ea: float) -> float:
     return ea / MC2_EV
 
 
-def amplitude_from_xi(xi: float) -> float:
-    return xi * MC2_EV
-
-
 def intensity_from_xi(xi: float, hbar_omega: float) -> float:
     """Peak intensity in W/cm^2 of a traveling wave with strength xi.
 

@@ -136,16 +136,8 @@ class BichromaticWave:
 FieldStage = Union[MonoStandingWave, BichromaticWave]
 
 
-def envelope_value(env: Envelope, t) -> float:
-    return env.value(t)
-
-
 def stage_envelope(stage: FieldStage, t):
     return stage.envelope.value(t - stage.start)
-
-
-def is_active(stage: FieldStage, t: float) -> bool:
-    return stage.start <= t <= stage.end
 
 
 def vector_potential(stage: FieldStage, t, z):

@@ -68,6 +68,46 @@ def _bloch_from_spinors(up, dn, weights=None):
     )
 
 
+def _channels(phi: np.ndarray, weight: float, plus, minus):
+    """(ChannelReport, reduced spin density) of spin-resolved momentum
+    amplitudes phi (2, M) whose columns each carry the measure ``weight``;
+    ``plus`` and ``minus`` select the columns of the two channels.  The
+    density is sum_p phi(p) phi(p)^dagger weight, with trace the total norm."""
+    rho = phi @ phi.conj().T * weight
+    norm = float(rho.trace().real)
+    pops = []
+    blochs = []
+    for mask in (plus, minus):
+        pop, bloch = _bloch_from_spinors(phi[0, mask], phi[1, mask])
+        pops.append(pop * weight / norm)
+        blochs.append(bloch)
+    report = ChannelReport(
+        pop_plus=pops[0], pop_minus=pops[1], unassigned=1.0 - pops[0] - pops[1],
+        bloch_plus=blochs[0], bloch_minus=blochs[1], total_norm=norm,
+    )
+    return report, rho
+
+
+def grid_channels(psi: SpinorWavefunction, hbar_k: float, bin_halfwidth: float):
+    """(ChannelReport, reduced spin density) of a wavefunction from one
+    momentum FFT, with bins |p -+ 2 hbar k| <= bin_halfwidth."""
+    phi = psi.momentum_amplitudes()
+    p = psi.grid.p
+    center = 2.0 * hbar_k
+    return _channels(phi, psi.grid.momentum_spacing,
+                     np.abs(p - center) <= bin_halfwidth, np.abs(p + center) <= bin_halfwidth)
+
+
+def mode_channels(amplitudes: np.ndarray, bin_halfwidth_modes: float = 1.0):
+    """(ChannelReport, reduced spin density) of mode-lattice amplitudes of
+    shape (2N+1, 2); mode n carries momentum n*hbar k, the channels are the
+    modes with |n -+ 2| < bin_halfwidth_modes."""
+    c = np.asarray(amplitudes, dtype=complex)
+    n_index = np.arange(c.shape[0]) - c.shape[0] // 2
+    return _channels(c.T, 1.0, np.abs(n_index - 2) < bin_halfwidth_modes,
+                     np.abs(n_index + 2) < bin_halfwidth_modes)
+
+
 def channel_report(
     psi: SpinorWavefunction, hbar_k: float, bin_halfwidth: float | None = None
 ) -> ChannelReport:
@@ -83,53 +123,15 @@ def channel_report(
     norm = psi.norm()
     if norm <= 0.0 or not np.isfinite(norm):
         raise AnalysisError("channel report of a zero-norm state")
-    phi = psi.momentum_amplitudes()
-    p = psi.grid.p
-    dp = psi.grid.momentum_spacing
-    center = 2.0 * hbar_k
-
-    pops = {}
-    blochs = {}
-    for name, c in (("plus", center), ("minus", -center)):
-        mask = np.abs(p - c) <= bin_halfwidth
-        pop, bloch = _bloch_from_spinors(phi[0, mask], phi[1, mask])
-        pops[name] = pop * dp / norm
-        blochs[name] = bloch
-    unassigned = 1.0 - pops["plus"] - pops["minus"]
-    return ChannelReport(
-        pop_plus=pops["plus"],
-        pop_minus=pops["minus"],
-        unassigned=unassigned,
-        bloch_plus=blochs["plus"],
-        bloch_minus=blochs["minus"],
-        total_norm=norm,
-    )
+    return grid_channels(psi, hbar_k, bin_halfwidth)[0]
 
 
 def mode_channel_report(amplitudes: np.ndarray, bin_halfwidth_modes: float = 1.0) -> ChannelReport:
     """Channel report for mode-lattice amplitudes of shape (2N+1, 2); mode n
     carries momentum n*hbar k, the channels are n = +-2."""
-    c = np.asarray(amplitudes, dtype=complex)
-    m = c.shape[0]
-    n_index = np.arange(m) - m // 2
-    norm = float(np.sum(np.abs(c) ** 2))
-    if norm <= 0.0:
+    if float(np.sum(np.abs(amplitudes) ** 2)) <= 0.0:
         raise AnalysisError("channel report of a zero-norm state")
-    pops = {}
-    blochs = {}
-    for name, center in (("plus", 2), ("minus", -2)):
-        mask = np.abs(n_index - center) < bin_halfwidth_modes
-        pop, bloch = _bloch_from_spinors(c[mask, 0], c[mask, 1])
-        pops[name] = pop / norm
-        blochs[name] = bloch
-    return ChannelReport(
-        pop_plus=pops["plus"],
-        pop_minus=pops["minus"],
-        unassigned=1.0 - pops["plus"] - pops["minus"],
-        bloch_plus=blochs["plus"],
-        bloch_minus=blochs["minus"],
-        total_norm=norm,
-    )
+    return mode_channels(amplitudes, bin_halfwidth_modes)[0]
 
 
 def polarization_degree(report: ChannelReport, channel: str = "both"):

@@ -1,27 +1,36 @@
 """Time evolution of spinor wave packets under the Pauli equation.
 
-Three backends share one scenario interface:
+H = p^2/2m + a(z,t) + b(z,t) sigma_y with a = (eA)^2/(2mc^2) and
+b = (e hbar/2mc) B_y.  [sigma_y, H] = 0 for every field modelled here, so
+every backend holds the state in the two sigma_y sectors
+psi_+- = (psi_up -+ i psi_down)/sqrt(2), each a scalar Schroedinger problem
+with potential a +- b; sigma_y conservation is structural.  Observation
+rotates back to the z basis once per snapshot, and all outputs are in the z
+basis.  The fields come from ``fields`` only.
 
 * ``full-field``   - Strang splitting on the spatial grid with the exact
-  time-dependent A(t,z): H = p^2/2m + (eA)^2/(2mc^2) + (e hbar/2mc) sigma_y B_y.
-  The position-space propagator uses the exact Pauli-algebra closed form
-  exp(-i(a + b sigma_y)dt) = e^{-ia dt}(cos(b dt) - i sin(b dt) sigma_y),
-  with fields evaluated at the step midpoint.
+  time-dependent A(t,z), built on the grid from each stage's spatial
+  harmonics and evaluated at the step midpoint.  The potential factor is
+  the exact phase exp(-i (a +- b) dt) in each sector.
 * ``effective``    - same splitting with the cycle-averaged lattices; inside
   pulse edges the monochromatic lattice scales as f(t)^2 and the bichromatic
   one as f(t)^3 (two resp. three field factors drive them).
 * ``mode-lattice`` - amplitudes c_n on momenta n*hbar*k, |n| <= N, under all
   Fourier components of (eA)^2 and B_y, in closed form from the stage
-  formulas.  [sigma_y, H] = 0 splits the lattice into the two sigma_y
-  sectors, each a (2N+1)-mode Hermitian problem with coupling a_j +- b_j.
-  Each step is the exact exponential of the 4th-order Magnus expansion
-  (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)) in the
+  harmonics; each sector is a (2N+1)-mode Hermitian problem with coupling
+  a_j +- b_j.  Each step is the exact exponential of the 4th-order Magnus
+  expansion (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)) in the
   Schroedinger picture, so it is unitary to rounding at any step size.
   Steps lie on the carrier lattice t_i = i T/M, T = 2 pi/omega.  On a pulse
   plateau H(t + T) = H(t), so a plateau's M step propagators are computed
   once and whole periods advance by their product U_T (Shirley, Phys. Rev.
   138, B979 (1965)); only the sin^2 edges are stepped afresh.  Amplitudes
   outside the engine are in the interaction picture.
+
+One runner drives every backend through the same three calls: ``advance``
+across a snapshot interval with a field on, ``drift`` across one without,
+and ``observe`` at each snapshot (channel report and reduced spin density
+from ``observables``).
 
 The spatially uniform (eA)^2/2m Fourier component is dropped in the mode
 lattice: it multiplies the identity and contributes only a global phase.
@@ -36,14 +45,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fields as F
-from .analytic import (
-    KIND_BI,
-    KIND_MONO,
-    EffectivePotential,
-    rabi_frequency_bi,
-    rabi_frequency_mono,
-)
-from .observables import ChannelReport, _bloch_from_spinors, spin_momentum_entanglement
+from .analytic import KIND_MONO, EffectivePotential
+from .observables import ChannelReport, _entropy_of_spin_density, grid_channels, mode_channels
 from .states import SpatialGrid, SpinorWavefunction, gaussian_packet, normalize_spin
 from .units import MC2_EV, natural_to_fs, um_to_natural
 
@@ -130,6 +133,13 @@ class Scenario:
                         "mode-lattice needs the packet momentum on the k-lattice; "
                         f"got p/hbar k = {ratio:.4f}"
                     )
+        else:
+            # wider bins overlap and count the same momenta in both channels
+            hbar_k = _analysis_wavenumber(self)
+            w = self.config.bin_halfwidth
+            if w is not None and not 0.0 < w < 2.0 * hbar_k:
+                raise ScenarioError(f"bin_halfwidth {w:.6g} must lie in (0, 2 hbar k) = "
+                                    f"(0, {2.0 * hbar_k:.6g})")
         return self
 
 
@@ -165,10 +175,17 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # timestep policy
 
-def _stage_rabi(stage) -> float:
+def _effective_lattice(stage):
+    """(cycle-averaged lattice, envelope power) of a stage.  The power counts
+    the field factors that drive it: f^2 for the A^2 lattice, f^3 for the
+    three-photon bichromatic one."""
     if stage.kind == KIND_MONO:
-        return rabi_frequency_mono(stage.ea0)
-    return rabi_frequency_bi(stage.ea1, stage.ea2, stage.photon_energy)
+        return EffectivePotential.mono(stage.ea0, stage.wavenumber, stage.chi), 2
+    return EffectivePotential.bichromatic(stage.ea1, stage.ea2, stage.photon_energy), 3
+
+
+def _stage_rabi(stage) -> float:
+    return _effective_lattice(stage)[0].strength
 
 
 def _max_omega(stages) -> float:
@@ -189,15 +206,13 @@ def stage_pulse_areas(stages):
     """Per stage: (stage, hbar_rabi, effective_duration, pulse_area theta).
 
     The effective duration integrates the envelope with the power the stage's
-    coupling actually carries (f^2 for the A^2 lattice, f^3 for the
-    three-photon bichromatic one).
+    coupling carries (see ``_effective_lattice``).
     """
     out = []
     for s in stages:
-        om = _stage_rabi(s)
-        power = 2 if s.kind == KIND_MONO else 3
+        pot, power = _effective_lattice(s)
         teff = s.envelope.effective_duration(power)
-        out.append((s, om, teff, om * teff))
+        out.append((s, pot.strength, teff, pot.strength * teff))
     return out
 
 
@@ -209,6 +224,26 @@ def timestep_ceiling(backend: str, stages) -> float:
         return np.pi / (40.0 * w) if w > 0 else np.inf
     om = max((_stage_rabi(s) for s in stages), default=0.0)
     return 0.01 / om if om > 0 else np.inf
+
+
+# ---------------------------------------------------------------------------
+# sigma_y sectors
+
+_RSQRT2 = math.sqrt(0.5)
+
+
+def _y_sectors(spinor: np.ndarray) -> np.ndarray:
+    """z-basis components (up, dn) on axis 0 -> the sigma_y sector amplitudes
+    (y+, y-) = (up -+ i dn)/sqrt(2) on axis 0.  [sigma_y, H] = 0, so each
+    sector evolves alone under the scalar potential a +- b."""
+    up, dn = spinor
+    return np.stack([up - 1j * dn, up + 1j * dn]) * _RSQRT2
+
+
+def _z_spinor(sectors: np.ndarray) -> np.ndarray:
+    """Inverse of ``_y_sectors``."""
+    plus, minus = sectors
+    return np.stack([plus + minus, 1j * (plus - minus)]) * _RSQRT2
 
 
 # ---------------------------------------------------------------------------
@@ -225,93 +260,67 @@ def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 def _apply_potential(psi: np.ndarray, a, b, dt: float) -> None:
-    """In-place exp(-i (a + b sigma_y) dt) on psi of shape (2, N)."""
-    if a is not None:
-        phase = np.exp(-1j * dt * a)
-    else:
-        phase = None
-    if b is not None:
-        bdt = b * dt
-        cb = np.cos(bdt)
-        sb = np.sin(bdt)
-        up = cb * psi[0] - sb * psi[1]
-        dn = sb * psi[0] + cb * psi[1]
-        psi[0] = up
-        psi[1] = dn
-    if phase is not None:
-        psi *= phase
+    """In-place exp(-i (a +- b) dt) on the sigma_y sectors psi of shape (2, N)."""
+    if b is None:
+        psi *= np.exp(-1j * dt * a)
+        return
+    if a is None:
+        a = 0.0
+    psi[0] *= np.exp(-1j * dt * (a + b))
+    psi[1] *= np.exp(-1j * dt * (a - b))
 
 
 class _FullFieldTerms:
-    """Evaluates a(z,t) = (eA)^2/2m and b(z,t) = eB_y/2m with per-stage
-    spatial profiles precomputed once."""
+    """a(z,t) = (eA)^2/2m and b(z,t) = eB_y/2m on the grid, summed from each
+    stage's spatial harmonics (``fields.spatial_harmonics``):
+    eA = 2 Re(alpha_1 e^{ikz} + alpha_2 e^{2ikz}), eB_y = d(eA)/dz.  The
+    profiles 2 cos(jkz) and -2 sin(jkz), j = 1, 2, are computed once per stage."""
 
     def __init__(self, stages, z: np.ndarray):
-        self._recipes = []
+        self._profiles = []
         for s in stages:
             k = s.wavenumber
-            if s.kind == KIND_MONO:
-                prof = np.cos(2.0 * k * z + 0.5 * s.chi)
-                dprof = -2.0 * k * np.sin(2.0 * k * z + 0.5 * s.chi)
-                self._recipes.append((s, ("mono", prof, dprof)))
-            else:
-                self._recipes.append(
-                    (s, ("bi", np.cos(k * z), np.sin(k * z), np.cos(2 * k * z), np.sin(2 * k * z)))
-                )
+            self._profiles.append((s, [(j * k, 2.0 * np.cos(j * k * z), -2.0 * np.sin(j * k * z))
+                                       for j in (1, 2)]))
 
     def __call__(self, t: float):
         ea = None
         eb = None
-        for s, recipe in self._recipes:
+        for s, profiles in self._profiles:
             if not (s.start <= t <= s.end):
                 continue
-            f = s.envelope.value(t - s.start)
-            if f == 0.0:
-                continue
-            w = s.omega
-            k = s.wavenumber
-            if recipe[0] == "mono":
-                _, prof, dprof = recipe
-                amp = f * s.ea0 * math.cos(2.0 * w * t)
-                field_a = amp * prof
-                field_b = amp * dprof
-            else:
-                _, ck, sk, c2k, s2k = recipe
-                c1, s1 = math.cos(w * t), math.sin(w * t)
-                c2, s2 = math.cos(2 * w * t), math.sin(2 * w * t)
-                # cos(wt - kz) = c1*ck + s1*sk ; cos(2wt + 2kz) = c2*c2k - s2*s2k
-                field_a = f * (s.ea1 * (c1 * ck + s1 * sk) + s.ea2 * (c2 * c2k - s2 * s2k))
-                # sin(wt - kz) = s1*ck - c1*sk ; sin(2wt + 2kz) = s2*c2k + c2*s2k
-                field_b = f * (s.ea1 * k * (s1 * ck - c1 * sk)
-                               - 2.0 * k * s.ea2 * (s2 * c2k + c2 * s2k))
-            ea = field_a if ea is None else ea + field_a
-            eb = field_b if eb is None else eb + field_b
+            for alpha, (jk, c, sn) in zip(F.spatial_harmonics(s, t), profiles):
+                if alpha == 0.0:
+                    continue
+                # d/dz (2 cos jkz) = jk (-2 sin jkz); d/dz (-2 sin jkz) = -jk (2 cos jkz)
+                field_a = alpha.real * c + alpha.imag * sn
+                field_b = (jk * alpha.real) * sn - (jk * alpha.imag) * c
+                ea = field_a if ea is None else ea + field_a
+                eb = field_b if eb is None else eb + field_b
         if ea is None:
             return None, None
         return ea * ea / (2.0 * MC2_EV), eb / (2.0 * MC2_EV)
 
 
 class _EffectiveTerms:
-    """Cycle-averaged lattices with the appropriate envelope powers."""
+    """Cycle-averaged lattices on the grid from (potential, envelope power,
+    stage or None) triples, the mode lattice's effective model; a potential
+    without a stage is always fully on."""
 
-    def __init__(self, stages, z: np.ndarray):
+    def __init__(self, potentials, z: np.ndarray):
         self._entries = []
-        for s in stages:
-            k = s.wavenumber
-            if s.kind == KIND_MONO:
-                v0 = rabi_frequency_mono(s.ea0)
-                self._entries.append((s, "a", 2, v0 * np.cos(4.0 * k * z + s.chi)))
+        for pot, power, stage in potentials:
+            phase = 4.0 * pot.wavenumber * z
+            if pot.kind == KIND_MONO:
+                self._entries.append((stage, power, "a", pot.strength * np.cos(phase + pot.chi)))
             else:
-                v0 = rabi_frequency_bi(s.ea1, s.ea2, s.photon_energy)
-                self._entries.append((s, "b", 3, -v0 * np.sin(4.0 * k * z)))
+                self._entries.append((stage, power, "b", -pot.strength * np.sin(phase)))
 
     def __call__(self, t: float):
         a = None
         b = None
-        for s, target, power, prof in self._entries:
-            if not (s.start <= t <= s.end):
-                continue
-            f = s.envelope.value(t - s.start)
+        for stage, power, target, prof in self._entries:
+            f = 1.0 if stage is None else stage.envelope.value(t - stage.start)
             if f == 0.0:
                 continue
             term = (f**power) * prof
@@ -322,48 +331,64 @@ class _EffectiveTerms:
         return a, b
 
 
-def _static_effective_terms(potentials, z: np.ndarray):
-    a = None
-    b = None
-    for pot in potentials:
-        if pot.kind == KIND_MONO:
-            term = pot.strength * np.cos(4.0 * pot.wavenumber * z + pot.chi)
-            a = term if a is None else a + term
-        else:
-            term = -pot.strength * np.sin(4.0 * pot.wavenumber * z)
-            b = term if b is None else b + term
-    return a, b
+class _GridPropagator:
+    """Strang splitting on the spatial grid: half kinetic, full potential at
+    the step midpoint, half kinetic, with the half steps of neighbours merged.
+    The state is the pair of sigma_y sectors (2, N), so the potential factor
+    is one exact phase per sector and every step is unitary to rounding."""
+
+    def __init__(self, grid: SpatialGrid, terms, hbar_k: float = 1.0,
+                 bin_halfwidth: float | None = None):
+        self.grid = grid
+        self.terms = terms
+        self.hbar_k = hbar_k
+        self.bin_halfwidth = bin_halfwidth or hbar_k
+        self._kinetic = {}
+
+    def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
+        """Free evolution over tau: one kinetic step."""
+        return _apply_kinetic(psi, _kinetic_phase(self.grid, tau))
+
+    def advance(self, psi: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
+        """Sectors at ta -> at tb, in equal steps no longer than dt."""
+        n = max(1, math.ceil((tb - ta) / dt - 1e-12))
+        h = (tb - ta) / n
+        if h not in self._kinetic:
+            self._kinetic[h] = (_kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h))
+        half, full = self._kinetic[h]
+        psi = _apply_kinetic(psi, half)
+        for i in range(n):
+            a, b = self.terms(ta + (i + 0.5) * h)
+            if a is not None or b is not None:
+                _apply_potential(psi, a, b, h)
+            psi = _apply_kinetic(psi, full if i < n - 1 else half)
+        return psi
+
+    def observe(self, psi: np.ndarray):
+        """(z-basis wavefunction, channel report, reduced spin density)."""
+        wf = SpinorWavefunction(self.grid, _z_spinor(psi))
+        return (wf, *grid_channels(wf, self.hbar_k, self.bin_halfwidth))
+
+
+def _grid_step(psi: SpinorWavefunction, terms, t: float, dt: float) -> SpinorWavefunction:
+    out = _GridPropagator(psi.grid, terms).advance(_y_sectors(psi.psi), t, t + dt, dt)
+    if not np.isfinite(out[0, 0]):
+        raise PropagationError(f"non-finite amplitudes after step at t={t:.6g}")
+    return SpinorWavefunction(psi.grid, _z_spinor(out))
 
 
 def step_full_field(psi: SpinorWavefunction, stages, t: float, dt: float) -> SpinorWavefunction:
-    """One Strang step under the exact time-dependent fields.
-
-    Half kinetic, full potential at the midpoint time, half kinetic; the
-    potential factor is the exact 2x2 Pauli propagator, so the step is
-    unitary to rounding.
-    """
+    """One Strang step under the exact time-dependent fields, unitary to rounding."""
     ceiling = timestep_ceiling("full-field", stages)
     if abs(dt) > ceiling:
         raise PropagationError(f"dt {dt:.3e} exceeds the carrier bound {ceiling:.3e}")
-    terms = _FullFieldTerms(stages, psi.grid.z)
-    half = _kinetic_phase(psi.grid, 0.5 * dt)
-    out = _apply_kinetic(psi.psi, half)
-    a, b = terms(t + 0.5 * dt)
-    _apply_potential(out, a, b, dt)
-    out = _apply_kinetic(out, half)
-    if not np.isfinite(out[0, 0]):
-        raise PropagationError(f"non-finite amplitudes after step at t={t:.6g}")
-    return SpinorWavefunction(psi.grid, out)
+    return _grid_step(psi, _FullFieldTerms(stages, psi.grid.z), t, dt)
 
 
 def step_effective(psi: SpinorWavefunction, potentials, dt: float) -> SpinorWavefunction:
     """One Strang step under static effective potentials (envelopes off)."""
-    a, b = _static_effective_terms(potentials, psi.grid.z)
-    half = _kinetic_phase(psi.grid, 0.5 * dt)
-    out = _apply_kinetic(psi.psi, half)
-    _apply_potential(out, a, b, dt)
-    out = _apply_kinetic(out, half)
-    return SpinorWavefunction(psi.grid, out)
+    return _grid_step(psi, _EffectiveTerms([(p, 1, None) for p in potentials], psi.grid.z),
+                      0.0, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +603,11 @@ class ModeLatticeEngine:
     def _to_sectors(self, c: np.ndarray, t: float) -> np.ndarray:
         """Interaction-picture z-basis amplitudes (m, 2) at t -> Schroedinger-
         picture sigma_y sector amplitudes (2, m), rows y+ and y-."""
-        ph = np.exp(-1j * t * self.energies) * math.sqrt(0.5)
-        return np.stack([(c[:, 0] - 1j * c[:, 1]) * ph, (c[:, 0] + 1j * c[:, 1]) * ph])
+        return _y_sectors(c.T) * np.exp(-1j * t * self.energies)
 
     def _from_sectors(self, amps: np.ndarray, t: float) -> np.ndarray:
         """Inverse of ``_to_sectors``."""
-        ph = np.exp(1j * t * self.energies) * math.sqrt(0.5)
-        return np.stack([(amps[0] + amps[1]) * ph, 1j * (amps[0] - amps[1]) * ph], axis=1)
+        return _z_spinor(amps * np.exp(1j * t * self.energies)).T
 
     def gl2_step(self, c: np.ndarray, t: float, dt: float) -> np.ndarray:
         """Advance interaction-picture amplitudes c from t to t + dt by one
@@ -640,6 +663,14 @@ class ModeLatticeEngine:
             amps = self._sector_step(amps, j * h, tb - j * h)
         return self._from_sectors(amps, tb)
 
+    def drift(self, c: np.ndarray, tau: float) -> np.ndarray:
+        """Free evolution: interaction-picture amplitudes stay constant."""
+        return c
+
+    def observe(self, c: np.ndarray):
+        """(amplitudes, channel report of the modes n = +-2, reduced spin density)."""
+        return (c.copy(), *mode_channels(c))
+
     def edge_population(self, c: np.ndarray) -> float:
         return float(np.sum(np.abs(c[0]) ** 2) + np.sum(np.abs(c[-1]) ** 2))
 
@@ -661,38 +692,6 @@ def step_mode_lattice(state: np.ndarray, stages, t: float, dt: float,
 
 # ---------------------------------------------------------------------------
 # scenario runner
-
-def _report_from_phi(phi, p, dp, norm, hbar_k, halfwidth) -> ChannelReport:
-    pops = {}
-    blochs = {}
-    for name, c in (("plus", 2.0 * hbar_k), ("minus", -2.0 * hbar_k)):
-        mask = np.abs(p - c) <= halfwidth
-        pop, bloch = _bloch_from_spinors(phi[0, mask], phi[1, mask])
-        pops[name] = pop * dp / norm
-        blochs[name] = bloch
-    return ChannelReport(
-        pop_plus=pops["plus"], pop_minus=pops["minus"],
-        unassigned=1.0 - pops["plus"] - pops["minus"],
-        bloch_plus=blochs["plus"], bloch_minus=blochs["minus"], total_norm=norm,
-    )
-
-
-def _report_from_modes(c: np.ndarray) -> ChannelReport:
-    n = (c.shape[0] - 1) // 2
-    norm = float(np.sum(np.abs(c) ** 2))
-    pops = {}
-    blochs = {}
-    for name, center in (("plus", 2), ("minus", -2)):
-        idx = center + n
-        pop, bloch = _bloch_from_spinors(c[idx:idx + 1, 0], c[idx:idx + 1, 1])
-        pops[name] = pop / norm
-        blochs[name] = bloch
-    return ChannelReport(
-        pop_plus=pops["plus"], pop_minus=pops["minus"],
-        unassigned=1.0 - pops["plus"] - pops["minus"],
-        bloch_plus=blochs["plus"], bloch_minus=blochs["minus"], total_norm=norm,
-    )
-
 
 def _analysis_wavenumber(scn: Scenario) -> float:
     if scn.stages:
@@ -732,158 +731,70 @@ class _RowCollector:
         return TimeSeries(*arrays)
 
 
-def _grid_sy_total(psi: np.ndarray) -> float:
-    cross = np.sum(np.conj(psi[0]) * psi[1])
-    total = np.sum(np.abs(psi) ** 2).real
-    return float(2.0 * cross.imag / total)
-
-
-def _run_grid(scn: Scenario) -> ScenarioResult:
+def _propagator(scn: Scenario):
+    """The backend's propagator and its initial state."""
     cfg = scn.config
+    packet = scn.packet
+    if cfg.backend == "mode-lattice":
+        k = scn.stages[0].wavenumber if scn.stages else _analysis_wavenumber(scn)
+        eng = ModeLatticeEngine(k, cfg.mode_halfwidth, stages=scn.stages)
+        return eng, eng.initial_state(int(round(packet.momentum / k)), packet.spin)
     k_field = max((s.wavenumber for s in scn.stages), default=None)
     grid = SpatialGrid(cfg.grid_length, cfg.grid_points, field_wavenumber=k_field)
-    state = gaussian_packet(grid, scn.packet.center, scn.packet.width,
-                            scn.packet.momentum, scn.packet.spin)
-    psi = state.psi
-    dz = grid.spacing
-
     if cfg.backend == "full-field":
         terms = _FullFieldTerms(scn.stages, grid.z)
     else:
-        terms = _EffectiveTerms(scn.stages, grid.z)
-    cadence = cfg.snapshot_every or scn.duration / 128.0
-    dt_hint = cfg.dt or default_timestep(cfg.backend, scn.stages, cadence)
-    ceiling = timestep_ceiling(cfg.backend, scn.stages)
-    if dt_hint > ceiling:
-        raise ScenarioError(
-            f"configured dt {dt_hint:.3e} violates the backend bound {ceiling:.3e}"
-        )
-
-    hbar_k = _analysis_wavenumber(scn)
-    halfwidth = cfg.bin_halfwidth or hbar_k
-    collector = _RowCollector()
-    snapshots = []
-    run_warnings = []
-    norm0 = float(np.sum(np.abs(psi) ** 2).real * dz)
-    kinetic_cache: dict = {}
-
-    def observe(t, psi_arr):
-        norm = float(np.sum(np.abs(psi_arr) ** 2).real * dz)
-        if not np.isfinite(norm):
-            raise PropagationError(f"non-finite norm at t={t:.6g}")
-        wf = SpinorWavefunction(grid, psi_arr)
-        phi = wf.momentum_amplitudes()
-        report = _report_from_phi(phi, grid.p, grid.momentum_spacing, norm, hbar_k, halfwidth)
-        rho_spin = phi @ phi.conj().T * grid.momentum_spacing
-        evals = np.clip(np.linalg.eigvalsh(rho_spin).real, 0.0, None)
-        evals /= evals.sum()
-        nz = evals[evals > 1e-15]
-        entropy = float(-np.sum(nz * np.log2(nz)))
-        collector.add(t, report, entropy, norm, norm0, _grid_sy_total(psi_arr))
-        if cfg.keep_snapshots:
-            snapshots.append((t, SpinorWavefunction(grid, psi_arr.copy())))
-        return report
-
-    def window_active(ta, tb):
-        return any(s.start < tb - 1e-15 and s.end > ta + 1e-15 for s in scn.stages)
-
-    times = _snapshot_times(scn.duration, cadence, run_warnings)
-    observe(0.0, psi)
-    for ta, tb in zip(times[:-1], times[1:]):
-        seg = tb - ta
-        if not window_active(ta, tb):
-            psi = _apply_kinetic(psi, _kinetic_phase(grid, seg))
-        else:
-            n = max(1, math.ceil(seg / dt_hint - 1e-12))
-            dt = seg / n
-            key_h = ("h", dt)
-            key_f = ("f", dt)
-            if key_h not in kinetic_cache:
-                kinetic_cache[key_h] = _kinetic_phase(grid, 0.5 * dt)
-                kinetic_cache[key_f] = _kinetic_phase(grid, dt)
-            half, full = kinetic_cache[key_h], kinetic_cache[key_f]
-            psi = _apply_kinetic(psi, half)
-            for i in range(n):
-                a, b = terms(ta + (i + 0.5) * dt)
-                if a is not None or b is not None:
-                    _apply_potential(psi, a, b, dt)
-                psi = _apply_kinetic(psi, full if i < n - 1 else half)
-        report = observe(tb, psi)
-
-    final = SpinorWavefunction(grid, psi)
-    return ScenarioResult(
-        scenario=scn, backend=cfg.backend, timeseries=collector.series(),
-        final_report=report, final_psi=final, warnings=run_warnings, snapshots=snapshots,
-    )
-
-
-def _run_modes(scn: Scenario) -> ScenarioResult:
-    cfg = scn.config
-    if not scn.stages:
-        k = _analysis_wavenumber(scn)
-    else:
-        k = scn.stages[0].wavenumber
-    eng = ModeLatticeEngine(k, cfg.mode_halfwidth, stages=scn.stages)
-    mode0 = int(round(scn.packet.momentum / k))
-    c = eng.initial_state(mode0, scn.packet.spin)
-
-    cadence = cfg.snapshot_every or scn.duration / 128.0
-    dt_hint = cfg.dt or default_timestep(cfg.backend, scn.stages, cadence)
-    ceiling = timestep_ceiling(cfg.backend, scn.stages)
-    if dt_hint > ceiling:
-        raise ScenarioError(
-            f"configured dt {dt_hint:.3e} violates the backend bound {ceiling:.3e}"
-        )
-
-    collector = _RowCollector()
-    snapshots = []
-    run_warnings = []
-    edge_warned = False
-    norm0 = float(np.sum(np.abs(c) ** 2))
-
-    def observe(t, cc):
-        nonlocal edge_warned
-        norm = float(np.sum(np.abs(cc) ** 2))
-        if not np.isfinite(norm):
-            raise PropagationError(f"non-finite norm at t={t:.6g}")
-        report = _report_from_modes(cc)
-        entropy = spin_momentum_entanglement(cc / math.sqrt(norm))
-        sy_total = float(
-            2.0 * np.sum(np.conj(cc[:, 0]) * cc[:, 1]).imag / norm
-        )
-        collector.add(t, report, entropy, norm, norm0, sy_total)
-        if cfg.keep_snapshots:
-            snapshots.append((t, cc.copy()))
-        if eng.edge_population(cc) > 1e-6 and not edge_warned:
-            edge_warned = True
-            _warn(run_warnings, f"population {eng.edge_population(cc):.2e} at |n| = {eng.N} "
-                                f"at t={t:.6g}; increase mode_halfwidth")
-        return report
-
-    def window_active(ta, tb):
-        return any(s.start < tb - 1e-15 and s.end > ta + 1e-15 for s in scn.stages)
-
-    times = _snapshot_times(scn.duration, cadence, run_warnings)
-    observe(0.0, c)
-    for ta, tb in zip(times[:-1], times[1:]):
-        if window_active(ta, tb):
-            c = eng.advance(c, ta, tb, dt_hint)
-        # inactive: interaction-picture amplitudes are exactly constant
-        report = observe(tb, c)
-
-    return ScenarioResult(
-        scenario=scn, backend=cfg.backend, timeseries=collector.series(),
-        final_report=report, final_modes=c, warnings=run_warnings, snapshots=snapshots,
-    )
+        terms = _EffectiveTerms([(*_effective_lattice(s), s) for s in scn.stages], grid.z)
+    prop = _GridPropagator(grid, terms, _analysis_wavenumber(scn), cfg.bin_halfwidth)
+    psi = gaussian_packet(grid, packet.center, packet.width, packet.momentum, packet.spin)
+    return prop, _y_sectors(psi.psi)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Propagate a scenario with its configured backend and return snapshots,
     the observable time series, and the final state."""
-    scenario.validate()
-    if scenario.config.backend == "mode-lattice":
-        return _run_modes(scenario)
-    return _run_grid(scenario)
+    scn = scenario.validate()
+    cfg = scn.config
+    cadence = cfg.snapshot_every or scn.duration / 128.0
+    dt = cfg.dt or default_timestep(cfg.backend, scn.stages, cadence)
+    ceiling = timestep_ceiling(cfg.backend, scn.stages)
+    if dt > ceiling:
+        raise ScenarioError(f"configured dt {dt:.3e} violates the backend bound {ceiling:.3e}")
+
+    run_warnings = []
+    times = _snapshot_times(scn.duration, cadence, run_warnings)
+    prop, state = _propagator(scn)
+    modes = cfg.backend == "mode-lattice"
+    collector = _RowCollector()
+    snapshots = []
+    norm0 = None
+    edge_warned = False
+    for i, t in enumerate(times):
+        if i:
+            ta = times[i - 1]
+            if any(s.start < t - 1e-15 and s.end > ta + 1e-15 for s in scn.stages):
+                state = prop.advance(state, ta, t, dt)
+            else:
+                state = prop.drift(state, t - ta)
+        snap, report, rho = prop.observe(state)
+        norm = report.total_norm
+        if not np.isfinite(norm):
+            raise PropagationError(f"non-finite norm at t={t:.6g}")
+        norm0 = norm if norm0 is None else norm0
+        collector.add(t, report, _entropy_of_spin_density(rho), norm, norm0,
+                      float(2.0 * rho[1, 0].imag / norm))
+        if cfg.keep_snapshots:
+            snapshots.append((t, snap))
+        if modes and not edge_warned and prop.edge_population(snap) > 1e-6:
+            edge_warned = True
+            _warn(run_warnings, f"population {prop.edge_population(snap):.2e} at |n| = {prop.N} "
+                                f"at t={t:.6g}; increase mode_halfwidth")
+
+    return ScenarioResult(
+        scenario=scn, backend=cfg.backend, timeseries=collector.series(), final_report=report,
+        final_psi=None if modes else snap, final_modes=snap if modes else None,
+        warnings=run_warnings, snapshots=snapshots,
+    )
 
 
 def with_backend(scenario: Scenario, backend: str, **config_overrides) -> Scenario:

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .units import MC2_EV
-
 
 class GridError(ValueError):
     pass
@@ -259,7 +257,3 @@ def unpolarized_density(mode: int = +2) -> np.ndarray:
 def bragg_momentum(hbar_k: float) -> float:
     """Resonant longitudinal momentum 2 hbar k for a fundamental wavenumber k."""
     return 2.0 * hbar_k
-
-
-def kinetic_energy(p: float) -> float:
-    return p * p / (2.0 * MC2_EV)

@@ -5,7 +5,6 @@ from spinsplit.fields import (
     BichromaticWave,
     Envelope,
     MonoStandingWave,
-    envelope_value,
     magnetic_field,
     vector_potential,
 )
@@ -29,17 +28,17 @@ def bi(ea1=2.35e4, ea2=2.35e4, hw=200.0, env=None):
 class TestEnvelope:
     def test_zero_outside(self):
         env = Envelope(rise=2.0, plateau=5.0, fall=2.0)
-        assert envelope_value(env, -0.1) == 0.0
-        assert envelope_value(env, 9.1) == 0.0
+        assert env.value(-0.1) == 0.0
+        assert env.value(9.1) == 0.0
 
     def test_half_height_at_mid_rise(self):
         env = Envelope(rise=2.0, plateau=5.0, fall=2.0)
-        assert envelope_value(env, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert env.value(1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_plateau_is_one(self):
         env = Envelope(rise=2.0, plateau=5.0, fall=2.0)
         for t in (2.0, 4.0, 7.0):
-            assert envelope_value(env, t) == 1.0
+            assert env.value(t) == 1.0
 
     @pytest.mark.parametrize("rise,plateau,fall", [(2.0, 5.0, 2.0), (0.0, 5.0, 0.0),
                                                    (3.0, 0.0, 1.0)])

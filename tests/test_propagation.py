@@ -12,6 +12,7 @@ from spinsplit.fields import (
 from spinsplit.observables import channel_report
 from spinsplit.propagation import (
     ModeLatticeEngine,
+    _FullFieldTerms,
     PacketSpec,
     PropagationConfig,
     Scenario,
@@ -230,6 +231,9 @@ class TestModeLattice:
                                   start=0.3)]
         engine = ModeLatticeEngine(K, 8, stages=stages)
         z = np.arange(32) * (2 * np.pi / K) / 32
+        # the grid backends build a and b on the grid from the same harmonics
+        grid = SpatialGrid(8 * 2 * np.pi / K, 256)
+        terms = _FullFieldTerms(stages, grid.z)
         for t in (0.1, 0.45, 0.9, 1.95):
             ea = sum(vector_potential(s, t, z) for s in stages if s.start <= t <= s.end)
             eb = sum(magnetic_field(s, t, z) for s in stages if s.start <= t <= s.end)
@@ -238,6 +242,10 @@ class TestModeLattice:
             a, b = engine.harmonics(t)
             np.testing.assert_allclose(a, a_fft, rtol=0, atol=1e-12 * np.max(np.abs(a_fft)))
             np.testing.assert_allclose(b, b_fft, rtol=0, atol=1e-12 * np.max(np.abs(b_fft)))
+            ea = sum(vector_potential(s, t, grid.z) for s in stages if s.start <= t <= s.end)
+            eb = sum(magnetic_field(s, t, grid.z) for s in stages if s.start <= t <= s.end)
+            assert all(np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                       for got, want in zip(terms(t), (ea * ea / (2 * MC2_EV), eb / (2 * MC2_EV))))
         assert engine.harmonics(2.5) is None
 
     def test_shared_engine_matches_fresh_engines(self):
@@ -318,6 +326,14 @@ class TestScenarioValidation:
         scn.config.dt = 5.0 / RABI_MONO_200
         with pytest.raises(ScenarioError):
             run_scenario(scn)
+
+    def test_overlapping_channel_bins_rejected(self):
+        # bins wider than 2 hbar k overlap; hbar k = 1 for a field-free packet at rest
+        scn = effective_scenario([], momentum=0.0, points=512, bin_halfwidth=3.0)
+        with pytest.raises(ScenarioError, match="bin_halfwidth"):
+            scn.validate()
+        scn.config.bin_halfwidth = 1.5
+        scn.validate()
 
     def test_bad_backend_rejected(self):
         with pytest.raises(ScenarioError):
@@ -404,3 +420,49 @@ def test_timestep_convergence_desk_scale(backend):
     r2 = run_scenario(scn2)
     assert abs(r1.final_report.pop_plus - r2.final_report.pop_plus) < 1e-4
     assert abs(r1.final_report.pop_minus - r2.final_report.pop_minus) < 1e-4
+
+
+# Final (pop_plus, pop_minus, bloch_plus, bloch_minus, total <sigma_y>) of the
+# grid backends as integrated by the stepper this package used before the
+# sigma_y sectors, which applied exp(-i (a + b sigma_y) dt) as a phase times a
+# cos/sin 2x2 spin mix.
+GRID_2X2 = {
+    "desk-mono-full-field": (
+        0.5037337823465189, 0.4918258078497061,
+        -1.45389106488217e-16, 1.0000000000000002, 2.8128878826003248e-15,
+        1.9177224364425993e-15, 1.0000000000000002, 2.659378046462176e-15, 1.0),
+    "desk-mono-effective": (
+        0.5037382660838915, 0.4918213770888045,
+        -2.0416972684718878e-15, 1.0000000000000002, 1.6588678318404412e-15,
+        -1.9937961800263638e-16, 1.0, 7.387227790247142e-16, 1.0),
+    "desk-bichrom-head-full-field": (
+        0.9970777425031757, 0.002008553465494457,
+        -1.981737766593911e-06, -2.1316278844973726e-06, 0.9999952942646602,
+        -0.007649318034153346, 0.0007062843461910356, -0.038400202507001206,
+        -1.8495344643196548e-16),
+}
+
+
+def _grid_case(name):
+    from dataclasses import replace
+
+    from spinsplit.scenario import load_scenario
+
+    if name.startswith("desk-mono-"):
+        return load_scenario("desk-mono", backend=name[len("desk-mono-"):])[0]
+    # desk-bichrom's stage cut to 0.064 fs; spin up weights both sectors, so
+    # their relative phase shows in the Bloch vectors
+    scn, _ = load_scenario("desk-bichrom", snapshot_every_fs=0.01)
+    env = Envelope(fs_to_natural(0.008), fs_to_natural(0.048), fs_to_natural(0.008))
+    scn.stages = [replace(scn.stages[0], start=fs_to_natural(0.02), envelope=env)]
+    scn.duration = fs_to_natural(0.1)
+    return scn
+
+
+@pytest.mark.parametrize("name", sorted(GRID_2X2))
+def test_sector_stepper_matches_2x2_stepper(name):
+    result = run_scenario(_grid_case(name))
+    rep = result.final_report
+    got = (rep.pop_plus, rep.pop_minus, *rep.bloch_plus, *rep.bloch_minus,
+           result.timeseries.sy_total[-1])
+    np.testing.assert_allclose(got, GRID_2X2[name], rtol=0, atol=1e-10)

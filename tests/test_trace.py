@@ -1,0 +1,43 @@
+"""The traced benchmark run (``perfbench/child.py`` with TRACE=1) wraps package
+functions by attribute before it calls the CLI.  A rename that drops one of
+them fails every traced run, so one tiny traced simulate runs per backend."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# desk-mono's field, packet and grid with a 0.008 fs pulse
+TINY = """\
+label: trace-guard
+units: {time: fs, length: um}
+electron: {center: 0.0, width: 0.008, momentum: 2400.0, spin: x+}
+stages:
+  - {kind: monochromatic, label: splitter, a0: 4952.57508777, photon_energy: 1200.0,
+     chi: 0.0, start: 0.002, rise: 0.002, plateau: 0.004, fall: 0.002}
+duration: 0.012
+propagation:
+  {backend: full-field, snapshot_every: 0.004, grid_points: 4096,
+   grid_length: 0.236792364, mode_halfwidth: 8, mono_convention: standing}
+"""
+
+
+@pytest.mark.parametrize("backend", ["full-field", "effective", "mode-lattice"])
+def test_traced_run_succeeds(backend, tmp_path):
+    scenario = tmp_path / "tiny.scenario"
+    scenario.write_text(TINY)
+    stats = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), str(stats), "1", "0", "--",
+           "simulate", "--scenario", str(scenario), "--backend", backend,
+           "--out", str(tmp_path / "out"), "--format", "binary"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(stats.read_text())
+    assert "error" not in record
+    assert record["spans"] and len(record["results"]) == 1

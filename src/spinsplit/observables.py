@@ -205,7 +205,8 @@ def fit_rabi(t: np.ndarray, population: np.ndarray) -> RabiFit:
 
 def _entropy_of_spin_density(rho: np.ndarray) -> float:
     evals = np.linalg.eigvalsh(rho)
-    evals = np.clip(evals.real, 0.0, 1.0)
+    # rho need not have unit trace: clip rounding negatives only, then normalize
+    evals = np.maximum(evals.real, 0.0)
     tr = evals.sum()
     if tr <= 0:
         raise AnalysisError("entanglement of a zero-norm state")

@@ -254,20 +254,46 @@ def _kinetic_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
 
 
 def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    out = np.fft.fft(psi, axis=1)
-    out *= phase
-    return np.fft.ifft(out, axis=1)
+    """In place: psi -> ifft(phase * fft(psi)) along axis 1; returns psi."""
+    np.fft.fft(psi, axis=1, out=psi)
+    psi *= phase
+    return np.fft.ifft(psi, axis=1, out=psi)
 
 
-def _apply_potential(psi: np.ndarray, a, b, dt: float) -> None:
-    """In-place exp(-i (a +- b) dt) on the sigma_y sectors psi of shape (2, N)."""
-    if b is None:
-        psi *= np.exp(-1j * dt * a)
-        return
-    if a is None:
-        a = 0.0
-    psi[0] *= np.exp(-1j * dt * (a + b))
-    psi[1] *= np.exp(-1j * dt * (a - b))
+class _PhaseWork:
+    """Buffers of ``_apply_potential`` for N grid points: the angles
+    -dt (a +- b), the factor exp(-i dt (a +- b)) of the last potential step,
+    and the (a, b, dt) that factor was made from."""
+
+    def __init__(self, points: int):
+        self.angle = np.empty((2, points))
+        self.factor = np.empty((2, points), dtype=complex)
+        self.made_from = None
+
+
+def _apply_potential(psi: np.ndarray, a, b, dt: float, work: _PhaseWork) -> None:
+    """In-place exp(-i (a +- b) dt) on the sigma_y sectors psi of shape (2, N).
+
+    The factor is cos + i sin of the real angles, built in ``work``; it is
+    reused while a and b are the very arrays of the last call and dt repeats
+    (the effective backend's terms return the same arrays on a plateau)."""
+    made = work.made_from
+    if made is None or made[0] is not a or made[1] is not b or made[2] != dt:
+        work.made_from = (a, b, dt)
+        rows = 1 if b is None else 2
+        angle = work.angle[:rows]
+        if b is None:
+            np.multiply(a, -dt, out=angle[0])
+        else:
+            if a is None:
+                a = 0.0
+            np.add(a, b, out=angle[0])
+            np.subtract(a, b, out=angle[1])
+            angle *= -dt
+        factor = work.factor[:rows]
+        np.cos(angle, out=factor.real)
+        np.sin(angle, out=factor.imag)
+    psi *= work.factor[0] if b is None else work.factor
 
 
 class _FullFieldTerms:
@@ -305,10 +331,13 @@ class _FullFieldTerms:
 class _EffectiveTerms:
     """Cycle-averaged lattices on the grid from (potential, envelope power,
     stage or None) triples, the mode lattice's effective model; a potential
-    without a stage is always fully on."""
+    without a stage is always fully on.  While the envelope values repeat, a
+    call returns the arrays of the previous one."""
 
     def __init__(self, potentials, z: np.ndarray):
         self._entries = []
+        self._levels = None
+        self._fields = None
         for pot, power, stage in potentials:
             phase = 4.0 * pot.wavenumber * z
             if pot.kind == KIND_MONO:
@@ -317,10 +346,13 @@ class _EffectiveTerms:
                 self._entries.append((stage, power, "b", -pot.strength * np.sin(phase)))
 
     def __call__(self, t: float):
+        levels = tuple(1.0 if stage is None else stage.envelope.value(t - stage.start)
+                       for stage, _, _, _ in self._entries)
+        if levels == self._levels:
+            return self._fields
         a = None
         b = None
-        for stage, power, target, prof in self._entries:
-            f = 1.0 if stage is None else stage.envelope.value(t - stage.start)
+        for f, (_, power, target, prof) in zip(levels, self._entries):
             if f == 0.0:
                 continue
             term = (f**power) * prof
@@ -328,6 +360,7 @@ class _EffectiveTerms:
                 a = term if a is None else a + term
             else:
                 b = term if b is None else b + term
+        self._levels, self._fields = levels, (a, b)
         return a, b
 
 
@@ -335,7 +368,10 @@ class _GridPropagator:
     """Strang splitting on the spatial grid: half kinetic, full potential at
     the step midpoint, half kinetic, with the half steps of neighbours merged.
     The state is the pair of sigma_y sectors (2, N), so the potential factor
-    is one exact phase per sector and every step is unitary to rounding."""
+    is one exact phase per sector and every step is unitary to rounding.
+
+    ``advance`` and ``drift`` work in place: they overwrite the complex
+    (2, N) array they are given and return it."""
 
     def __init__(self, grid: SpatialGrid, terms, hbar_k: float = 1.0,
                  bin_halfwidth: float | None = None):
@@ -344,24 +380,29 @@ class _GridPropagator:
         self.hbar_k = hbar_k
         self.bin_halfwidth = bin_halfwidth or hbar_k
         self._kinetic = {}
+        self._work = _PhaseWork(grid.points)
+
+    def _phase(self, tau: float) -> np.ndarray:
+        phase = self._kinetic.get(tau)
+        if phase is None:
+            phase = self._kinetic[tau] = _kinetic_phase(self.grid, tau)
+        return phase
 
     def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
         """Free evolution over tau: one kinetic step."""
-        return _apply_kinetic(psi, _kinetic_phase(self.grid, tau))
+        return _apply_kinetic(psi, self._phase(tau))
 
     def advance(self, psi: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
         """Sectors at ta -> at tb, in equal steps no longer than dt."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
-        if h not in self._kinetic:
-            self._kinetic[h] = (_kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h))
-        half, full = self._kinetic[h]
-        psi = _apply_kinetic(psi, half)
+        half, full = self._phase(0.5 * h), self._phase(h)
+        _apply_kinetic(psi, half)
         for i in range(n):
             a, b = self.terms(ta + (i + 0.5) * h)
             if a is not None or b is not None:
-                _apply_potential(psi, a, b, h)
-            psi = _apply_kinetic(psi, full if i < n - 1 else half)
+                _apply_potential(psi, a, b, h, self._work)
+            _apply_kinetic(psi, full if i < n - 1 else half)
         return psi
 
     def observe(self, psi: np.ndarray):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsplit.fields import (
     BichromaticWave,
@@ -23,6 +25,10 @@ def mono(chi=0.0, ea0=200.0, hw=200.0, env=None):
 def bi(ea1=2.35e4, ea2=2.35e4, hw=200.0, env=None):
     return BichromaticWave(ea1=ea1, ea2=ea2, photon_energy=hw,
                            envelope=env or flat(), start=0.0)
+
+
+# rise, plateau, fall; zero-length segments included
+SEGMENTS = st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 1e3))] * 3)
 
 
 class TestEnvelope:
@@ -66,6 +72,26 @@ class TestEnvelope:
         for power in (1, 2, 3):
             integral = np.trapezoid(env.value(ts) ** power, ts)
             assert env.effective_duration(power) == pytest.approx(integral, rel=1e-6)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(segments=SEGMENTS, power=st.sampled_from([1, 2, 3]))
+    def test_effective_duration_is_integral_of_power(self, segments, power):
+        # Gauss-Legendre on each segment is exact to rounding for sin^(2p)
+        env = Envelope(*segments)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        integral = 0.0
+        for lo, hi in ((0.0, env.rise), (env.rise, env.rise + env.plateau),
+                       (env.rise + env.plateau, env.duration)):
+            t = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+            integral += 0.5 * (hi - lo) * np.dot(weights, env.value(t) ** power)
+        assert env.effective_duration(power) == pytest.approx(integral, rel=1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(segments=SEGMENTS, u=st.floats(-0.1, 1.1))
+    def test_scalar_path_equals_array_path(self, segments, u):
+        env = Envelope(*segments)
+        for t in (u * env.duration, u, 0.0, env.rise, env.rise + env.plateau, env.duration):
+            assert env.value(float(t)) == float(env.value(np.array(t)))
 
     def test_negative_segment_rejected(self):
         with pytest.raises(ValueError):

@@ -183,3 +183,13 @@ class TestEntanglement:
             rotated = np.concatenate([rot @ amps[0:2], rot @ amps[2:4]])
             assert spin_momentum_entanglement(BraggState(rotated)) == pytest.approx(
                 base, abs=1e-10)
+
+    @pytest.mark.parametrize("norm", [1.0, 3.0])
+    def test_unnormalized_state(self, norm):
+        # 3/4 of the weight at +2hk spin up, 1/4 at -2hk spin down; the
+        # entropy depends on the weights only, not on the norm
+        psi = np.sqrt(0.75) * packet(2 * K, "up").psi + np.sqrt(0.25) * packet(-2 * K, "down").psi
+        state = SpinorWavefunction(grid(), np.sqrt(norm) * psi)
+        assert state.norm() == pytest.approx(norm, rel=1e-12)
+        expected = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
+        assert spin_momentum_entanglement(state) == pytest.approx(expected, abs=1e-9)

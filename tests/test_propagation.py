@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,10 @@ from spinsplit.fields import (
 from spinsplit.observables import channel_report
 from spinsplit.propagation import (
     ModeLatticeEngine,
+    _EffectiveTerms,
     _FullFieldTerms,
+    _effective_lattice,
+    _propagator,
     PacketSpec,
     PropagationConfig,
     Scenario,
@@ -444,8 +450,6 @@ GRID_2X2 = {
 
 
 def _grid_case(name):
-    from dataclasses import replace
-
     from spinsplit.scenario import load_scenario
 
     if name.startswith("desk-mono-"):
@@ -466,3 +470,79 @@ def test_sector_stepper_matches_2x2_stepper(name):
     got = (rep.pop_plus, rep.pop_minus, *rep.bloch_plus, *rep.bloch_minus,
            result.timeseries.sy_total[-1])
     np.testing.assert_allclose(got, GRID_2X2[name], rtol=0, atol=1e-10)
+
+
+def _reference_kinetic(grid, psi, tau):
+    return np.fft.ifft(np.fft.fft(psi, axis=1) * np.exp(-0.5j * tau * grid.p**2 / MC2_EV), axis=1)
+
+
+def _reference_advance(grid, terms, psi, ta, tb, dt):
+    """The grid Strang step with out-of-place formulas: every FFT and every
+    exp(-i (a +- b) h) is a new array, and nothing is cached or reused."""
+    n = max(1, math.ceil((tb - ta) / dt - 1e-12))
+    h = (tb - ta) / n
+    psi = _reference_kinetic(grid, psi, 0.5 * h)
+    for i in range(n):
+        a, b = terms(ta + (i + 0.5) * h)
+        if b is not None:
+            a = 0.0 if a is None else a
+            psi = np.stack([psi[0] * np.exp(-1j * h * (a + b)),
+                            psi[1] * np.exp(-1j * h * (a - b))])
+        elif a is not None:
+            psi = psi * np.exp(-1j * h * a)
+        psi = _reference_kinetic(grid, psi, h if i < n - 1 else 0.5 * h)
+    return psi
+
+
+def _assert_in_place_steps_match_reference(scn, times, dt, reference_terms=None, drift_until=0.0):
+    prop, state = _propagator(scn)
+    ref_prop, ref = _propagator(scn)
+    terms = reference_terms or ref_prop.terms
+    if drift_until:
+        assert prop.drift(state, drift_until) is state
+        ref = _reference_kinetic(ref_prop.grid, ref, drift_until)
+        assert np.array_equal(state, ref)
+    for ta, tb in zip(times, times[1:]):
+        assert prop.advance(state, ta, tb, dt) is state
+        ref = _reference_advance(ref_prop.grid, terms, ref, ta, tb, dt)
+        assert np.array_equal(state, ref), (ta, tb)
+
+
+def test_in_place_full_field_step_is_bit_identical():
+    # desk-bichrom head, spin x+: free flight to the stage, its rise and the
+    # start of its plateau
+    scn = _grid_case("desk-bichrom-head-full-field")
+    scn.packet = replace(scn.packet, spin="x+")
+    start = scn.stages[0].start
+    times = start + fs_to_natural(np.array([0.0, 0.01, 0.02]))
+    dt = default_timestep("full-field", scn.stages, 1.0)
+    _assert_in_place_steps_match_reference(scn, times, dt, drift_until=start)
+
+
+def test_in_place_effective_step_is_bit_identical():
+    # a mono stage and a bichromatic stage starting on its plateau: a only,
+    # a and b, b only, each on sin^2 edges and plateaus; the uneven intervals
+    # give the plateau steps different sizes h, so a reused potential factor
+    # must be rebuilt when h changes.  The reference builds fresh terms at
+    # every step, so it reuses nothing.
+    stages = [mono_stage(np.pi / 2, rise_fs=5.0), bi_stage(np.pi / 2, rise_fs=5.0, start_fs=50.0)]
+    scn = effective_scenario(stages, spin=(1, 1))  # x+
+    times = scn.duration * np.array([0.0, 0.13, 0.29, 0.41, 0.58, 0.66, 0.83, 1.0])
+    dt = timestep_ceiling("effective", stages) / 2.0
+    triples = [(*_effective_lattice(s), s) for s in stages]
+    z = _propagator(scn)[0].grid.z
+    _assert_in_place_steps_match_reference(scn, times, dt,
+                                           lambda t: _EffectiveTerms(triples, z)(t))
+
+
+def test_single_steps_leave_input_unchanged():
+    grid = SpatialGrid(um_to_natural(1.2), 4096, field_wavenumber=K)
+    psi = gaussian_packet(grid, 0.0, um_to_natural(0.08), 2 * K, "x+")
+    before = psi.psi.copy()
+    stage = mono_stage(np.pi / 2)
+    out = step_full_field(psi, [stage], stage.start + 1.0, np.pi / (64.0 * K))
+    assert not np.array_equal(out.psi, before)
+    out = step_effective(psi, [EffectivePotential.bichromatic(2.35e4, 2.35e4, K)],
+                         0.001 / RABI_BI)
+    assert not np.array_equal(out.psi, before)
+    assert np.array_equal(psi.psi, before)

@@ -1,6 +1,9 @@
 """The traced benchmark run (``perfbench/child.py`` with TRACE=1) wraps package
 functions by attribute before it calls the CLI.  A rename that drops one of
-them fails every traced run, so one tiny traced simulate runs per backend."""
+them fails every traced run, so one tiny traced simulate runs per backend.  On
+the grid backends the kinetic step must go through ``numpy.fft`` and every
+potential step through ``propagation._apply_potential``, or the per-layer
+metrics silently read 0."""
 
 import json
 import os
@@ -41,3 +44,6 @@ def test_traced_run_succeeds(backend, tmp_path):
     record = json.loads(stats.read_text())
     assert "error" not in record
     assert record["spans"] and len(record["results"]) == 1
+    if backend != "mode-lattice":
+        assert any(name == "propagation.kinetic_fft" for name, *_ in record["spans"])
+        assert record["counts"].get("potential_applies", 0) > 0

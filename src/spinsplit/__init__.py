@@ -55,9 +55,6 @@ from .propagation import (
     TimeSeries,
     run_scenario,
     stage_pulse_areas,
-    step_effective,
-    step_full_field,
-    step_mode_lattice,
     with_backend,
 )
 from .scenario import load_scenario, parse_scenario_text

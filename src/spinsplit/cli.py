@@ -20,7 +20,7 @@ from .design import LaserSpec, ToleranceBudget, full_design_report
 from .observables import spin_momentum_entanglement
 from .propagation import run_scenario, stage_pulse_areas, with_backend
 from .scenario import OutputSpec, ScenarioFileError, load_scenario
-from .states import BraggState
+from .states import BraggState, unpolarized_density
 from .units import natural_to_fs, natural_to_um
 
 
@@ -130,10 +130,7 @@ def analytic_prediction(scenario):
     pure_row = [pop_plus, pop_minus, sy_plus, sy_minus, abs(sy_plus), abs(sy_minus),
                 spin_momentum_entanglement(out_vec) if out_vec.norm() > 0 else 0.0]
 
-    rho0 = np.zeros((4, 4), dtype=complex)
-    block = slice(2, 4) if mode == +2 else slice(0, 2)
-    rho0[block, block] = 0.5 * np.eye(2)
-    rho_out = u @ rho0 @ u.conj().T
+    rho_out = u @ unpolarized_density(mode) @ u.conj().T
     blocks = block_spin_expectations(rho_out)
     unpol_row = [blocks["plus"][0], blocks["minus"][0], blocks["plus"][1],
                  blocks["minus"][1], abs(blocks["plus"][1]), abs(blocks["minus"][1]), 0.0]

@@ -48,16 +48,11 @@ class ChannelReport:
         return abs(self.bloch_minus[1])
 
 
-def _bloch_from_spinors(up, dn, weights=None):
-    """Bloch vector of the mixed spin state sum_i w_i |chi_i><chi_i|."""
-    if weights is None:
-        pu = np.sum(np.abs(up) ** 2).real
-        pd = np.sum(np.abs(dn) ** 2).real
-        cross = np.sum(np.conj(up) * dn)
-    else:
-        pu = np.sum(weights * np.abs(up) ** 2).real
-        pd = np.sum(weights * np.abs(dn) ** 2).real
-        cross = np.sum(weights * np.conj(up) * dn)
+def _bloch_from_spinors(up, dn):
+    """(population, Bloch vector) of the mixed spin state sum_i |chi_i><chi_i|."""
+    pu = np.sum(np.abs(up) ** 2).real
+    pd = np.sum(np.abs(dn) ** 2).real
+    cross = np.sum(np.conj(up) * dn)
     pop = pu + pd
     if pop <= 0.0:
         return 0.0, (0.0, 0.0, 0.0)

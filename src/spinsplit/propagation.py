@@ -30,7 +30,9 @@ basis.  The fields come from ``fields`` only.
 One runner drives every backend through the same three calls: ``advance``
 across a snapshot interval with a field on, ``drift`` across one without,
 and ``observe`` at each snapshot (channel report and reduced spin density
-from ``observables``).
+from ``observables``).  These propagators are the only steppers; the mode
+lattice's ``gl2_step`` is one uncached Magnus step, the reference that
+``advance`` is tested against.
 
 The spatially uniform (eA)^2/2m Fourier component is dropped in the mode
 lattice: it multiplies the identity and contributes only a global phase.
@@ -105,6 +107,11 @@ class Scenario:
     source_hash: str = ""
 
     def validate(self):
+        for name in ("dt", "snapshot_every"):
+            value = getattr(self.config, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite, "
+                                    f"got {natural_to_fs(value):.6g} fs")
         starts = [s.start for s in self.stages]
         if starts != sorted(starts):
             raise ScenarioError("stages must be ordered by non-decreasing start time")
@@ -329,16 +336,16 @@ class _FullFieldTerms:
 
 
 class _EffectiveTerms:
-    """Cycle-averaged lattices on the grid from (potential, envelope power,
-    stage or None) triples, the mode lattice's effective model; a potential
-    without a stage is always fully on.  While the envelope values repeat, a
-    call returns the arrays of the previous one."""
+    """Each stage's cycle-averaged lattice (``_effective_lattice``) on the
+    grid, scaled by its envelope to the stage's power.  While the envelope
+    values repeat, a call returns the arrays of the previous one."""
 
-    def __init__(self, potentials, z: np.ndarray):
+    def __init__(self, stages, z: np.ndarray):
         self._entries = []
         self._levels = None
         self._fields = None
-        for pot, power, stage in potentials:
+        for stage in stages:
+            pot, power = _effective_lattice(stage)
             phase = 4.0 * pot.wavenumber * z
             if pot.kind == KIND_MONO:
                 self._entries.append((stage, power, "a", pot.strength * np.cos(phase + pot.chi)))
@@ -346,8 +353,7 @@ class _EffectiveTerms:
                 self._entries.append((stage, power, "b", -pot.strength * np.sin(phase)))
 
     def __call__(self, t: float):
-        levels = tuple(1.0 if stage is None else stage.envelope.value(t - stage.start)
-                       for stage, _, _, _ in self._entries)
+        levels = tuple(stage.envelope.value(t - stage.start) for stage, _, _, _ in self._entries)
         if levels == self._levels:
             return self._fields
         a = None
@@ -373,8 +379,7 @@ class _GridPropagator:
     ``advance`` and ``drift`` work in place: they overwrite the complex
     (2, N) array they are given and return it."""
 
-    def __init__(self, grid: SpatialGrid, terms, hbar_k: float = 1.0,
-                 bin_halfwidth: float | None = None):
+    def __init__(self, grid: SpatialGrid, terms, hbar_k: float, bin_halfwidth: float | None):
         self.grid = grid
         self.terms = terms
         self.hbar_k = hbar_k
@@ -409,27 +414,6 @@ class _GridPropagator:
         """(z-basis wavefunction, channel report, reduced spin density)."""
         wf = SpinorWavefunction(self.grid, _z_spinor(psi))
         return (wf, *grid_channels(wf, self.hbar_k, self.bin_halfwidth))
-
-
-def _grid_step(psi: SpinorWavefunction, terms, t: float, dt: float) -> SpinorWavefunction:
-    out = _GridPropagator(psi.grid, terms).advance(_y_sectors(psi.psi), t, t + dt, dt)
-    if not np.isfinite(out[0, 0]):
-        raise PropagationError(f"non-finite amplitudes after step at t={t:.6g}")
-    return SpinorWavefunction(psi.grid, _z_spinor(out))
-
-
-def step_full_field(psi: SpinorWavefunction, stages, t: float, dt: float) -> SpinorWavefunction:
-    """One Strang step under the exact time-dependent fields, unitary to rounding."""
-    ceiling = timestep_ceiling("full-field", stages)
-    if abs(dt) > ceiling:
-        raise PropagationError(f"dt {dt:.3e} exceeds the carrier bound {ceiling:.3e}")
-    return _grid_step(psi, _FullFieldTerms(stages, psi.grid.z), t, dt)
-
-
-def step_effective(psi: SpinorWavefunction, potentials, dt: float) -> SpinorWavefunction:
-    """One Strang step under static effective potentials (envelopes off)."""
-    return _grid_step(psi, _EffectiveTerms([(p, 1, None) for p in potentials], psi.grid.z),
-                      0.0, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -478,34 +462,26 @@ def _apply(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 class ModeLatticeEngine:
-    """Coupled amplitudes c_n (Pauli spinor each) on momenta n*hbar*k.
-
-    ``field_model`` is "full" (the Fourier components of the exact (eA)^2
-    and B_y, in closed form from ``fields.spatial_harmonics``) or "effective"
-    (the static cycle-averaged lattices, with envelope powers).  State layout
-    outside the engine: (2N+1, 2) complex, index n+N, z spin basis,
-    interaction picture.  Inside, the state is held in the two sigma_y
-    sectors in the Schroedinger picture, where the plateau Hamiltonian
-    repeats every carrier period T = 2 pi/omega.
+    """Coupled amplitudes c_n (Pauli spinor each) on momenta n*hbar*k under
+    the Fourier components of the exact (eA)^2 and B_y, in closed form from
+    ``fields.spatial_harmonics``.  State layout outside the engine:
+    (2N+1, 2) complex, index n+N, z spin basis, interaction picture.  Inside,
+    the state is held in the two sigma_y sectors in the Schroedinger picture,
+    where the plateau Hamiltonian repeats every carrier period T = 2 pi/omega.
     """
 
-    def __init__(self, wavenumber: float, halfwidth: int, stages=(), potentials=(),
-                 field_model: str = "full"):
+    def __init__(self, wavenumber: float, halfwidth: int, stages=()):
         if halfwidth < 2:
             raise ScenarioError("mode-lattice half-width must be >= 2")
-        if field_model not in ("full", "effective"):
-            raise ScenarioError(f"unknown field model {field_model!r}")
         self.k = wavenumber
         self.N = halfwidth
         self.stages = list(stages)
-        self.potentials = list(potentials)
-        self.field_model = field_model
         m = 2 * halfwidth + 1
         n_index = np.arange(m) - halfwidth
         self.energies = (n_index * wavenumber) ** 2 / (2.0 * MC2_EV)
-        # carrier period of the plateau Hamiltonian; None: no carrier lattice
+        # carrier period of the plateau Hamiltonian; None without a stage
         w = _max_omega(self.stages)
-        self.period = 2.0 * np.pi / w if field_model == "full" and w > 0 else None
+        self.period = 2.0 * np.pi / w if w > 0 else None
         # H[r, c] = band[4 + r - c] for |r - c| <= 4, else band[9] = 0
         diff = n_index[:, None] - n_index[None, :]
         self._gather = np.where(np.abs(diff) <= 4, diff + 4, 9)
@@ -525,18 +501,6 @@ class ModeLatticeEngine:
         """(a, b): the coefficients a_j, b_j (j = 1..4) of e^{ijkz} in
         a = (eA)^2/2m and b = eB_y/2m at time t, or None when no stage is on.
         The j = 0 term of a multiplies the identity and is gauged away."""
-        if self.field_model == "effective":
-            a4 = 0.0 + 0.0j
-            b4 = 0.0 + 0.0j
-            for pot, power, stage in self.potentials:
-                f = 1.0 if stage is None else stage.envelope.value(t - stage.start)
-                if f == 0.0:
-                    continue
-                if pot.kind == KIND_MONO:
-                    a4 += 0.5 * pot.strength * np.exp(1j * pot.chi) * f**power
-                else:
-                    b4 += 0.5j * pot.strength * f**power
-            return (0j, 0j, 0j, a4), (0j, 0j, 0j, b4)
         al1 = al2 = 0j
         on = False
         for s in self.stages:
@@ -591,17 +555,6 @@ class ModeLatticeEngine:
             on.append(idx)
         return tuple(on)
 
-    def _lattice_step(self, t: float, dt: float):
-        """(i, M) when [t, t + dt] is step i of the lattice t_i = i T/M."""
-        if self.period is None:
-            return None
-        steps = round(self.period / dt)
-        i = round(t / dt)
-        if steps < 1 or abs(steps * dt - self.period) > 1e-12 * self.period \
-                or abs(i * dt - t) > 1e-9 * dt + 4e-16 * abs(t):
-            return None
-        return i, steps
-
     def _propagator(self, t: float, dt: float, lattice=None):
         """Sector propagators of [t, t + dt], or None when no stage overlaps it.
 
@@ -609,8 +562,6 @@ class ModeLatticeEngine:
         t_i = i T/M: a plateau step is then served from the cache keyed by
         (stages on their plateau, i mod M), and any other lattice step ends
         the cache, so that a cache lives only as long as its plateau."""
-        if self.period is None:
-            return self._magnus(t, dt)
         key = self._step_class(t, t + dt)
         if lattice is not None:
             i, steps = lattice
@@ -653,10 +604,10 @@ class ModeLatticeEngine:
     def gl2_step(self, c: np.ndarray, t: float, dt: float) -> np.ndarray:
         """Advance interaction-picture amplitudes c from t to t + dt by one
         exact-exponential 4th-order Magnus step in the sigma_y sectors
-        (unitary to rounding).  A plateau step of the carrier lattice
-        (dt = T/M, t a multiple of dt) is served from the plateau cache.
-        Returns c itself when no stage overlaps the step."""
-        u = self._propagator(t, dt, self._lattice_step(t, dt))
+        (unitary to rounding), computed afresh: no cache, no lattice.  The
+        reference that ``advance`` is checked against.  Returns c itself when
+        no field acts at either Gauss node."""
+        u = self._magnus(t, dt)
         if u is None:
             return c
         return self._from_sectors(_apply(u, self._to_sectors(c, t)), t + dt)
@@ -670,7 +621,7 @@ class ModeLatticeEngine:
         phase factor, and whole plateau periods are one product U_T each.
         """
         if self.period is None:
-            raise ScenarioError("advance needs the full field model and a stage")
+            raise ScenarioError("advance needs a stage")
         steps = max(1, math.ceil(self.period / dt - 1e-9))
         h = self.period / steps
         amps = self._to_sectors(c, ta)
@@ -714,21 +665,6 @@ class ModeLatticeEngine:
 
     def edge_population(self, c: np.ndarray) -> float:
         return float(np.sum(np.abs(c[0]) ** 2) + np.sum(np.abs(c[-1]) ** 2))
-
-
-def step_mode_lattice(state: np.ndarray, stages, t: float, dt: float,
-                      wavenumber: float | None = None, halfwidth: int | None = None,
-                      field_model: str = "full", potentials=()) -> np.ndarray:
-    """One mode-lattice integration step (functional wrapper around the engine)."""
-    state = np.asarray(state, dtype=complex)
-    n = (state.shape[0] - 1) // 2
-    if wavenumber is None:
-        if not stages:
-            raise ScenarioError("need a wavenumber or at least one stage")
-        wavenumber = stages[0].wavenumber
-    pots = [(p, 1, None) for p in potentials]
-    eng = ModeLatticeEngine(wavenumber, halfwidth or n, stages, pots, field_model)
-    return eng.gl2_step(state, t, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +721,7 @@ def _propagator(scn: Scenario):
     if cfg.backend == "full-field":
         terms = _FullFieldTerms(scn.stages, grid.z)
     else:
-        terms = _EffectiveTerms([(*_effective_lattice(s), s) for s in scn.stages], grid.z)
+        terms = _EffectiveTerms(scn.stages, grid.z)
     prop = _GridPropagator(grid, terms, _analysis_wavenumber(scn), cfg.bin_halfwidth)
     psi = gaussian_packet(grid, packet.center, packet.width, packet.momentum, packet.spin)
     return prop, _y_sectors(psi.psi)
@@ -800,7 +736,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     dt = cfg.dt or default_timestep(cfg.backend, scn.stages, cadence)
     ceiling = timestep_ceiling(cfg.backend, scn.stages)
     if dt > ceiling:
-        raise ScenarioError(f"configured dt {dt:.3e} violates the backend bound {ceiling:.3e}")
+        raise ScenarioError(f"configured dt {natural_to_fs(dt):.3e} fs violates the backend "
+                            f"bound {natural_to_fs(ceiling):.3e} fs")
 
     run_warnings = []
     times = _snapshot_times(scn.duration, cadence, run_warnings)

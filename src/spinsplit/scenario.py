@@ -9,6 +9,7 @@ entry (or of its enclosing mapping when the entry is missing).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -106,6 +107,9 @@ class _Validator:
             self.error(f"{path}.{key}", f"expected a number, got {value!r}")
             return default
         value = float(value)
+        if not math.isfinite(value):
+            self.error(f"{path}.{key}", f"must be finite, got {value}")
+            return default
         if positive and value <= 0:
             self.error(f"{path}.{key}", f"must be positive, got {value}")
             return default
@@ -240,7 +244,7 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
     dt_file = val.number(prop, "dt", "propagation", default=None, positive=True)
     snap_file = val.number(prop, "snapshot_every", "propagation", default=None, positive=True)
     points = grid_points or prop.get("grid_points", 16384)
-    if not isinstance(points, int) or points <= 0:
+    if not isinstance(points, int) or isinstance(points, bool) or points <= 0:
         val.error("propagation.grid_points", f"bad value {points!r}")
         points = 16384
     glen = val.number(prop, "grid_length", "propagation", default=None, positive=True)

@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from taylor_expm import taylor_expm
 
-from spinsplit.analytic import EffectivePotential, stage_unitary
 from spinsplit.fields import (
     BichromaticWave,
     Envelope,
@@ -12,12 +12,13 @@ from spinsplit.fields import (
     magnetic_field,
     vector_potential,
 )
-from spinsplit.observables import channel_report
 from spinsplit.propagation import (
+    _TAYLOR_THETA,
     ModeLatticeEngine,
     _EffectiveTerms,
+    _expm_skew,
     _FullFieldTerms,
-    _effective_lattice,
+    _GridPropagator,
     _propagator,
     PacketSpec,
     PropagationConfig,
@@ -26,9 +27,6 @@ from spinsplit.propagation import (
     default_timestep,
     run_scenario,
     stage_pulse_areas,
-    step_effective,
-    step_full_field,
-    step_mode_lattice,
     timestep_ceiling,
     with_backend,
 )
@@ -36,7 +34,6 @@ from spinsplit.states import (
     SPIN_Y_PLUS,
     SpatialGrid,
     gaussian_packet,
-    spin_expectations,
 )
 from spinsplit.units import MC2_EV, fs_to_natural, um_to_natural
 
@@ -136,96 +133,31 @@ class TestEffectiveBackend:
         ts = result.timeseries
         assert np.max(np.abs(ts.sy_total - ts.sy_total[0])) < 1e-8
 
-    def test_empty_potential_is_free(self):
-        grid = SpatialGrid(um_to_natural(1.0), 1024)
-        psi = gaussian_packet(grid, 0.0, um_to_natural(0.03), 0.0, "up")
-        out = step_effective(psi, [], fs_to_natural(1.0))
-        # only kinetic phases: density at t=~0 unchanged to high accuracy
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestStepFullField:
-    def test_norm_preserved_per_step(self):
-        grid = SpatialGrid(um_to_natural(1.2), 4096, field_wavenumber=K)
-        psi = gaussian_packet(grid, 0.0, um_to_natural(0.08), 2 * K, "up")
-        stage = mono_stage(np.pi / 2)
-        dt = np.pi / (64.0 * K)
-        out = step_full_field(psi, [stage], stage.start + 1.0, dt)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_timestep_ceiling_enforced(self):
-        grid = SpatialGrid(um_to_natural(1.2), 4096, field_wavenumber=K)
-        psi = gaussian_packet(grid, 0.0, um_to_natural(0.08), 2 * K, "up")
-        from spinsplit.propagation import PropagationError
-
-        with pytest.raises(PropagationError):
-            step_full_field(psi, [mono_stage(np.pi / 2)], 0.0, 1.0)
-
-    def test_zero_field_matches_free_gaussian(self):
-        grid = SpatialGrid(um_to_natural(0.3), 1024)
-        sigma0 = um_to_natural(0.01)
-        psi = gaussian_packet(grid, 0.0, sigma0, 0.0, "up")
-        t_total = fs_to_natural(200.0)
-        for _ in range(100):
-            psi = step_full_field(psi, [], 0.0, t_total / 100)
-        expected = sigma0**2 * (1.0 + (t_total / (2.0 * MC2_EV * sigma0**2)) ** 2)
-        assert psi.position_variance() == pytest.approx(expected, rel=1e-6)
-
 
 class TestTimeReversal:
     def test_effective_backward_recovers_initial(self):
-        grid = SpatialGrid(um_to_natural(1.2), 4096, field_wavenumber=K)
-        psi0 = gaussian_packet(grid, 0.0, um_to_natural(0.08), 2 * K, "y+")
-        pots = [EffectivePotential.mono(200.0, K, chi=0.4),
-                EffectivePotential.bichromatic(2.35e4, 2.35e4, K)]
+        # plateau-only stages keep both lattices fully on; the runner's grid
+        # propagator steps forward, then back with a negative dt
         dt = 0.001 / RABI_MONO_200
-        psi = psi0
-        for _ in range(400):
-            psi = step_effective(psi, pots, dt)
-        for _ in range(400):
-            psi = step_effective(psi, pots, -dt)
-        overlap = np.abs(np.sum(np.conj(psi0.psi) * psi.psi) * grid.spacing) ** 2
-        assert overlap > 1.0 - 1e-6
+        t_end = 400 * dt
+        env = Envelope(0.0, t_end, 0.0)
+        stages = [MonoStandingWave(ea0=200.0, photon_energy=K, chi=0.4, envelope=env),
+                  BichromaticWave(ea1=2.35e4, ea2=2.35e4, photon_energy=K, envelope=env)]
+        prop, psi0 = _propagator(effective_scenario(stages, spin="y+"))
+        assert isinstance(prop, _GridPropagator) and isinstance(prop.terms, _EffectiveTerms)
+        spacing = prop.grid.spacing
+        psi = prop.advance(psi0.copy(), 0.0, t_end, dt)
+        assert np.abs(np.vdot(psi0, psi) * spacing) ** 2 < 0.99  # the lattices acted
+        psi = prop.advance(psi, t_end, 0.0, -dt)
+        assert np.abs(np.vdot(psi0, psi) * spacing) ** 2 > 1.0 - 1e-6
 
 
 class TestModeLattice:
     def test_zero_field_amplitudes_constant(self):
         c0 = np.zeros((9, 2), dtype=complex)
         c0[6] = SPIN_Y_PLUS
-        c1 = step_mode_lattice(c0, [], 0.0, 0.05, wavenumber=K)
+        c1 = ModeLatticeEngine(K, 4).gl2_step(c0, 0.0, 0.05)
         np.testing.assert_array_equal(c0, c1)
-
-    def test_restricted_two_modes_match_analytic(self):
-        # N=2 with the static bichromatic lattice is exactly the analytic
-        # two-level problem; integrate a pi/2 area and compare amplitudes.
-        pot = EffectivePotential.bichromatic(2.35e4, 2.35e4, K)
-        omega = pot.strength
-        engine = ModeLatticeEngine(K, 2, potentials=[(pot, 1, None)],
-                                   field_model="effective")
-        c = engine.initial_state(+2, "up")
-        theta = np.pi / 2
-        t_total = theta / omega
-        n = 400
-        dt = t_total / n
-        for i in range(n):
-            c = engine.gl2_step(c, i * dt, dt)
-        expected_vec = stage_unitary("bichromatic", theta).matrix @ np.array(
-            [0, 0, 1, 0], dtype=complex)
-        got = np.concatenate([c[0], c[4]])
-        np.testing.assert_allclose(got, expected_vec, atol=1e-8)
-
-    def test_restricted_mono_rabi_trace(self):
-        pot = EffectivePotential.mono(200.0, K, chi=0.0)
-        engine = ModeLatticeEngine(K, 2, potentials=[(pot, 1, None)],
-                                   field_model="effective")
-        c = engine.initial_state(+2, "up")
-        omega = pot.strength
-        t_total = np.pi / omega  # full transfer
-        n = 600
-        dt = t_total / n
-        for i in range(n):
-            c = engine.gl2_step(c, i * dt, dt)
-        assert float(np.sum(np.abs(c[0]) ** 2)) == pytest.approx(1.0, abs=1e-8)
 
     def test_harmonics_match_fft_of_sampled_fields(self):
         # closed-form a_j, b_j against the FFT of (eA)^2/2m and eB_y/2m
@@ -254,41 +186,44 @@ class TestModeLattice:
                        for got, want in zip(terms(t), (ea * ea / (2 * MC2_EV), eb / (2 * MC2_EV))))
         assert engine.harmonics(2.5) is None
 
-    def test_shared_engine_matches_fresh_engines(self):
-        # One engine reuses its plateau propagators (keyed by the active
-        # stages and the lattice phase i mod M); a fresh engine per step
-        # computes every step anew.  Across rise, plateau, fall and the free
-        # steps after it the amplitudes must agree.
+    def test_advance_matches_chain_of_fresh_steps(self):
+        # advance serves plateau steps from its cache (keyed by the active
+        # stages and the lattice phase i mod M) and whole periods as one U_T;
+        # gl2_step computes every step anew.  Uneven snapshot intervals cut
+        # the lattice with fractional steps on the rise, the plateau, the
+        # fall and between the stages; the chain of gl2_steps takes the same
+        # lattice points.  The second stage, with another chi, shows that a
+        # plateau's cache ends with it.
         period = 2 * np.pi / 1200.0
-        env = Envelope(2.0 * period, 3.0 * period, 2.0 * period)
-        stage = MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.3,
-                                 envelope=env, start=1.3 * period)
-        per_period = 64
-        dt = period / per_period
-        shared = ModeLatticeEngine(1200.0, 8, stages=[stage])
+        stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=chi,
+                                   envelope=Envelope(*(x * period for x in env)),
+                                   start=start * period)
+                  for chi, env, start in ((0.3, (2, 4, 2), 1.3), (-0.5, (1, 2, 1), 9.6))]
+        h = period / 32
+        engine = ModeLatticeEngine(1200.0, 8, stages=stages)
+        reference = ModeLatticeEngine(1200.0, 8, stages=stages)
         calls = []
-        harmonics = shared.harmonics
-        shared.harmonics = lambda t: calls.append(t) or harmonics(t)
-        c_shared = c_fresh = shared.initial_state(+2, "up")
-        n_steps = int((stage.end + period) / dt)
-        for i in range(n_steps):
-            c_shared = shared.gl2_step(c_shared, i * dt, dt)
-            c_fresh = ModeLatticeEngine(1200.0, 8, stages=[stage]).gl2_step(c_fresh, i * dt, dt)
-        np.testing.assert_allclose(c_shared, c_fresh, rtol=0, atol=1e-13)
-        assert np.sum(np.abs(c_shared[2 + 8]) ** 2) < 0.999  # the stage did act
-        # the last two plateau periods came from the cache
-        assert len(calls) <= 2 * (n_steps - 2 * per_period)
-
-    def test_norm_conserved_at_large_coupling(self):
-        # the exponential step must hold the norm even when lambda*dt ~ 0.4
-        engine = ModeLatticeEngine(1600.0, 6, potentials=[
-            (EffectivePotential("monochromatic", 500.0, 1600.0, 0.0), 1, None)],
-            field_model="effective")
-        c = engine.initial_state(+2, "up")
-        dt = 8e-4  # lambda*dt ~ 0.4 for the 500 eV lattice
-        for i in range(2000):
-            c = engine.gl2_step(c, i * dt, dt)
-        assert float(np.sum(np.abs(c) ** 2)) == pytest.approx(1.0, abs=1e-10)
+        harmonics = engine.harmonics
+        engine.harmonics = lambda t: calls.append(t) or harmonics(t)
+        products = []
+        period_propagator = engine._period_propagator
+        engine._period_propagator = lambda *a: products.append(period_propagator(*a)) or products[-1]
+        c = c_ref = engine.initial_state(+2, "up")
+        times = period * np.array([0.0, 0.9, 2.45, 3.5, 6.2, 7.07, 8.4, 9.9, 11.75, 14.3])
+        for ta, tb in zip(times, times[1:]):
+            c = engine.advance(c, ta, tb, h)
+            lattice = [i * h for i in range(math.ceil(ta / h), math.floor(tb / h) + 1)
+                       if ta < i * h < tb]
+            points = [ta, *lattice, tb]
+            for t0, t1 in zip(points, points[1:]):
+                c_ref = reference.gl2_step(c_ref, t0, t1 - t0)
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
+        assert np.sum(np.abs(c[2 + 8]) ** 2) < 0.999  # the stages did act
+        assert any(u is not None for u in products)
+        # after the first plateau's first period (3.3 T to 4.3 T) only the
+        # fractional steps at the cuts 6.2 T and 7.07 T are fresh
+        late_plateau = [t for t in calls if 4.4 * period < t < 7.2 * period]
+        assert len(late_plateau) == 2 * 2 * 2
 
 
 class TestScenarioValidation:
@@ -327,10 +262,22 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             scn.validate()
 
-    def test_dt_ceiling_respected_by_runner(self):
+    @pytest.mark.parametrize("backend", ["full-field", "effective", "mode-lattice"])
+    def test_dt_ceiling_respected_by_runner(self, backend):
         scn = effective_scenario([mono_stage(np.pi / 2)])
+        scn.config.backend = backend
         scn.config.dt = 5.0 / RABI_MONO_200
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="violates the backend bound"):
+            run_scenario(scn)
+
+    @pytest.mark.parametrize("key,value", [("dt", -5e-3), ("dt", 0.0), ("dt", math.nan),
+                                           ("snapshot_every", -1.0),
+                                           ("snapshot_every", math.nan)])
+    def test_nonpositive_or_nonfinite_steps_rejected(self, key, value):
+        # a negative dt used to run one Strang step per snapshot interval
+        scn = effective_scenario([mono_stage(np.pi / 2)])
+        setattr(scn.config, key, value)
+        with pytest.raises(ScenarioError, match=f"{key} must be positive and finite"):
             run_scenario(scn)
 
     def test_overlapping_channel_bins_rejected(self):
@@ -529,20 +476,19 @@ def test_in_place_effective_step_is_bit_identical():
     scn = effective_scenario(stages, spin=(1, 1))  # x+
     times = scn.duration * np.array([0.0, 0.13, 0.29, 0.41, 0.58, 0.66, 0.83, 1.0])
     dt = timestep_ceiling("effective", stages) / 2.0
-    triples = [(*_effective_lattice(s), s) for s in stages]
     z = _propagator(scn)[0].grid.z
     _assert_in_place_steps_match_reference(scn, times, dt,
-                                           lambda t: _EffectiveTerms(triples, z)(t))
+                                           lambda t: _EffectiveTerms(stages, z)(t))
 
 
-def test_single_steps_leave_input_unchanged():
-    grid = SpatialGrid(um_to_natural(1.2), 4096, field_wavenumber=K)
-    psi = gaussian_packet(grid, 0.0, um_to_natural(0.08), 2 * K, "x+")
-    before = psi.psi.copy()
-    stage = mono_stage(np.pi / 2)
-    out = step_full_field(psi, [stage], stage.start + 1.0, np.pi / (64.0 * K))
-    assert not np.array_equal(out.psi, before)
-    out = step_effective(psi, [EffectivePotential.bichromatic(2.35e4, 2.35e4, K)],
-                         0.001 / RABI_BI)
-    assert not np.array_equal(out.psi, before)
-    assert np.array_equal(psi.psi, before)
+@pytest.mark.parametrize("scale", [0.5, 4.5, 60.0])
+def test_expm_skew_matches_taylor_oracle(scale):
+    # 1-norm scale * _TAYLOR_THETA: no squaring, then 3 and 6 squarings
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(2, 17, 17)) + 1j * rng.normal(size=(2, 17, 17))
+    x = g - g.conj().swapaxes(-1, -2)
+    x *= scale * _TAYLOR_THETA / np.abs(x).sum(axis=-2).max()
+    u = _expm_skew(x)
+    np.testing.assert_allclose(u, [taylor_expm(m) for m in x], rtol=0, atol=1e-13)
+    unitarity = u.conj().swapaxes(-1, -2) @ u - np.eye(17)
+    assert np.max(np.abs(unitarity)) < 1e-13

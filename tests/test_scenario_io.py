@@ -117,6 +117,24 @@ class TestParsing:
             parse_scenario_text("".join(lines))
         assert err.value.errors == ["line 31: stages[1].plateau: must be >= 0.0, got -3.0"]
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("plateau", ".nan", "stages[0].plateau: must be finite, got nan"),
+        ("duration", ".nan", "scenario.duration: must be finite, got nan"),
+        ("snapshot_every", "nan", "propagation.snapshot_every: must be finite, got nan"),
+        ("a0", ".inf", "stages[0].a0: must be finite, got inf"),
+        ("grid_points", "true", "propagation.grid_points: bad value True"),
+    ], ids=["plateau", "duration", "snapshot_every", "a0", "grid_points"])
+    def test_nonfinite_numbers_and_boolean_counts_rejected(self, key, value, error):
+        # each used to parse: a nan plateau gave a stage that never acts, a
+        # nan duration or snapshot_every failed later in the runner, an
+        # infinite a0 failed mid-run, and true was read as 1 grid point
+        lines = bundled_scenario_path("desk-mono").read_text().splitlines(keepends=True)
+        (row,) = [i for i, line in enumerate(lines) if line.strip().startswith(f"{key}:")]
+        lines[row] = f"{lines[row].split(':')[0]}: {value}\n"
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text("".join(lines), backend="mode-lattice")
+        assert err.value.errors == [f"line {row + 1}: {error}"]
+
     def test_chi_conflict_rejected(self):
         text = MINIMAL.replace("stages: []", """stages:
   - kind: monochromatic

@@ -118,22 +118,15 @@ def analytic_prediction(scenario):
     mode = +2 if scenario.packet.momentum >= 0 else -2
     vec = BraggState.from_spin(scenario.packet.spin, mode=mode)
     out_vec = BraggState(u @ vec.amplitudes)
-    pop_minus, pop_plus = out_vec.populations()
 
-    def bloch_y(block):
-        a = out_vec.amplitudes[block]
-        pop = np.sum(np.abs(a) ** 2).real
-        return float(2.0 * (np.conj(a[0]) * a[1]).imag / pop) if pop > 1e-12 else 0.0
+    def row(rho, entropy):
+        blocks = block_spin_expectations(rho)
+        (pop_plus, sy_plus), (pop_minus, sy_minus) = blocks["plus"], blocks["minus"]
+        return [pop_plus, pop_minus, sy_plus, sy_minus, abs(sy_plus), abs(sy_minus), entropy]
 
-    sy_minus = bloch_y(slice(0, 2))
-    sy_plus = bloch_y(slice(2, 4))
-    pure_row = [pop_plus, pop_minus, sy_plus, sy_minus, abs(sy_plus), abs(sy_minus),
-                spin_momentum_entanglement(out_vec) if out_vec.norm() > 0 else 0.0]
-
-    rho_out = u @ unpolarized_density(mode) @ u.conj().T
-    blocks = block_spin_expectations(rho_out)
-    unpol_row = [blocks["plus"][0], blocks["minus"][0], blocks["plus"][1],
-                 blocks["minus"][1], abs(blocks["plus"][1]), abs(blocks["minus"][1]), 0.0]
+    pure_row = row(out_vec.density(),
+                   spin_momentum_entanglement(out_vec) if out_vec.norm() > 0 else 0.0)
+    unpol_row = row(u @ unpolarized_density(mode) @ u.conj().T, 0.0)
     return u, table, pure_row, unpol_row
 
 

@@ -199,7 +199,7 @@ def full_design_report(
 
     dx = spec1.waist_x if spec1.waist_x is not None else dy
     duration = spec1.duration if spec1.duration is not None else t_b
-    energy = (i1 + i2) * 1e-8 * dx * dy * duration * 1e-15 * 1e3
+    energy = pulse_energy_mj(i1 + i2, dx, dy, duration)
 
     hbar_k = hw  # k = omega/c, in eV units
     dpz = momentum_acceptance(rabi_b, hbar_k)

@@ -93,14 +93,13 @@ def grid_channels(psi: SpinorWavefunction, hbar_k: float, bin_halfwidth: float):
                      np.abs(p - center) <= bin_halfwidth, np.abs(p + center) <= bin_halfwidth)
 
 
-def mode_channels(amplitudes: np.ndarray, bin_halfwidth_modes: float = 1.0):
+def mode_channels(amplitudes: np.ndarray):
     """(ChannelReport, reduced spin density) of mode-lattice amplitudes of
     shape (2N+1, 2); mode n carries momentum n*hbar k, the channels are the
-    modes with |n -+ 2| < bin_halfwidth_modes."""
+    modes n = +-2."""
     c = np.asarray(amplitudes, dtype=complex)
     n_index = np.arange(c.shape[0]) - c.shape[0] // 2
-    return _channels(c.T, 1.0, np.abs(n_index - 2) < bin_halfwidth_modes,
-                     np.abs(n_index + 2) < bin_halfwidth_modes)
+    return _channels(c.T, 1.0, n_index == 2, n_index == -2)
 
 
 def channel_report(
@@ -121,12 +120,12 @@ def channel_report(
     return grid_channels(psi, hbar_k, bin_halfwidth)[0]
 
 
-def mode_channel_report(amplitudes: np.ndarray, bin_halfwidth_modes: float = 1.0) -> ChannelReport:
+def mode_channel_report(amplitudes: np.ndarray) -> ChannelReport:
     """Channel report for mode-lattice amplitudes of shape (2N+1, 2); mode n
     carries momentum n*hbar k, the channels are n = +-2."""
     if float(np.sum(np.abs(amplitudes) ** 2)) <= 0.0:
         raise AnalysisError("channel report of a zero-norm state")
-    return mode_channels(amplitudes, bin_halfwidth_modes)[0]
+    return mode_channels(amplitudes)[0]
 
 
 def polarization_degree(report: ChannelReport, channel: str = "both"):

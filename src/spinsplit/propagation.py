@@ -24,14 +24,15 @@ basis.  The fields come from ``fields`` only.
   Steps lie on the carrier lattice t_i = i T/M, T = 2 pi/omega.  On a pulse
   plateau H(t + T) = H(t), so a plateau's M step propagators are computed
   once and whole periods advance by their product U_T (Shirley, Phys. Rev.
-  138, B979 (1965)); only the sin^2 edges are stepped afresh.  Amplitudes
-  outside the engine are in the interaction picture.
+  138, B979 (1965)); only the sin^2 edges and the fractional steps at the
+  ends of an interval are stepped afresh, each through ``gl2_step``.
 
-One runner drives every backend through the same three calls: ``advance``
-across a snapshot interval with a field on, ``drift`` across one without,
-and ``observe`` at each snapshot (channel report and reduced spin density
-from ``observables``).  These propagators are the only steppers; the mode
-lattice's ``gl2_step`` is one uncached Magnus step, the reference that
+One runner drives every backend through the same three calls on the same
+state, the sigma_y sectors: ``advance`` across a snapshot interval with a
+field on, ``drift`` (the free phase) across one without, and ``observe`` at
+each snapshot (channel report and reduced spin density from
+``observables``).  These propagators are the only steppers; the mode
+lattice's one fresh-step path, ``gl2_step``, is also the reference that
 ``advance`` is tested against.
 
 The spatially uniform (eA)^2/2m Fourier component is dropped in the mode
@@ -174,7 +175,6 @@ class ScenarioResult:
     timeseries: TimeSeries
     final_report: ChannelReport
     final_psi: SpinorWavefunction | None = None
-    final_modes: np.ndarray | None = None
     warnings: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
 
@@ -384,24 +384,17 @@ class _GridPropagator:
         self.terms = terms
         self.hbar_k = hbar_k
         self.bin_halfwidth = bin_halfwidth or hbar_k
-        self._kinetic = {}
         self._work = _PhaseWork(grid.points)
-
-    def _phase(self, tau: float) -> np.ndarray:
-        phase = self._kinetic.get(tau)
-        if phase is None:
-            phase = self._kinetic[tau] = _kinetic_phase(self.grid, tau)
-        return phase
 
     def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
         """Free evolution over tau: one kinetic step."""
-        return _apply_kinetic(psi, self._phase(tau))
+        return _apply_kinetic(psi, _kinetic_phase(self.grid, tau))
 
     def advance(self, psi: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
         """Sectors at ta -> at tb, in equal steps no longer than dt."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
-        half, full = self._phase(0.5 * h), self._phase(h)
+        half, full = _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h)
         _apply_kinetic(psi, half)
         for i in range(n):
             a, b = self.terms(ta + (i + 0.5) * h)
@@ -464,10 +457,10 @@ def _apply(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
 class ModeLatticeEngine:
     """Coupled amplitudes c_n (Pauli spinor each) on momenta n*hbar*k under
     the Fourier components of the exact (eA)^2 and B_y, in closed form from
-    ``fields.spatial_harmonics``.  State layout outside the engine:
-    (2N+1, 2) complex, index n+N, z spin basis, interaction picture.  Inside,
-    the state is held in the two sigma_y sectors in the Schroedinger picture,
-    where the plateau Hamiltonian repeats every carrier period T = 2 pi/omega.
+    ``fields.spatial_harmonics``.  The state is what the grid propagator
+    holds: the sigma_y sectors (y+, y-), shape (2, 2N+1) with index n+N, in
+    the Schroedinger picture, where the plateau Hamiltonian repeats every
+    carrier period T = 2 pi/omega.
     """
 
     def __init__(self, wavenumber: float, halfwidth: int, stages=()):
@@ -493,9 +486,9 @@ class ModeLatticeEngine:
     def initial_state(self, mode: int, spin) -> np.ndarray:
         if abs(mode) > self.N:
             raise ScenarioError(f"initial mode {mode} outside |n| <= {self.N}")
-        c = np.zeros((2 * self.N + 1, 2), dtype=complex)
-        c[mode + self.N] = normalize_spin(spin)
-        return c
+        amps = np.zeros((2, 2 * self.N + 1), dtype=complex)
+        amps[:, mode + self.N] = _y_sectors(normalize_spin(spin))
+        return amps
 
     def harmonics(self, t: float):
         """(a, b): the coefficients a_j, b_j (j = 1..4) of e^{ijkz} in
@@ -555,31 +548,6 @@ class ModeLatticeEngine:
             on.append(idx)
         return tuple(on)
 
-    def _propagator(self, t: float, dt: float, lattice=None):
-        """Sector propagators of [t, t + dt], or None when no stage overlaps it.
-
-        With ``lattice`` = (i, M), the step is step i of the carrier lattice
-        t_i = i T/M: a plateau step is then served from the cache keyed by
-        (stages on their plateau, i mod M), and any other lattice step ends
-        the cache, so that a cache lives only as long as its plateau."""
-        key = self._step_class(t, t + dt)
-        if lattice is not None:
-            i, steps = lattice
-            if self._plateau != (key, steps):
-                self._plateau = (key, steps) if key else None
-                self._cache = {}
-                self._period_u = None
-            if key:
-                u = self._cache.get(i % steps)
-                if u is None:
-                    u = self._cache[i % steps] = self._magnus(t, dt)
-                return u
-        return None if key == () else self._magnus(t, dt)
-
-    def _sector_step(self, amps: np.ndarray, t: float, dt: float, lattice=None) -> np.ndarray:
-        u = self._propagator(t, dt, lattice)
-        return amps * np.exp(-1j * dt * self.energies) if u is None else _apply(u, amps)
-
     def _period_propagator(self, key: tuple, steps: int):
         """U_T from lattice phase 0 once the cache of plateau ``key`` holds
         every step of the period, else None."""
@@ -592,45 +560,35 @@ class ModeLatticeEngine:
             self._period_u = u
         return self._period_u
 
-    def _to_sectors(self, c: np.ndarray, t: float) -> np.ndarray:
-        """Interaction-picture z-basis amplitudes (m, 2) at t -> Schroedinger-
-        picture sigma_y sector amplitudes (2, m), rows y+ and y-."""
-        return _y_sectors(c.T) * np.exp(-1j * t * self.energies)
-
-    def _from_sectors(self, amps: np.ndarray, t: float) -> np.ndarray:
-        """Inverse of ``_to_sectors``."""
-        return _z_spinor(amps * np.exp(1j * t * self.energies)).T
-
-    def gl2_step(self, c: np.ndarray, t: float, dt: float) -> np.ndarray:
-        """Advance interaction-picture amplitudes c from t to t + dt by one
-        exact-exponential 4th-order Magnus step in the sigma_y sectors
-        (unitary to rounding), computed afresh: no cache, no lattice.  The
-        reference that ``advance`` is checked against.  Returns c itself when
-        no field acts at either Gauss node."""
+    def gl2_step(self, amps: np.ndarray, t: float, dt: float) -> np.ndarray:
+        """Sector amplitudes at t -> at t + dt by one exact-exponential
+        4th-order Magnus step (unitary to rounding), computed afresh: no
+        cache, no lattice.  The free phase when no field acts at either
+        Gauss node.  ``advance`` takes every edge and fractional step here."""
         u = self._magnus(t, dt)
-        if u is None:
-            return c
-        return self._from_sectors(_apply(u, self._to_sectors(c, t)), t + dt)
+        return self.drift(amps, dt) if u is None else _apply(u, amps)
 
-    def advance(self, c: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
-        """Interaction-picture amplitudes c at ta -> at tb.
+    def advance(self, amps: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
+        """Sector amplitudes at ta -> at tb.
 
         Steps lie on the carrier lattice t_i = i T/M, with M the smallest
         integer that makes them no longer than dt; fresh fractional steps
-        join ta and tb to it.  A run of steps outside every stage is one
-        phase factor, and whole plateau periods are one product U_T each.
+        join ta and tb to it.  Between two stage boundaries every lattice
+        step has one class: a free run is one ``drift``, an edge run is
+        stepped afresh, and a plateau run takes its steps from the cache
+        keyed by (stages on their plateau, M) and i mod M, whole periods as
+        one product U_T each.
         """
         if self.period is None:
             raise ScenarioError("advance needs a stage")
         steps = max(1, math.ceil(self.period / dt - 1e-9))
         h = self.period / steps
-        amps = self._to_sectors(c, ta)
         i = math.ceil(ta / h)
         j = math.floor(tb / h)
         if i > j:
-            return self._from_sectors(self._sector_step(amps, ta, tb - ta), tb)
+            return self.gl2_step(amps, ta, tb - ta)
         if i * h > ta:
-            amps = self._sector_step(amps, ta, i * h - ta)
+            amps = self.gl2_step(amps, ta, i * h - ta)
         # the class of a step changes only next to a stage boundary
         breaks = sorted({math.floor(x / h) + d for s in self.stages
                          for x in (s.start, s.start + s.envelope.rise,
@@ -640,28 +598,40 @@ class ModeLatticeEngine:
             end = min([b for b in breaks if b > i] + [j])
             key = self._step_class(i * h, (i + 1) * h)
             if key == ():
-                amps = self._sector_step(amps, i * h, (end - i) * h)
+                amps = self.drift(amps, (end - i) * h)
                 i = end
-            while i < end:
-                period = self._period_propagator(key, steps) if i % steps == 0 else None
-                if period is not None and end - i >= steps:
-                    for _ in range((end - i) // steps):
-                        amps = _apply(period, amps)
-                    i += (end - i) // steps * steps
-                else:
-                    amps = self._sector_step(amps, i * h, h, (i, steps))
+            elif key is None:
+                while i < end:
+                    amps = self.gl2_step(amps, i * h, h)
                     i += 1
+            else:
+                if self._plateau != (key, steps):
+                    self._plateau, self._cache, self._period_u = (key, steps), {}, None
+                while i < end:
+                    period = self._period_propagator(key, steps) if i % steps == 0 else None
+                    if period is not None and end - i >= steps:
+                        for _ in range((end - i) // steps):
+                            amps = _apply(period, amps)
+                        i += (end - i) // steps * steps
+                    else:
+                        u = self._cache.get(i % steps)
+                        if u is None:
+                            u = self._cache[i % steps] = self._magnus(i * h, h)
+                        amps = _apply(u, amps)
+                        i += 1
         if tb > j * h:
-            amps = self._sector_step(amps, j * h, tb - j * h)
-        return self._from_sectors(amps, tb)
+            amps = self.gl2_step(amps, j * h, tb - j * h)
+        return amps
 
-    def drift(self, c: np.ndarray, tau: float) -> np.ndarray:
-        """Free evolution: interaction-picture amplitudes stay constant."""
-        return c
+    def drift(self, amps: np.ndarray, tau: float) -> np.ndarray:
+        """Free evolution over tau: the phase exp(-i tau E_n) on each mode."""
+        return amps * np.exp(-1j * tau * self.energies)
 
-    def observe(self, c: np.ndarray):
-        """(amplitudes, channel report of the modes n = +-2, reduced spin density)."""
-        return (c.copy(), *mode_channels(c))
+    def observe(self, amps: np.ndarray):
+        """(z-basis amplitudes (2N+1, 2), channel report of the modes n = +-2,
+        reduced spin density)."""
+        c = _z_spinor(amps).T
+        return (c, *mode_channels(c))
 
     def edge_population(self, c: np.ndarray) -> float:
         return float(np.sum(np.abs(c[0]) ** 2) + np.sum(np.abs(c[-1]) ** 2))
@@ -770,7 +740,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     return ScenarioResult(
         scenario=scn, backend=cfg.backend, timeseries=collector.series(), final_report=report,
-        final_psi=None if modes else snap, final_modes=snap if modes else None,
+        final_psi=None if modes else snap,
         warnings=run_warnings, snapshots=snapshots,
     )
 

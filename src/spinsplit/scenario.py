@@ -243,12 +243,12 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
         convention_name = "traveling"
     dt_file = val.number(prop, "dt", "propagation", default=None, positive=True)
     snap_file = val.number(prop, "snapshot_every", "propagation", default=None, positive=True)
-    points = grid_points or prop.get("grid_points", 16384)
+    points = grid_points if grid_points is not None else prop.get("grid_points", 16384)
     if not isinstance(points, int) or isinstance(points, bool) or points <= 0:
         val.error("propagation.grid_points", f"bad value {points!r}")
         points = 16384
     glen = val.number(prop, "grid_length", "propagation", default=None, positive=True)
-    halfwidth = mode_halfwidth or prop.get("mode_halfwidth", 8)
+    halfwidth = mode_halfwidth if mode_halfwidth is not None else prop.get("mode_halfwidth", 8)
     if not isinstance(halfwidth, int) or halfwidth < 4:
         val.error("propagation.mode_halfwidth",
                   f"must be an integer >= 4, got {halfwidth!r}")

@@ -48,7 +48,6 @@ class SpatialGrid:
 
     length: float
     points: int
-    offset: float = 0.0
     field_wavenumber: float | None = None
     z: np.ndarray = field(init=False, repr=False)
     p: np.ndarray = field(init=False, repr=False)
@@ -66,7 +65,7 @@ class SpatialGrid:
                     f"period: need spacing <= pi/(8k) = {limit:.3e}"
                 )
         n = self.points
-        self.z = self.offset + (np.arange(n) - n // 2) * self.spacing
+        self.z = (np.arange(n) - n // 2) * self.spacing
         self.p = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
 
     @property

@@ -154,10 +154,30 @@ class TestTimeReversal:
 
 class TestModeLattice:
     def test_zero_field_amplitudes_constant(self):
-        c0 = np.zeros((9, 2), dtype=complex)
-        c0[6] = SPIN_Y_PLUS
-        c1 = ModeLatticeEngine(K, 4).gl2_step(c0, 0.0, 0.05)
-        np.testing.assert_array_equal(c0, c1)
+        # without a field each mode only takes its free phase exp(-i dt E_n)
+        engine = ModeLatticeEngine(K, 4)
+        c0 = engine.initial_state(+2, SPIN_Y_PLUS)
+        c1 = engine.gl2_step(c0, 0.0, 0.05)
+        np.testing.assert_array_equal(c1, c0 * np.exp(-1j * 0.05 * engine.energies))
+
+    def test_drift_matches_field_free_advance(self):
+        # drift is the free phase exp(-i tau n^2 k^2/2m), and advance gives the
+        # same over a field-free interval before a stage; n = +2 and n = +4
+        # pick up phases that differ by more than 0.1 over 4.7 T, so an
+        # identity drift fails
+        period = 2 * np.pi / 1200.0
+        stage = MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.3,
+                                 envelope=Envelope(period, 2 * period, period),
+                                 start=5.3 * period)
+        engine = ModeLatticeEngine(1200.0, 8, stages=[stage])
+        c0 = engine.initial_state(+2, "x+") + engine.initial_state(+4, "up")
+        tau = 4.7 * period
+        assert tau * (engine.energies[4 + 8] - engine.energies[2 + 8]) > 0.1
+        free = c0 * np.exp(-1j * tau * (np.arange(-8, 9) * 1200.0) ** 2 / (2 * MC2_EV))
+        c1 = engine.drift(c0, tau)
+        np.testing.assert_allclose(c1, free, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(engine.advance(c0, 0.0, tau, period / 32), c1,
+                                   rtol=0, atol=1e-13)
 
     def test_harmonics_match_fft_of_sampled_fields(self):
         # closed-form a_j, b_j against the FFT of (eA)^2/2m and eB_y/2m
@@ -218,7 +238,7 @@ class TestModeLattice:
             for t0, t1 in zip(points, points[1:]):
                 c_ref = reference.gl2_step(c_ref, t0, t1 - t0)
         np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
-        assert np.sum(np.abs(c[2 + 8]) ** 2) < 0.999  # the stages did act
+        assert np.sum(np.abs(c[:, 2 + 8]) ** 2) < 0.999  # the stages did act
         assert any(u is not None for u in products)
         # after the first plateau's first period (3.3 T to 4.3 T) only the
         # fractional steps at the cuts 6.2 T and 7.07 T are fresh

@@ -135,6 +135,15 @@ class TestParsing:
             parse_scenario_text("".join(lines), backend="mode-lattice")
         assert err.value.errors == [f"line {row + 1}: {error}"]
 
+    def test_zero_overrides_reach_the_checks(self):
+        # a zero override used to fall back to the file's 4096 points and N = 8
+        with pytest.raises(ScenarioFileError) as err:
+            load_scenario("desk-mono", grid_points=0, mode_halfwidth=0)
+        assert err.value.errors == [
+            "line 28: propagation.grid_points: bad value 0",
+            "line 30: propagation.mode_halfwidth: must be an integer >= 4, got 0",
+        ]
+
     def test_chi_conflict_rejected(self):
         text = MINIMAL.replace("stages: []", """stages:
   - kind: monochromatic

@@ -2,8 +2,9 @@
 functions by attribute before it calls the CLI.  A rename that drops one of
 them fails every traced run, so one tiny traced simulate runs per backend.  On
 the grid backends the kinetic step must go through ``numpy.fft`` and every
-potential step through ``propagation._apply_potential``, or the per-layer
-metrics silently read 0."""
+potential step through ``propagation._apply_potential``, and on the mode
+lattice every fresh step through ``ModeLatticeEngine.gl2_step``, or the
+per-layer metrics silently read 0."""
 
 import json
 import os
@@ -44,6 +45,8 @@ def test_traced_run_succeeds(backend, tmp_path):
     record = json.loads(stats.read_text())
     assert "error" not in record
     assert record["spans"] and len(record["results"]) == 1
-    if backend != "mode-lattice":
+    if backend == "mode-lattice":
+        assert any(name == "propagation.gl2" for name, *_ in record["spans"])
+    else:
         assert any(name == "propagation.kinetic_fft" for name, *_ in record["spans"])
         assert record["counts"].get("potential_applies", 0) > 0

@@ -61,6 +61,17 @@ def timeseries_csv(result, scenario_hash) -> str:
     return "\n".join(lines) + "\n"
 
 
+SNAPSHOT_COLUMNS = ("z_um", "re_up", "im_up", "re_dn", "im_dn")
+
+
+def _snapshot_block(psi) -> np.ndarray:
+    """The float64 rows SNAPSHOT_COLUMNS of a snapshot, shape (5, N)."""
+    return np.vstack([
+        natural_to_um(psi.grid.z),
+        psi.psi[0].real, psi.psi[0].imag, psi.psi[1].real, psi.psi[1].imag,
+    ]).astype(np.float64)
+
+
 def snapshot_binary(t, psi, scenario_hash) -> bytes:
     grid = psi.grid
     header = {
@@ -70,13 +81,10 @@ def snapshot_binary(t, psi, scenario_hash) -> bytes:
         "norm": psi.norm(),
         "points": grid.points,
         "length_um": natural_to_um(grid.length),
-        "layout": "float64 rows: z_um, re_up, im_up, re_dn, im_dn",
+        "layout": "float64 rows: " + ", ".join(SNAPSHOT_COLUMNS),
     }
-    block = np.vstack([
-        natural_to_um(grid.z),
-        psi.psi[0].real, psi.psi[0].imag, psi.psi[1].real, psi.psi[1].imag,
-    ]).astype(np.float64)
-    return json.dumps(header, sort_keys=True).encode() + b"\n" + block.tobytes(order="C")
+    return (json.dumps(header, sort_keys=True).encode() + b"\n"
+            + _snapshot_block(psi).tobytes(order="C"))
 
 
 def read_snapshot_binary(data: bytes):
@@ -87,19 +95,13 @@ def read_snapshot_binary(data: bytes):
 
 
 def snapshot_csv(t, psi, scenario_hash) -> str:
-    grid = psi.grid
-    lines = [
-        _header(scenario_hash)
-        + f"# time_fs={_fmt(natural_to_fs(t))} norm={_fmt(psi.norm())}\n"
-        + "z_um,re_up,im_up,re_dn,im_dn"
-    ]
-    z_um = natural_to_um(1.0) * grid.z
-    for i in range(grid.points):
-        lines.append(",".join(_fmt(v) for v in (
-            z_um[i], psi.psi[0, i].real, psi.psi[0, i].imag,
-            psi.psi[1, i].real, psi.psi[1, i].imag,
-        )))
-    return "\n".join(lines) + "\n"
+    block = _snapshot_block(psi)
+    # one row per grid point, each value as _fmt writes a float
+    rows = (",".join(["%.12g"] * len(SNAPSHOT_COLUMNS)) + "\n") * block.shape[1]
+    return (_header(scenario_hash)
+            + f"# time_fs={_fmt(natural_to_fs(t))} norm={_fmt(psi.norm())}\n"
+            + ",".join(SNAPSHOT_COLUMNS) + "\n"
+            + rows % tuple(block.T.ravel().tolist()))
 
 
 def _report_row(report, entropy) -> list:

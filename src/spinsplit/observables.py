@@ -83,14 +83,14 @@ def _channels(phi: np.ndarray, weight: float, plus, minus):
     return report, rho
 
 
-def grid_channels(psi: SpinorWavefunction, hbar_k: float, bin_halfwidth: float):
+def grid_channels(psi: SpinorWavefunction, hbar_k: float):
     """(ChannelReport, reduced spin density) of a wavefunction from one
-    momentum FFT, with bins |p -+ 2 hbar k| <= bin_halfwidth."""
+    momentum FFT, with bins |p -+ 2 hbar k| <= hbar k."""
     phi = psi.momentum_amplitudes()
     p = psi.grid.p
     center = 2.0 * hbar_k
     return _channels(phi, psi.grid.momentum_spacing,
-                     np.abs(p - center) <= bin_halfwidth, np.abs(p + center) <= bin_halfwidth)
+                     np.abs(p - center) <= hbar_k, np.abs(p + center) <= hbar_k)
 
 
 def mode_channels(amplitudes: np.ndarray):
@@ -102,22 +102,13 @@ def mode_channels(amplitudes: np.ndarray):
     return _channels(c.T, 1.0, n_index == 2, n_index == -2)
 
 
-def channel_report(
-    psi: SpinorWavefunction, hbar_k: float, bin_halfwidth: float | None = None
-) -> ChannelReport:
-    """Integrate the momentum density over bins centred at +-2 hbar k.
-
-    The default bin half-width is hbar k, i.e. bins [hk, 3hk] and [-3hk, -hk];
-    anything outside is reported as unassigned.
-    """
-    if bin_halfwidth is None:
-        bin_halfwidth = hbar_k
-    if not 0.0 < bin_halfwidth < 2.0 * hbar_k:
-        raise AnalysisError("bin half-width must lie in (0, 2 hbar k)")
+def channel_report(psi: SpinorWavefunction, hbar_k: float) -> ChannelReport:
+    """Integrate the momentum density over the bins [hk, 3hk] and
+    [-3hk, -hk]; anything outside is reported as unassigned."""
     norm = psi.norm()
     if norm <= 0.0 or not np.isfinite(norm):
         raise AnalysisError("channel report of a zero-norm state")
-    return grid_channels(psi, hbar_k, bin_halfwidth)[0]
+    return grid_channels(psi, hbar_k)[0]
 
 
 def mode_channel_report(amplitudes: np.ndarray) -> ChannelReport:

@@ -4,28 +4,29 @@ H = p^2/2m + a(z,t) + b(z,t) sigma_y with a = (eA)^2/(2mc^2) and
 b = (e hbar/2mc) B_y.  [sigma_y, H] = 0 for every field modelled here, so
 every backend holds the state in the two sigma_y sectors
 psi_+- = (psi_up -+ i psi_down)/sqrt(2), each a scalar Schroedinger problem
-with potential a +- b; sigma_y conservation is structural.  Observation
-rotates back to the z basis once per snapshot, and all outputs are in the z
-basis.  The fields come from ``fields`` only.
+with potential V+- = a +- b; sigma_y conservation is structural.  All stages
+share one photon energy, so V+- is a Fourier series with harmonics e^{ijkz},
+|j| <= 4, and every backend reads its coefficients from one field model.
+Observation rotates back to the z basis once per snapshot.
 
 * ``full-field``   - Strang splitting on the spatial grid with the exact
-  time-dependent A(t,z), built on the grid from each stage's spatial
-  harmonics and evaluated at the step midpoint.  The potential factor is
-  the exact phase exp(-i (a +- b) dt) in each sector.
-* ``effective``    - same splitting with the cycle-averaged lattices; inside
-  pulse edges the monochromatic lattice scales as f(t)^2 and the bichromatic
-  one as f(t)^3 (two resp. three field factors drive them).
-* ``mode-lattice`` - amplitudes c_n on momenta n*hbar*k, |n| <= N, under all
-  Fourier components of (eA)^2 and B_y, in closed form from the stage
-  harmonics; each sector is a (2N+1)-mode Hermitian problem with coupling
-  a_j +- b_j.  Each step is the exact exponential of the 4th-order Magnus
-  expansion (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009)) in the
-  Schroedinger picture, so it is unitary to rounding at any step size.
-  Steps lie on the carrier lattice t_i = i T/M, T = 2 pi/omega.  On a pulse
-  plateau H(t + T) = H(t), so a plateau's M step propagators are computed
-  once and whole periods advance by their product U_T (Shirley, Phys. Rev.
-  138, B979 (1965)); only the sin^2 edges and the fractional steps at the
-  ends of an interval are stepped afresh, each through ``gl2_step``.
+  time-dependent fields, whose coefficients come from each stage's spatial
+  harmonics, summed on the grid at the step midpoint.  The potential factor
+  is the exact phase exp(-i V+- dt) in each sector.
+* ``effective``    - same splitting with the cycle-averaged lattices (j = 4);
+  inside pulse edges the monochromatic lattice scales as f(t)^2 and the
+  bichromatic one as f(t)^3 (two resp. three field factors drive them).
+* ``mode-lattice`` - amplitudes c_n on momenta n*hbar*k, |n| <= N, under the
+  full-field coefficients; each sector is a (2N+1)-mode Hermitian problem
+  with Toeplitz coupling.  Each step is the exact exponential of the
+  4th-order Magnus expansion (Blanes, Casas, Oteo and Ros, Phys. Rep. 470,
+  151 (2009)) in the Schroedinger picture, so it is unitary to rounding at
+  any step size.  Steps lie on the carrier lattice t_i = i T/M,
+  T = 2 pi/omega.  On a pulse plateau H(t + T) = H(t), so a plateau's M step
+  propagators are computed once and whole periods advance by their product
+  U_T (Shirley, Phys. Rev. 138, B979 (1965)); only the sin^2 edges and the
+  fractional steps at the ends of an interval are stepped afresh, each
+  through ``gl2_step``.
 
 One runner drives every backend through the same three calls on the same
 state, the sigma_y sectors: ``advance`` across a snapshot interval with a
@@ -35,12 +36,13 @@ each snapshot (channel report and reduced spin density from
 lattice's one fresh-step path, ``gl2_step``, is also the reference that
 ``advance`` is tested against.
 
-The spatially uniform (eA)^2/2m Fourier component is dropped in the mode
-lattice: it multiplies the identity and contributes only a global phase.
+The spatially uniform term c_0 is dropped in the mode lattice: it
+multiplies the identity and contributes only a global phase.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -88,7 +90,6 @@ class PropagationConfig:
     mode_halfwidth: int = 8
     grid_points: int = DEFAULT_GRID_POINTS
     grid_length: float = DEFAULT_GRID_LENGTH
-    bin_halfwidth: float | None = None       # momentum bin half-width; None -> hbar k
     keep_snapshots: bool = False
 
     def __post_init__(self):
@@ -130,24 +131,17 @@ class Scenario:
                 raise ScenarioError(
                     f"stages {a.label!r} and {b.label!r} of kind {a.kind} overlap in time"
                 )
-        if self.config.backend == "mode-lattice":
-            if self.stages:
-                k0 = self.stages[0].wavenumber
-                if any(abs(s.wavenumber - k0) > 1e-9 * k0 for s in self.stages):
-                    raise ScenarioError("mode-lattice requires one common photon energy")
-                ratio = self.packet.momentum / k0
-                if abs(ratio - round(ratio)) > 0.01:
-                    raise ScenarioError(
-                        "mode-lattice needs the packet momentum on the k-lattice; "
-                        f"got p/hbar k = {ratio:.4f}"
-                    )
-        else:
-            # wider bins overlap and count the same momenta in both channels
-            hbar_k = _analysis_wavenumber(self)
-            w = self.config.bin_halfwidth
-            if w is not None and not 0.0 < w < 2.0 * hbar_k:
-                raise ScenarioError(f"bin_halfwidth {w:.6g} must lie in (0, 2 hbar k) = "
-                                    f"(0, {2.0 * hbar_k:.6g})")
+        if self.stages:
+            # the field model's harmonics e^{ijkz} share one k
+            k0 = self.stages[0].wavenumber
+            if any(abs(s.wavenumber - k0) > 1e-9 * k0 for s in self.stages):
+                raise ScenarioError("stages need one common photon energy")
+            ratio = self.packet.momentum / k0
+            if self.config.backend == "mode-lattice" and abs(ratio - round(ratio)) > 0.01:
+                raise ScenarioError(
+                    "mode-lattice needs the packet momentum on the k-lattice; "
+                    f"got p/hbar k = {ratio:.4f}"
+                )
         return self
 
 
@@ -254,6 +248,74 @@ def _z_spinor(sectors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# field model: a callable harmonics(t) -> complex (2, 5) array c[s, j], the
+# coefficients of e^{ijkz} (j = 0..4) in V+- = a +- b, or None when no field
+# acts; V is real, so c_{-j} = conj(c_j)
+
+def _sectors(a, b) -> np.ndarray:
+    """c[s, j] of V+- = a +- b from the coefficients a_j and b_j, j = 0..4."""
+    return np.array([[x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]])
+
+
+class _FullFieldModel:
+    """The exact fields: eA = sum over j = +-1, +-2 of alpha_j e^{ijkz}
+    (``fields.spatial_harmonics``, summed over the stages on at t), so
+    (eA)^2/2m is the self-convolution of the alpha_j, and d/dz multiplies
+    e^{ijkz} by i j k.  Its j = 0 term is (|alpha_1|^2 + |alpha_2|^2)/mc^2."""
+
+    def __init__(self, stages, wavenumber: float):
+        self.stages = list(stages)
+        self.k = wavenumber
+
+    def __call__(self, t: float):
+        al1 = al2 = 0j
+        on = False
+        for s in self.stages:
+            if s.start <= t <= s.end:
+                c1, c2 = F.spatial_harmonics(s, t)
+                al1 += c1
+                al2 += c2
+                on = True
+        if not on:
+            return None
+        scale = 0.5 / MC2_EV
+        a0 = 2.0 * scale * (al1.real**2 + al1.imag**2 + al2.real**2 + al2.imag**2)
+        a = (a0, 2.0 * scale * al2 * al1.conjugate(), scale * al1 * al1,
+             2.0 * scale * al1 * al2, scale * al2 * al2)
+        kb = 1j * self.k * scale
+        return _sectors(a, (0j, kb * al1, 2.0 * kb * al2, 0j, 0j))
+
+
+class _EffectiveModel:
+    """The cycle-averaged lattices (``_effective_lattice``), j = 4 only, each
+    scaled by its envelope to the stage's power.  The standing wave's
+    Omega cos(4kz + chi) gives a_4 = (Omega/2) e^{i chi} f^2, the bichromatic
+    -Omega sin(4kz) sigma_y gives b_4 = (i Omega/2) f^3."""
+
+    def __init__(self, stages):
+        self._entries = []
+        zero = np.zeros(5, dtype=complex)
+        for stage in stages:
+            pot, power = _effective_lattice(stage)
+            row = zero.copy()
+            if pot.kind == KIND_MONO:
+                row[4] = 0.5 * pot.strength * cmath.exp(1j * pot.chi)
+                self._entries.append((stage, power, _sectors(row, zero)))
+            else:
+                row[4] = 0.5j * pot.strength
+                self._entries.append((stage, power, _sectors(zero, row)))
+
+    def __call__(self, t: float):
+        c = None
+        for stage, power, unit in self._entries:
+            f = stage.envelope.value(t - stage.start)
+            if f != 0.0:
+                term = f**power * unit
+                c = term if c is None else c + term
+        return c
+
+
+# ---------------------------------------------------------------------------
 # grid backends
 
 def _kinetic_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
@@ -268,9 +330,9 @@ def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 class _PhaseWork:
-    """Buffers of ``_apply_potential`` for N grid points: the angles
-    -dt (a +- b), the factor exp(-i dt (a +- b)) of the last potential step,
-    and the (a, b, dt) that factor was made from."""
+    """Buffers of ``_apply_potential`` for N grid points: the angles -dt V,
+    the factor exp(-i dt V) of the last potential step, and the (V, dt) that
+    factor was made from."""
 
     def __init__(self, points: int):
         self.angle = np.empty((2, points))
@@ -278,96 +340,44 @@ class _PhaseWork:
         self.made_from = None
 
 
-def _apply_potential(psi: np.ndarray, a, b, dt: float, work: _PhaseWork) -> None:
-    """In-place exp(-i (a +- b) dt) on the sigma_y sectors psi of shape (2, N).
+def _apply_potential(psi: np.ndarray, v: np.ndarray, dt: float, work: _PhaseWork) -> None:
+    """In-place exp(-i V dt) on the sigma_y sectors psi of shape (2, N), with
+    V = (a + b, a - b) of the same shape.
 
     The factor is cos + i sin of the real angles, built in ``work``; it is
-    reused while a and b are the very arrays of the last call and dt repeats
-    (the effective backend's terms return the same arrays on a plateau)."""
+    reused while v is the very array of the last call and dt repeats
+    (``_GridPotential`` returns the same array while the field repeats)."""
     made = work.made_from
-    if made is None or made[0] is not a or made[1] is not b or made[2] != dt:
-        work.made_from = (a, b, dt)
-        rows = 1 if b is None else 2
-        angle = work.angle[:rows]
-        if b is None:
-            np.multiply(a, -dt, out=angle[0])
-        else:
-            if a is None:
-                a = 0.0
-            np.add(a, b, out=angle[0])
-            np.subtract(a, b, out=angle[1])
-            angle *= -dt
-        factor = work.factor[:rows]
-        np.cos(angle, out=factor.real)
-        np.sin(angle, out=factor.imag)
-    psi *= work.factor[0] if b is None else work.factor
+    if made is None or made[0] is not v or made[1] != dt:
+        work.made_from = (v, dt)
+        np.multiply(v, -dt, out=work.angle)
+        np.cos(work.angle, out=work.factor.real)
+        np.sin(work.angle, out=work.factor.imag)
+    psi *= work.factor
 
 
-class _FullFieldTerms:
-    """a(z,t) = (eA)^2/2m and b(z,t) = eB_y/2m on the grid, summed from each
-    stage's spatial harmonics (``fields.spatial_harmonics``):
-    eA = 2 Re(alpha_1 e^{ikz} + alpha_2 e^{2ikz}), eB_y = d(eA)/dz.  The
-    profiles 2 cos(jkz) and -2 sin(jkz), j = 1, 2, are computed once per stage."""
+class _GridPotential:
+    """V+- = a +- b on the grid from a field model's coefficients c[s, j]:
+    V = R(c) @ P with R(c) = [Re c_0, Re c_j, Im c_j] and the profiles
+    P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built once.  While c repeats,
+    a call returns the V of the previous one, so a plateau of the effective
+    model reuses its potential factor."""
 
-    def __init__(self, stages, z: np.ndarray):
-        self._profiles = []
-        for s in stages:
-            k = s.wavenumber
-            self._profiles.append((s, [(j * k, 2.0 * np.cos(j * k * z), -2.0 * np.sin(j * k * z))
-                                       for j in (1, 2)]))
+    def __init__(self, model, wavenumber: float, z: np.ndarray):
+        self.model = model
+        jkz = (np.arange(1, 5) * wavenumber)[:, None] * z
+        self._profiles = np.vstack([np.ones_like(z), 2.0 * np.cos(jkz), -2.0 * np.sin(jkz)])
+        self._c = None
+        self._v = None
 
     def __call__(self, t: float):
-        ea = None
-        eb = None
-        for s, profiles in self._profiles:
-            if not (s.start <= t <= s.end):
-                continue
-            for alpha, (jk, c, sn) in zip(F.spatial_harmonics(s, t), profiles):
-                if alpha == 0.0:
-                    continue
-                # d/dz (2 cos jkz) = jk (-2 sin jkz); d/dz (-2 sin jkz) = -jk (2 cos jkz)
-                field_a = alpha.real * c + alpha.imag * sn
-                field_b = (jk * alpha.real) * sn - (jk * alpha.imag) * c
-                ea = field_a if ea is None else ea + field_a
-                eb = field_b if eb is None else eb + field_b
-        if ea is None:
-            return None, None
-        return ea * ea / (2.0 * MC2_EV), eb / (2.0 * MC2_EV)
-
-
-class _EffectiveTerms:
-    """Each stage's cycle-averaged lattice (``_effective_lattice``) on the
-    grid, scaled by its envelope to the stage's power.  While the envelope
-    values repeat, a call returns the arrays of the previous one."""
-
-    def __init__(self, stages, z: np.ndarray):
-        self._entries = []
-        self._levels = None
-        self._fields = None
-        for stage in stages:
-            pot, power = _effective_lattice(stage)
-            phase = 4.0 * pot.wavenumber * z
-            if pot.kind == KIND_MONO:
-                self._entries.append((stage, power, "a", pot.strength * np.cos(phase + pot.chi)))
-            else:
-                self._entries.append((stage, power, "b", -pot.strength * np.sin(phase)))
-
-    def __call__(self, t: float):
-        levels = tuple(stage.envelope.value(t - stage.start) for stage, _, _, _ in self._entries)
-        if levels == self._levels:
-            return self._fields
-        a = None
-        b = None
-        for f, (_, power, target, prof) in zip(levels, self._entries):
-            if f == 0.0:
-                continue
-            term = (f**power) * prof
-            if target == "a":
-                a = term if a is None else a + term
-            else:
-                b = term if b is None else b + term
-        self._levels, self._fields = levels, (a, b)
-        return a, b
+        c = self.model(t)
+        if c is None:
+            return None
+        if self._c is None or not np.array_equal(c, self._c):
+            self._c = c
+            self._v = np.hstack([c.real, c.imag[:, 1:]]) @ self._profiles
+        return self._v
 
 
 class _GridPropagator:
@@ -379,11 +389,10 @@ class _GridPropagator:
     ``advance`` and ``drift`` work in place: they overwrite the complex
     (2, N) array they are given and return it."""
 
-    def __init__(self, grid: SpatialGrid, terms, hbar_k: float, bin_halfwidth: float | None):
+    def __init__(self, grid: SpatialGrid, potential: _GridPotential, hbar_k: float):
         self.grid = grid
-        self.terms = terms
+        self.potential = potential
         self.hbar_k = hbar_k
-        self.bin_halfwidth = bin_halfwidth or hbar_k
         self._work = _PhaseWork(grid.points)
 
     def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
@@ -397,16 +406,16 @@ class _GridPropagator:
         half, full = _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h)
         _apply_kinetic(psi, half)
         for i in range(n):
-            a, b = self.terms(ta + (i + 0.5) * h)
-            if a is not None or b is not None:
-                _apply_potential(psi, a, b, h, self._work)
+            v = self.potential(ta + (i + 0.5) * h)
+            if v is not None:
+                _apply_potential(psi, v, h, self._work)
             _apply_kinetic(psi, full if i < n - 1 else half)
         return psi
 
     def observe(self, psi: np.ndarray):
         """(z-basis wavefunction, channel report, reduced spin density)."""
         wf = SpinorWavefunction(self.grid, _z_spinor(psi))
-        return (wf, *grid_channels(wf, self.hbar_k, self.bin_halfwidth))
+        return (wf, *grid_channels(wf, self.hbar_k))
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +484,12 @@ class ModeLatticeEngine:
         # carrier period of the plateau Hamiltonian; None without a stage
         w = _max_omega(self.stages)
         self.period = 2.0 * np.pi / w if w > 0 else None
-        # H[r, c] = band[4 + r - c] for |r - c| <= 4, else band[9] = 0
+        # H[r, c] = band[4 + r - c] for 0 < |r - c| <= 4, else band[9] = 0:
+        # c_0 multiplies the identity and only adds a global phase
         diff = n_index[:, None] - n_index[None, :]
-        self._gather = np.where(np.abs(diff) <= 4, diff + 4, 9)
+        self._gather = np.where((np.abs(diff) <= 4) & (diff != 0), diff + 4, 9)
         self._kinetic = np.diag(self.energies).astype(complex)
+        self._field = _FullFieldModel(self.stages, wavenumber)
         self._plateau = None    # (stages on their plateau, M) that the cache serves
         self._cache = {}        # lattice phase i mod M -> step propagators
         self._period_u = None   # product of the cached steps over one period
@@ -491,43 +502,22 @@ class ModeLatticeEngine:
         return amps
 
     def harmonics(self, t: float):
-        """(a, b): the coefficients a_j, b_j (j = 1..4) of e^{ijkz} in
-        a = (eA)^2/2m and b = eB_y/2m at time t, or None when no stage is on.
-        The j = 0 term of a multiplies the identity and is gauged away."""
-        al1 = al2 = 0j
-        on = False
-        for s in self.stages:
-            if s.start <= t <= s.end:
-                c1, c2 = F.spatial_harmonics(s, t)
-                al1 += c1
-                al2 += c2
-                on = True
-        if not on:
-            return None
-        # (eA)^2 is the self-convolution of eA's coefficients alpha_{+-1, +-2};
-        # d/dz multiplies e^{ijkz} by i j k.
-        scale = 0.5 / MC2_EV
-        a = (2.0 * scale * al2 * al1.conjugate(), scale * al1 * al1,
-             2.0 * scale * al1 * al2, scale * al2 * al2)
-        kb = 1j * self.k * scale
-        return a, (kb * al1, 2.0 * kb * al2, 0j, 0j)
+        """c[s, j]: the coefficients of e^{ijkz} (j = 0..4) in V+- = a +- b at
+        time t (``_FullFieldModel``), or None when no stage is on."""
+        return self._field(t)
 
     def _magnus(self, t: float, dt: float):
         """Sector propagators of [t, t + dt] (Schroedinger picture) from one
         4th-order Magnus step: exp(-i dt/2 (H1 + H2) + sqrt(3)/12 dt^2 [H1, H2])
         with H at the two Gauss nodes.  None when no field acts at either node."""
-        # Toeplitz bands of a +- b, row-wise: node 1 (y+, y-), node 2 (y+, y-)
-        rows = []
-        on = False
-        for tn in (t + (0.5 - _GAUSS_C) * dt, t + (0.5 + _GAUSS_C) * dt):
-            hm = self.harmonics(tn)
-            on = on or hm is not None
-            a, b = hm or ((0j,) * 4, (0j,) * 4)
-            for sector in ([x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]):
-                rows.append([v.conjugate() for v in sector[::-1]] + [0j] + sector + [0j])
-        if not on:
+        nodes = [self.harmonics(tn) for tn in (t + (0.5 - _GAUSS_C) * dt,
+                                               t + (0.5 + _GAUSS_C) * dt)]
+        if all(c is None for c in nodes):
             return None
-        h = np.array(rows)[:, self._gather] + self._kinetic
+        # rows node 1 (y+, y-), node 2 (y+, y-): conj(c_4..c_1), c_0..c_4, 0
+        c = np.concatenate([np.zeros((2, 5)) if x is None else x for x in nodes])
+        band = np.concatenate([c[:, :0:-1].conj(), c, np.zeros((4, 1))], axis=1)
+        h = band[:, self._gather] + self._kinetic
         h1, h2 = h[:2], h[2:]
         # [H1, H2] = H1 H2 - (H1 H2)^dagger for Hermitian H1, H2
         prod = h1 @ h2
@@ -688,11 +678,12 @@ def _propagator(scn: Scenario):
         return eng, eng.initial_state(int(round(packet.momentum / k)), packet.spin)
     k_field = max((s.wavenumber for s in scn.stages), default=None)
     grid = SpatialGrid(cfg.grid_length, cfg.grid_points, field_wavenumber=k_field)
+    k = _analysis_wavenumber(scn)   # the stages' common k when there are stages
     if cfg.backend == "full-field":
-        terms = _FullFieldTerms(scn.stages, grid.z)
+        model = _FullFieldModel(scn.stages, k)
     else:
-        terms = _EffectiveTerms(scn.stages, grid.z)
-    prop = _GridPropagator(grid, terms, _analysis_wavenumber(scn), cfg.bin_halfwidth)
+        model = _EffectiveModel(scn.stages)
+    prop = _GridPropagator(grid, _GridPotential(model, k, grid.z), k)
     psi = gaussian_packet(grid, packet.center, packet.width, packet.momentum, packet.spin)
     return prop, _y_sectors(psi.psi)
 

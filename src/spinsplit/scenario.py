@@ -33,7 +33,7 @@ _STAGE_KEYS_MONO = _STAGE_KEYS_COMMON | {"a0", "chi", "chi_pi"}
 _STAGE_KEYS_BI = _STAGE_KEYS_COMMON | {"a1", "a2"}
 _PROP_KEYS = {
     "backend", "dt", "snapshot_every", "grid_points", "grid_length",
-    "mode_halfwidth", "mono_convention", "bin_halfwidth",
+    "mode_halfwidth", "mono_convention",
 }
 _OUTPUT_KEYS = {"format", "timeseries", "snapshots"}
 
@@ -127,13 +127,14 @@ def _parse_spin(raw, val: _Validator):
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         comps = []
         for item in raw:
-            if isinstance(item, (int, float)):
-                comps.append(complex(item))
-            elif isinstance(item, (list, tuple)) and len(item) == 2:
-                comps.append(complex(item[0], item[1]))
-            else:
-                val.error("electron.spin", f"bad spin component {item!r}")
+            # a component is a real number or a [re, im] pair of them
+            parts = item if isinstance(item, (list, tuple)) and len(item) == 2 else [item]
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and math.isfinite(x) for x in parts):
+                val.error("electron.spin", f"bad spin component {item!r}: expected a finite "
+                                           "number or a [re, im] pair of them")
                 return "up"
+            comps.append(complex(*parts))
         return np.array(comps, dtype=complex)
     val.error("electron.spin", f"expected a name or two components, got {raw!r}")
     return "up"
@@ -253,7 +254,6 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
         val.error("propagation.mode_halfwidth",
                   f"must be an integer >= 4, got {halfwidth!r}")
         halfwidth = 8
-    bin_halfwidth = val.number(prop, "bin_halfwidth", "propagation", default=None, positive=True)
 
     duration = val.number(raw, "duration", "scenario", required=True, positive=True)
 
@@ -299,7 +299,6 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
             mode_halfwidth=halfwidth,
             grid_points=points,
             grid_length=to_length(glen) if glen is not None else PropagationConfig.grid_length,
-            bin_halfwidth=bin_halfwidth,
         )
         scenario = Scenario(
             packet=PacketSpec(center=to_length(center), width=to_length(width),

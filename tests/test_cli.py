@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from spinsplit.cli import main, read_snapshot_binary
+from spinsplit.cli import _fmt, _header, main, read_snapshot_binary, snapshot_csv
+from spinsplit.states import SpatialGrid, SpinorWavefunction
+from spinsplit.units import natural_to_fs, natural_to_um, um_to_natural
 
 TOY = """
 label: toy-cli
@@ -90,6 +92,25 @@ class TestSimulate:
         assert text.startswith("# spinsplit ")
         assert "# scenario-sha256: " in text
         assert "# units: " in text
+
+    def test_snapshot_csv_matches_per_row_format(self):
+        # the one-format-string CSV against the per-row _fmt join it
+        # replaced, on magnitudes from 1e-150 to 1e150 with -0.0 and 1e-300
+        # entries
+        rng = np.random.default_rng(11)
+        grid = SpatialGrid(um_to_natural(0.5), 8192)
+        psi = (rng.normal(size=(2, 8192)) + 1j * rng.normal(size=(2, 8192))) \
+            * 10.0 ** rng.integers(-150, 150, size=(2, 8192))
+        psi[0, :3] = complex(-0.0, -0.0)
+        psi[1, 3:6] = complex(1e-300, -0.0)
+        wf = SpinorWavefunction(grid, psi)
+        lines = [_header("abc") + f"# time_fs={_fmt(natural_to_fs(0.3))} norm={_fmt(wf.norm())}\n"
+                 + "z_um,re_up,im_up,re_dn,im_dn"]
+        z_um = natural_to_um(1.0) * grid.z
+        for i in range(grid.points):
+            lines.append(",".join(_fmt(v) for v in (
+                z_um[i], psi[0, i].real, psi[0, i].imag, psi[1, i].real, psi[1, i].imag)))
+        assert snapshot_csv(0.3, wf, "abc") == "\n".join(lines) + "\n"
 
     def test_dt_override_and_ceiling(self, toy_path, capsys):
         # 10^6 as = 1 ps timestep violates the effective-backend bound

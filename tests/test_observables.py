@@ -72,11 +72,6 @@ class TestChannelReport:
         assert rep1.pop_plus == pytest.approx(rep2.pop_plus, abs=1e-10)
         assert rep1.sy_plus == pytest.approx(rep2.sy_plus, abs=1e-10)
 
-    def test_bin_halfwidth_bounds(self):
-        psi = packet(2 * K, "up")
-        with pytest.raises(AnalysisError):
-            channel_report(psi, K, bin_halfwidth=2.5 * K)
-
     def test_ideal_output_state_channel_spins(self):
         # Spin-filtered output: +2hk carries |+>, -2hk carries |->.
         g = grid()

@@ -5,19 +5,22 @@ import numpy as np
 import pytest
 from taylor_expm import taylor_expm
 
+from spinsplit.analytic import EffectivePotential, effective_potential_value
 from spinsplit.fields import (
     BichromaticWave,
     Envelope,
     MonoStandingWave,
     magnetic_field,
+    stage_envelope,
     vector_potential,
 )
 from spinsplit.propagation import (
     _TAYLOR_THETA,
     ModeLatticeEngine,
-    _EffectiveTerms,
+    _EffectiveModel,
     _expm_skew,
-    _FullFieldTerms,
+    _FullFieldModel,
+    _GridPotential,
     _GridPropagator,
     _propagator,
     PacketSpec,
@@ -31,6 +34,7 @@ from spinsplit.propagation import (
     with_backend,
 )
 from spinsplit.states import (
+    SPIN_Y_MINUS,
     SPIN_Y_PLUS,
     SpatialGrid,
     gaussian_packet,
@@ -144,7 +148,8 @@ class TestTimeReversal:
         stages = [MonoStandingWave(ea0=200.0, photon_energy=K, chi=0.4, envelope=env),
                   BichromaticWave(ea1=2.35e4, ea2=2.35e4, photon_energy=K, envelope=env)]
         prop, psi0 = _propagator(effective_scenario(stages, spin="y+"))
-        assert isinstance(prop, _GridPropagator) and isinstance(prop.terms, _EffectiveTerms)
+        assert isinstance(prop, _GridPropagator)
+        assert isinstance(prop.potential.model, _EffectiveModel)
         spacing = prop.grid.spacing
         psi = prop.advance(psi0.copy(), 0.0, t_end, dt)
         assert np.abs(np.vdot(psi0, psi) * spacing) ** 2 < 0.99  # the lattices acted
@@ -180,31 +185,57 @@ class TestModeLattice:
                                    rtol=0, atol=1e-13)
 
     def test_harmonics_match_fft_of_sampled_fields(self):
-        # closed-form a_j, b_j against the FFT of (eA)^2/2m and eB_y/2m
-        # sampled over one spatial period, with a mono and a bichromatic
-        # stage overlapping on their edges
+        # closed-form c[s, j] against the FFT of (eA^2 +- eB)/2m sampled over
+        # one spatial period, with a mono and a bichromatic stage overlapping
+        # on their edges; the sector sum and difference give a and b, each
+        # checked against its own scale
         env = Envelope(0.5, 1.0, 0.5)
         stages = [MonoStandingWave(ea0=3000.0, photon_energy=K, chi=0.7, envelope=env),
                   BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=K, envelope=env,
                                   start=0.3)]
         engine = ModeLatticeEngine(K, 8, stages=stages)
         z = np.arange(32) * (2 * np.pi / K) / 32
-        # the grid backends build a and b on the grid from the same harmonics
+        # the grid backends sum V+- on the grid from the same coefficients
         grid = SpatialGrid(8 * 2 * np.pi / K, 256)
-        terms = _FullFieldTerms(stages, grid.z)
+        potential = _GridPotential(_FullFieldModel(stages, K), K, grid.z)
         for t in (0.1, 0.45, 0.9, 1.95):
-            ea = sum(vector_potential(s, t, z) for s in stages if s.start <= t <= s.end)
-            eb = sum(magnetic_field(s, t, z) for s in stages if s.start <= t <= s.end)
-            a_fft = np.fft.fft(ea * ea / (2 * MC2_EV))[1:5] / 32
-            b_fft = np.fft.fft(eb / (2 * MC2_EV))[1:5] / 32
-            a, b = engine.harmonics(t)
-            np.testing.assert_allclose(a, a_fft, rtol=0, atol=1e-12 * np.max(np.abs(a_fft)))
-            np.testing.assert_allclose(b, b_fft, rtol=0, atol=1e-12 * np.max(np.abs(b_fft)))
-            ea = sum(vector_potential(s, t, grid.z) for s in stages if s.start <= t <= s.end)
-            eb = sum(magnetic_field(s, t, grid.z) for s in stages if s.start <= t <= s.end)
-            assert all(np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-                       for got, want in zip(terms(t), (ea * ea / (2 * MC2_EV), eb / (2 * MC2_EV))))
+            on = [s for s in stages if s.start <= t <= s.end]
+            ea = sum(vector_potential(s, t, z) for s in on)
+            eb = sum(magnetic_field(s, t, z) for s in on)
+            c = engine.harmonics(t)
+            for got, want in (((c[0] + c[1]) / 2, np.fft.fft(ea * ea / (2 * MC2_EV))[:5] / 32),
+                              ((c[0] - c[1]) / 2, np.fft.fft(eb / (2 * MC2_EV))[:5] / 32)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+            ea = sum(vector_potential(s, t, grid.z) for s in on)
+            eb = sum(magnetic_field(s, t, grid.z) for s in on)
+            v = potential(t)
+            for got, want in (((v[0] + v[1]) / 2, ea * ea / (2 * MC2_EV)),
+                              ((v[0] - v[1]) / 2, eb / (2 * MC2_EV))):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert engine.harmonics(2.5) is None
+
+    def test_effective_harmonics_match_fft_of_analytic_lattice(self):
+        # the effective model's c[s, j] against the FFT of
+        # <y+-| f^p V_eff(z) |y+-> from analytic.effective_potential_value,
+        # summed over a mono and a bichromatic stage overlapping on their
+        # edges: rise, overlap, plateau and fall
+        env = Envelope(0.5, 1.0, 0.5)
+        stages = [MonoStandingWave(ea0=200.0, photon_energy=K, chi=0.7, envelope=env),
+                  BichromaticWave(ea1=2.35e4, ea2=2.35e4, photon_energy=K, envelope=env,
+                                  start=0.3)]
+        lattices = [(EffectivePotential.mono(200.0, K, 0.7), 2),
+                    (EffectivePotential.bichromatic(2.35e4, 2.35e4, K), 3)]
+        model = _EffectiveModel(stages)
+        z = np.arange(32) * (2 * np.pi / K) / 32
+        for t in (0.1, 0.45, 0.9, 1.95):
+            v = np.array([[sum(stage_envelope(s, t) ** power
+                               * (y.conj() @ effective_potential_value(pot, zz) @ y).real
+                               for s, (pot, power) in zip(stages, lattices))
+                           for zz in z] for y in (SPIN_Y_PLUS, SPIN_Y_MINUS)])
+            want = np.fft.fft(v, axis=1)[:, :5] / 32
+            np.testing.assert_allclose(model(t), want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+        assert model(2.5) is None
 
     def test_advance_matches_chain_of_fresh_steps(self):
         # advance serves plateau steps from its cache (keyed by the active
@@ -267,13 +298,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             scn.validate()
 
-    def test_mode_lattice_needs_common_photon_energy(self):
+    @pytest.mark.parametrize("backend", ["full-field", "effective", "mode-lattice"])
+    def test_stages_need_common_photon_energy(self, backend):
+        # every backend reads the harmonics e^{ijkz} of one k
         s1 = bi_stage(np.pi / 4, start_fs=1.0)
         s2 = MonoStandingWave(ea0=200.0, photon_energy=150.0, chi=0.0,
                               envelope=Envelope(0.0, 10.0, 0.0), start=s1.end + 1.0)
         scn = effective_scenario([s1, s2], tail_fs=200.0)
-        scn.config.backend = "mode-lattice"
-        with pytest.raises(ScenarioError):
+        scn.config.backend = backend
+        with pytest.raises(ScenarioError, match="one common photon energy"):
             scn.validate()
 
     def test_off_lattice_momentum_rejected_for_modes(self):
@@ -299,14 +332,6 @@ class TestScenarioValidation:
         setattr(scn.config, key, value)
         with pytest.raises(ScenarioError, match=f"{key} must be positive and finite"):
             run_scenario(scn)
-
-    def test_overlapping_channel_bins_rejected(self):
-        # bins wider than 2 hbar k overlap; hbar k = 1 for a field-free packet at rest
-        scn = effective_scenario([], momentum=0.0, points=512, bin_halfwidth=3.0)
-        with pytest.raises(ScenarioError, match="bin_halfwidth"):
-            scn.validate()
-        scn.config.bin_halfwidth = 1.5
-        scn.validate()
 
     def test_bad_backend_rejected(self):
         with pytest.raises(ScenarioError):
@@ -443,35 +468,32 @@ def _reference_kinetic(grid, psi, tau):
     return np.fft.ifft(np.fft.fft(psi, axis=1) * np.exp(-0.5j * tau * grid.p**2 / MC2_EV), axis=1)
 
 
-def _reference_advance(grid, terms, psi, ta, tb, dt):
+def _reference_advance(grid, potential, psi, ta, tb, dt):
     """The grid Strang step with out-of-place formulas: every FFT and every
-    exp(-i (a +- b) h) is a new array, and nothing is cached or reused."""
+    exp(-i V+- h) is a new array, and nothing is cached or reused."""
     n = max(1, math.ceil((tb - ta) / dt - 1e-12))
     h = (tb - ta) / n
     psi = _reference_kinetic(grid, psi, 0.5 * h)
     for i in range(n):
-        a, b = terms(ta + (i + 0.5) * h)
-        if b is not None:
-            a = 0.0 if a is None else a
-            psi = np.stack([psi[0] * np.exp(-1j * h * (a + b)),
-                            psi[1] * np.exp(-1j * h * (a - b))])
-        elif a is not None:
-            psi = psi * np.exp(-1j * h * a)
+        v = potential(ta + (i + 0.5) * h)
+        if v is not None:
+            psi = np.stack([psi[0] * np.exp(-1j * h * v[0]), psi[1] * np.exp(-1j * h * v[1])])
         psi = _reference_kinetic(grid, psi, h if i < n - 1 else 0.5 * h)
     return psi
 
 
-def _assert_in_place_steps_match_reference(scn, times, dt, reference_terms=None, drift_until=0.0):
+def _assert_in_place_steps_match_reference(scn, times, dt, reference_potential=None,
+                                           drift_until=0.0):
     prop, state = _propagator(scn)
     ref_prop, ref = _propagator(scn)
-    terms = reference_terms or ref_prop.terms
+    potential = reference_potential or ref_prop.potential
     if drift_until:
         assert prop.drift(state, drift_until) is state
         ref = _reference_kinetic(ref_prop.grid, ref, drift_until)
         assert np.array_equal(state, ref)
     for ta, tb in zip(times, times[1:]):
         assert prop.advance(state, ta, tb, dt) is state
-        ref = _reference_advance(ref_prop.grid, terms, ref, ta, tb, dt)
+        ref = _reference_advance(ref_prop.grid, potential, ref, ta, tb, dt)
         assert np.array_equal(state, ref), (ta, tb)
 
 
@@ -490,15 +512,15 @@ def test_in_place_effective_step_is_bit_identical():
     # a mono stage and a bichromatic stage starting on its plateau: a only,
     # a and b, b only, each on sin^2 edges and plateaus; the uneven intervals
     # give the plateau steps different sizes h, so a reused potential factor
-    # must be rebuilt when h changes.  The reference builds fresh terms at
-    # every step, so it reuses nothing.
+    # must be rebuilt when h changes.  The reference builds a fresh potential
+    # at every step, so it reuses nothing.
     stages = [mono_stage(np.pi / 2, rise_fs=5.0), bi_stage(np.pi / 2, rise_fs=5.0, start_fs=50.0)]
     scn = effective_scenario(stages, spin=(1, 1))  # x+
     times = scn.duration * np.array([0.0, 0.13, 0.29, 0.41, 0.58, 0.66, 0.83, 1.0])
     dt = timestep_ceiling("effective", stages) / 2.0
     z = _propagator(scn)[0].grid.z
-    _assert_in_place_steps_match_reference(scn, times, dt,
-                                           lambda t: _EffectiveTerms(stages, z)(t))
+    _assert_in_place_steps_match_reference(
+        scn, times, dt, lambda t: _GridPotential(_EffectiveModel(stages), K, z)(t))
 
 
 @pytest.mark.parametrize("scale", [0.5, 4.5, 60.0])

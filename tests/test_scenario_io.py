@@ -163,6 +163,16 @@ class TestParsing:
         scn, _ = parse_scenario_text(text)
         np.testing.assert_allclose(scn.packet.spin, [0.0, 1.0])
 
+    @pytest.mark.parametrize("spin", ["[true, false]", "[.nan, 0]", "[[1, .inf], 0]"])
+    def test_bad_spin_components_rejected(self, spin):
+        # [true, false] used to run as spin up, and a non-finite component
+        # stopped the run at t = 0 without a line
+        text = MINIMAL.replace("  momentum: 400.0", f"  momentum: 400.0\n  spin: {spin}")
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith("line 6: electron.spin: bad spin component")
+
     def test_spin_name(self):
         text = MINIMAL.replace("  momentum: 400.0", "  momentum: 400.0\n  spin: y-")
         scn, _ = parse_scenario_text(text)

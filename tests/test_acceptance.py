@@ -269,7 +269,9 @@ def test_paper_scale_bichromatic_full_field_rabi_fit():
                                                  plateau=fs_to_natural(240.0)))
     scn.stages = [long_stage]
     scn.duration = long_stage.end + fs_to_natural(2.0)
-    result = run_scenario(scn)
+    # 254 fs is not a multiple of fig2's 2.5 fs cadence; the runner says so
+    with pytest.warns(UserWarning, match="does not divide"):
+        result = run_scenario(scn)
     ts = result.timeseries
     lo = long_stage.start + long_stage.envelope.rise
     mask = (ts.t >= lo) & (ts.t <= lo + long_stage.envelope.plateau)

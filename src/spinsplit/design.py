@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.constants as _si
 
 from .analytic import rabi_frequency_bi, rabi_frequency_mono
 from .units import C_NM_PER_FS, MC2_EV, TIME_UNIT_FS
@@ -67,6 +66,10 @@ def intensity_from_xi(xi: float, hbar_omega: float) -> float:
 
     Peak electric field E = xi m c omega / e, I = eps0 c E^2 / 2.
     """
+    # m_e and eps0 are measured CODATA values, so they come from scipy, which
+    # is imported here to keep it off the package's import path
+    import scipy.constants as _si
+
     if xi < 0 or hbar_omega <= 0:
         raise ValueError("need xi >= 0 and positive photon energy")
     omega_si = hbar_omega * _si.eV / _si.hbar

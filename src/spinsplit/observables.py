@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .states import SIGMA_Y, BraggState, SpinorWavefunction
 
@@ -154,6 +153,10 @@ class RabiFit:
 
 def fit_rabi(t: np.ndarray, population: np.ndarray) -> RabiFit:
     """Fit a Rabi oscillation trace; the trace must span at least half a period."""
+    # imported here, not at module level: scipy.optimize costs ~0.4 s of
+    # start-up that no other command needs
+    from scipy.optimize import curve_fit
+
     t = np.asarray(t, dtype=float)
     pop = np.asarray(population, dtype=float)
     if t.size != pop.size or t.size < 8:

@@ -43,6 +43,8 @@ multiplies the identity and contributes only a global phase.
 from __future__ import annotations
 
 import cmath
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -318,6 +320,34 @@ class _EffectiveModel:
 # ---------------------------------------------------------------------------
 # grid backends
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_fft_scratch_on_heap() -> None:
+    """Serve the grid loop's FFT scratch from the heap, not from fresh mmaps.
+
+    numpy.fft allocates a 16 N byte scratch row per transform (128 kB at
+    N = 8192).  Under glibc's default 128 kB mmap threshold each such block
+    is mmapped and unmapped again, so every page of it faults afresh on
+    first touch: about 190 minor faults per Strang step at (2, 8192), which
+    made the step 1.6 to 2 times slower.  glibc raises that threshold
+    dynamically only after a large mmapped block has been freed, which some
+    imports (scipy.optimize among them) happen to do.  An 8 MB mmap
+    threshold puts the scratch blocks in the heap, and a 64 MB trim
+    threshold keeps the heap from handing their pages back on free, whatever
+    was imported first.  A no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _kinetic_phase(grid: SpatialGrid, tau: float) -> np.ndarray:
     return np.exp(-0.5j * tau * grid.p**2 / MC2_EV)
 
@@ -394,6 +424,7 @@ class _GridPropagator:
         self.potential = potential
         self.hbar_k = hbar_k
         self._work = _PhaseWork(grid.points)
+        _keep_fft_scratch_on_heap()
 
     def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
         """Free evolution over tau: one kinetic step."""

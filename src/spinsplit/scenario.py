@@ -18,6 +18,7 @@ import yaml
 
 from .fields import BichromaticWave, Envelope, MonoStandingWave
 from .propagation import BACKENDS, PacketSpec, PropagationConfig, Scenario
+from .states import PacketError, normalize_spin
 from .units import attoseconds_to_natural, fs_to_natural, nm_to_natural, um_to_natural
 
 CONVENTIONS = ("traveling", "standing")
@@ -66,6 +67,22 @@ def _node_lines(node, path: str, lines: dict) -> dict:
     return lines
 
 
+def _as_number(value) -> float | None:
+    """A YAML scalar as a float, or None if it is not a number.  YAML 1.1
+    reads exponents like 2.35e4 as strings; those are accepted."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:   # an integer beyond the float range
+            return math.inf
+    return None
+
+
 class _Validator:
     def __init__(self, lines: dict):
         self.lines = lines
@@ -95,18 +112,10 @@ class _Validator:
             if required:
                 self.error(f"{path}.{key}", "missing required field")
             return default
-        value = mapping[key]
-        if isinstance(value, str):
-            # YAML 1.1 reads exponents like 2.35e4 as strings; accept them.
-            try:
-                value = float(value)
-            except ValueError:
-                self.error(f"{path}.{key}", f"expected a number, got {value!r}")
-                return default
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.error(f"{path}.{key}", f"expected a number, got {value!r}")
+        value = _as_number(mapping[key])
+        if value is None:
+            self.error(f"{path}.{key}", f"expected a number, got {mapping[key]!r}")
             return default
-        value = float(value)
         if not math.isfinite(value):
             self.error(f"{path}.{key}", f"must be finite, got {value}")
             return default
@@ -123,21 +132,28 @@ def _parse_spin(raw, val: _Validator):
     if raw is None:
         return "up"
     if isinstance(raw, str):
-        return raw
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        spin = raw
+    elif isinstance(raw, (list, tuple)) and len(raw) == 2:
         comps = []
         for item in raw:
             # a component is a real number or a [re, im] pair of them
             parts = item if isinstance(item, (list, tuple)) and len(item) == 2 else [item]
-            if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in parts):
+            numbers = [_as_number(x) for x in parts]
+            if not all(x is not None and math.isfinite(x) for x in numbers):
                 val.error("electron.spin", f"bad spin component {item!r}: expected a finite "
                                            "number or a [re, im] pair of them")
                 return "up"
-            comps.append(complex(*parts))
-        return np.array(comps, dtype=complex)
-    val.error("electron.spin", f"expected a name or two components, got {raw!r}")
-    return "up"
+            comps.append(complex(*numbers))
+        spin = np.array(comps, dtype=complex)
+    else:
+        val.error("electron.spin", f"expected a name or two components, got {raw!r}")
+        return "up"
+    try:
+        normalize_spin(spin)   # checked here for the line; PacketSpec normalizes
+    except PacketError as exc:
+        val.error("electron.spin", str(exc))
+        return "up"
+    return spin
 
 
 def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator):

@@ -139,9 +139,16 @@ def normalize_spin(spin) -> np.ndarray:
         except KeyError:
             raise PacketError(f"unknown spin label {spin!r}; known: {sorted(NAMED_SPINS)}")
     chi = np.asarray(spin, dtype=complex).reshape(2)
-    n = np.linalg.norm(chi)
-    if n == 0:
-        raise PacketError("spin vector must be nonzero")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(chi)
+    if not 0.0 < n < np.inf:
+        # |chi|^2 over- or underflowed: scale the largest component to 1
+        # first, part by part (a complex divide by a subnormal overflows)
+        peak = np.abs(chi).max()
+        if peak == 0:
+            raise PacketError("spin vector must be nonzero")
+        chi = chi.real / peak + 1j * (chi.imag / peak)
+        n = np.linalg.norm(chi)
     return chi / n
 
 

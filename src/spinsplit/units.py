@@ -6,20 +6,27 @@ All the laser/electron parameters of interest are quoted in eV, fs and um,
 so SI appears only at the I/O boundary.
 """
 
-import scipy.constants as _si
+import math
+
+# SI constants that are exact by definition (2019 SI).  hbar is formed from h
+# as scipy.constants forms it, so the units below equal the ones built from
+# scipy.constants bit for bit, without importing scipy.
+_HBAR_SI = 6.62607015e-34 / (2 * math.pi)   # J s
+_E_SI = 1.602176634e-19                     # C
+_C_SI = 299792458.0                         # m/s
 
 # Electron rest energy used throughout the dynamical formulas [eV].
 MC2_EV = 5.110e5
 
 # One natural time unit (hbar / 1 eV) expressed in femtoseconds: 0.6582... fs
-TIME_UNIT_FS = _si.hbar / _si.eV * 1e15
+TIME_UNIT_FS = _HBAR_SI / _E_SI * 1e15
 
 # One natural length unit (hbar c / 1 eV) in nanometres: 197.33 nm
-LENGTH_UNIT_NM = _si.hbar * _si.c / _si.eV * 1e9
+LENGTH_UNIT_NM = _HBAR_SI * _C_SI / _E_SI * 1e9
 LENGTH_UNIT_UM = LENGTH_UNIT_NM * 1e-3
 
 # Speed of light in lab units, handy for the design calculator.
-C_NM_PER_FS = _si.c * 1e-6
+C_NM_PER_FS = _C_SI * 1e-6
 
 
 def fs_to_natural(t_fs: float) -> float:

@@ -1,0 +1,68 @@
+"""Start-up cost of the package, each measured in a fresh interpreter.
+
+``import spinsplit`` must not load scipy: scipy.optimize alone adds about
+0.4 s to every CLI run, and only ``fit_rabi`` and the design calculator need
+scipy, so they import it when called.  Without scipy's import side effects
+the grid loop must still not page-fault: numpy.fft's per-transform scratch
+row must come from the heap, not from a fresh mmap
+(``propagation._keep_fft_scratch_on_heap``)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+STEPS = 200
+
+# 200 full-field Strang steps on an 8192-point grid under a bichromatic
+# plateau, after a warm-up advance that allocates the plans and buffers
+GRID_STEPS = f"""
+import json, resource, sys
+import numpy as np
+from spinsplit.fields import BichromaticWave, Envelope
+from spinsplit.propagation import PacketSpec, PropagationConfig, Scenario, _propagator
+from spinsplit.units import um_to_natural
+
+k = 200.0
+dt = 2 * np.pi / k / 64
+stage = BichromaticWave(ea1=2.35e4, ea2=2.35e4, photon_energy=k,
+                        envelope=Envelope(0.0, 300 * dt, 0.0))
+config = PropagationConfig(backend="full-field", grid_points=8192,
+                           grid_length=um_to_natural(1.5))
+scn = Scenario(PacketSpec(center=0.0, width=um_to_natural(0.1), momentum=2 * k),
+               [stage], 300 * dt, config)
+prop, psi = _propagator(scn)
+prop.advance(psi, 0.0, 10 * dt, dt)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+prop.advance(psi, 10 * dt, {10 + STEPS} * dt, dt)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({{"faults": after - before,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
+"""
+
+
+def _fresh(code: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    loaded = _fresh("import json, sys\nimport spinsplit, spinsplit.cli\n"
+                    "print(json.dumps(sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'scipy')))")
+    assert loaded == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the FFT scratch page faults are a glibc malloc effect")
+def test_grid_steps_do_not_page_fault_without_scipy():
+    record = _fresh(GRID_STEPS)
+    assert record["scipy"] == []
+    assert record["faults"] / STEPS < 1.0

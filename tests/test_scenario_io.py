@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinsplit.fields import BichromaticWave, MonoStandingWave
 from spinsplit.scenario import (
@@ -9,6 +12,7 @@ from spinsplit.scenario import (
     load_scenario,
     parse_scenario_text,
 )
+from spinsplit.states import normalize_spin
 from spinsplit.units import fs_to_natural, um_to_natural
 
 MINIMAL = """
@@ -122,12 +126,14 @@ class TestParsing:
         ("duration", ".nan", "scenario.duration: must be finite, got nan"),
         ("snapshot_every", "nan", "propagation.snapshot_every: must be finite, got nan"),
         ("a0", ".inf", "stages[0].a0: must be finite, got inf"),
+        ("a0", "1" + "0" * 400, "stages[0].a0: must be finite, got inf"),
         ("grid_points", "true", "propagation.grid_points: bad value True"),
-    ], ids=["plateau", "duration", "snapshot_every", "a0", "grid_points"])
+    ], ids=["plateau", "duration", "snapshot_every", "a0", "a0-int", "grid_points"])
     def test_nonfinite_numbers_and_boolean_counts_rejected(self, key, value, error):
         # each used to parse: a nan plateau gave a stage that never acts, a
         # nan duration or snapshot_every failed later in the runner, an
-        # infinite a0 failed mid-run, and true was read as 1 grid point
+        # infinite a0 failed mid-run, true was read as 1 grid point, and an
+        # integer beyond the float range raised OverflowError without a line
         lines = bundled_scenario_path("desk-mono").read_text().splitlines(keepends=True)
         (row,) = [i for i, line in enumerate(lines) if line.strip().startswith(f"{key}:")]
         lines[row] = f"{lines[row].split(':')[0]}: {value}\n"
@@ -178,10 +184,40 @@ class TestParsing:
         scn, _ = parse_scenario_text(text)
         np.testing.assert_allclose(scn.packet.spin, [1 / np.sqrt(2), -1j / np.sqrt(2)])
 
-    def test_unknown_spin_name(self):
-        text = MINIMAL.replace("  momentum: 400.0", "  momentum: 400.0\n  spin: sideways")
-        with pytest.raises(ScenarioFileError):
+    @pytest.mark.parametrize("spin, message", [
+        ("sideways", "unknown spin label 'sideways'; known: "
+                     "['down', 'up', 'x+', 'x-', 'y+', 'y-']"),
+        ("[0, 0]", "spin vector must be nonzero"),
+        ("[[0, 0.0], 0e3]", "spin vector must be nonzero"),
+    ])
+    def test_invalid_spin_reported_with_line(self, spin, message):
+        # both used to surface from PacketSpec, outside the validator, without a line
+        text = MINIMAL.replace("  momentum: 400.0", f"  momentum: 400.0\n  spin: {spin}")
+        with pytest.raises(ScenarioFileError) as err:
             parse_scenario_text(text)
+        assert err.value.errors == [f"line 6: electron.spin: {message}"]
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False),
+           y=st.floats(allow_nan=False, allow_infinity=False))
+    def test_exponent_string_spin_components(self, x, y):
+        # "%e" (1.234560e-05) is a YAML 1.1 float; the same digits without the
+        # point (1234560e-11) are a string to YAML, and must parse the same
+        def bare(value):
+            mantissa, exponent = ("%e" % value).split("e")
+            return f"{mantissa.replace('.', '')}e{int(exponent) - 6}"
+
+        def spinor(a, b):
+            text = MINIMAL.replace("  momentum: 400.0",
+                                   f"  momentum: 400.0\n  spin: [{a}, [0, {b}]]")
+            return parse_scenario_text(text)[0].packet.spin
+
+        assume(float("%e" % x) != 0.0 or float("%e" % y) != 0.0)
+        assert isinstance(yaml.safe_load(bare(x)), str)
+        a, b = float("%e" % x), float("%e" % y)
+        want = normalize_spin([a, complex(0.0, b)])
+        np.testing.assert_array_equal(spinor("%e" % x, "%e" % y), want)
+        np.testing.assert_array_equal(spinor(bare(x), bare(y)), want)
 
     def test_numeric_strings_accepted(self):
         # YAML 1.1 reads 2.35e4 as a string; the loader must still take it

@@ -8,6 +8,7 @@ from spinsplit.states import (
     SpatialGrid,
     SpinorWavefunction,
     gaussian_packet,
+    normalize_spin,
     spin_expectations,
     unpolarized_density,
     validate_density,
@@ -123,6 +124,18 @@ class TestSpinExpectations:
         psi = SpinorWavefunction(g, np.zeros((2, 1024), dtype=complex))
         with pytest.raises(PacketError):
             spin_expectations(psi)
+
+
+    @pytest.mark.parametrize("spin, expected", [
+        ([1e300, -1e300j], [2**-0.5, -1j * 2**-0.5]),   # |chi|^2 overflows
+        ([5e-324, 0.0], [1.0, 0.0]),                     # |chi|^2 underflows to 0
+        ([3e-170j, 4e-170], [0.6j, 0.8]),
+    ])
+    def test_normalize_spin_extreme_components(self, spin, expected):
+        # both used to give a zero spinor or "must be nonzero"
+        np.testing.assert_allclose(normalize_spin(spin), expected, rtol=1e-15)
+        with pytest.raises(PacketError, match="nonzero"):
+            normalize_spin([0.0, -0.0])
 
 
 class TestBraggState:

@@ -38,3 +38,13 @@ def test_attoseconds():
 
 def test_nm_um_consistency():
     assert units.um_to_natural(1.0) == pytest.approx(units.nm_to_natural(1000.0), rel=1e-12)
+
+
+def test_units_equal_scipy_formulas_exactly():
+    # hbar, e and c are exact in the SI, so the package's own values cannot
+    # drift from scipy.constants when CODATA is revised
+    import scipy.constants as si
+
+    assert units.TIME_UNIT_FS == si.hbar / si.eV * 1e15
+    assert units.LENGTH_UNIT_NM == si.hbar * si.c / si.eV * 1e9
+    assert units.C_NM_PER_FS == si.c * 1e-6

@@ -17,6 +17,16 @@ import numpy as np
 # the driving term carries (A^2 terms: 2, the bichromatic three-photon term: 3).
 EDGE_AREA_WEIGHTS = {1: 0.5, 2: 3.0 / 8.0, 3: 5.0 / 16.0}
 
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def square(x) -> np.ndarray:
+    """x**2 elementwise as Python squares a float, through the C library's
+    pow.  numpy squares an array as x * x, which rounds differently about
+    once in a thousand, so a time would give other bits in an array than
+    alone."""
+    return x**2 if isinstance(x, float) else np.asarray(_POW(x, 2.0), dtype=float)
+
 
 @dataclass(frozen=True)
 class Envelope:
@@ -49,13 +59,13 @@ class Envelope:
         out = np.zeros_like(t)
         if self.rise > 0:
             m = (t >= 0) & (t < self.rise)
-            out = np.where(m, np.sin(0.5 * np.pi * t / self.rise) ** 2, out)
+            out[m] = square(np.sin(0.5 * np.pi * t[m] / self.rise))
         plateau_lo = self.rise
         plateau_hi = self.rise + self.plateau
-        out = np.where((t >= plateau_lo) & (t <= plateau_hi), 1.0, out)
+        out[(t >= plateau_lo) & (t <= plateau_hi)] = 1.0
         if self.fall > 0:
             m = (t > plateau_hi) & (t < self.duration)
-            out = np.where(m, np.sin(0.5 * np.pi * (self.duration - t) / self.fall) ** 2, out)
+            out[m] = square(np.sin(0.5 * np.pi * (self.duration - t[m]) / self.fall))
         return out if out.ndim else float(out)
 
     def effective_duration(self, power: int) -> float:
@@ -157,20 +167,26 @@ def vector_potential(stage: FieldStage, t, z):
     )
 
 
-def spatial_harmonics(stage: FieldStage, t: float) -> tuple[complex, complex]:
+def spatial_harmonics(stage: FieldStage, t):
     """(alpha_1, alpha_2): the coefficients of e^{ikz} and e^{2ikz} in
-    e*A_x(t, z) at one time t, envelope included.  e*A_x is real and has no
-    uniform part, so alpha_{-j} = conj(alpha_j) and alpha_0 = 0."""
+    e*A_x(t, z), envelope included, at a time t or elementwise on an array
+    of times.  e*A_x is real and has no uniform part, so
+    alpha_{-j} = conj(alpha_j) and alpha_0 = 0.  A time alone is computed
+    in Python floats, with ``math``; each coefficient is built from its real
+    and imaginary parts (re + 1j * im is exact), so a time gives the same
+    bits alone and in an array."""
     f = stage_envelope(stage, t)
     w = stage.omega
+    xp = math if isinstance(t, float) else np
     if isinstance(stage, MonoStandingWave):
-        half = 0.5 * f * stage.ea0 * math.cos(2.0 * w * t)
-        return 0j, complex(half * math.cos(0.5 * stage.chi), half * math.sin(0.5 * stage.chi))
+        half = 0.5 * f * stage.ea0 * xp.cos(2.0 * w * t)
+        return (0j * half,
+                half * math.cos(0.5 * stage.chi) + 1j * (half * math.sin(0.5 * stage.chi)))
     # cos(w t - k z) carries e^{-i w t}/2 on e^{ikz}; cos(2 w t + 2 k z) e^{2i w t}/2 on e^{2ikz}
     a1 = 0.5 * f * stage.ea1
     a2 = 0.5 * f * stage.ea2
-    return (complex(a1 * math.cos(w * t), -a1 * math.sin(w * t)),
-            complex(a2 * math.cos(2.0 * w * t), a2 * math.sin(2.0 * w * t)))
+    return (a1 * xp.cos(w * t) - 1j * (a1 * xp.sin(w * t)),
+            a2 * xp.cos(2.0 * w * t) + 1j * (a2 * xp.sin(2.0 * w * t)))
 
 
 def magnetic_field(stage: FieldStage, t, z):

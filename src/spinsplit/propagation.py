@@ -25,8 +25,11 @@ Observation rotates back to the z basis once per snapshot.
   T = 2 pi/omega.  On a pulse plateau H(t + T) = H(t), so a plateau's M step
   propagators are computed once and whole periods advance by their product
   U_T (Shirley, Phys. Rev. 138, B979 (1965)); only the sin^2 edges and the
-  fractional steps at the ends of an interval are stepped afresh, each
-  through ``gl2_step``.
+  fractional steps at the ends of an interval are stepped afresh, through
+  ``gl2_step``.  Fresh steps depend only on t, not on the state, so a run
+  of them is built as one batch: one field-model call on the array of
+  Gauss-node times, one stacked commutator and one stacked exponential.
+  A plateau's step cache is filled in the same batches.
 
 One runner drives every backend through the same three calls on the same
 state, the sigma_y sectors: ``advance`` across a snapshot interval with a
@@ -252,16 +255,27 @@ def _z_spinor(sectors: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # field model: a callable harmonics(t) -> complex (2, 5) array c[s, j], the
 # coefficients of e^{ijkz} (j = 0..4) in V+- = a +- b, or None when no field
-# acts; V is real, so c_{-j} = conj(c_j)
+# acts; V is real, so c_{-j} = conj(c_j).  The full-field model also takes an
+# array of times, for the mode lattice's batches.
 
 def _sectors(a, b) -> np.ndarray:
     """c[s, j] of V+- = a +- b from the coefficients a_j and b_j, j = 0..4."""
     return np.array([[x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]])
 
 
+def _product(x, y):
+    """x * y for complex numbers or elementwise for arrays, rounded as Python
+    forms the product.  numpy's vectorized complex product rounds
+    differently, so a time would give other bits in an array than alone.  A
+    factor that is real or imaginary rounds alike in both."""
+    if isinstance(x, complex):
+        return x * y
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
 class _FullFieldModel:
     """The exact fields: eA = sum over j = +-1, +-2 of alpha_j e^{ijkz}
-    (``fields.spatial_harmonics``, summed over the stages on at t), so
+    (``fields.spatial_harmonics``, summed over the stages), so
     (eA)^2/2m is the self-convolution of the alpha_j, and d/dz multiplies
     e^{ijkz} by i j k.  Its j = 0 term is (|alpha_1|^2 + |alpha_2|^2)/mc^2."""
 
@@ -269,23 +283,36 @@ class _FullFieldModel:
         self.stages = list(stages)
         self.k = wavenumber
 
-    def __call__(self, t: float):
-        al1 = al2 = 0j
-        on = False
+    def on(self, t):
+        """Whether a stage is on at t, a time or elementwise on an array."""
+        if isinstance(t, float):
+            return any(s.start <= t <= s.end for s in self.stages)
+        on = np.zeros(np.shape(t), dtype=bool)
         for s in self.stages:
-            if s.start <= t <= s.end:
-                c1, c2 = F.spatial_harmonics(s, t)
-                al1 += c1
-                al2 += c2
-                on = True
-        if not on:
-            return None
+            on |= (s.start <= t) & (t <= s.end)
+        return on
+
+    def __call__(self, t):
+        """c[s, j] at a time t, or None when no stage is on; for an array of
+        times, shape (..., 2, 5), with zero rows where no stage is on (an
+        envelope is 0 outside its stage, so every stage can contribute)."""
+        if isinstance(t, float):
+            if not self.on(t):
+                return None
+            t = float(t)  # a time alone is computed in Python floats
+        al1 = al2 = 0j * t  # complex zeros shaped like t
+        for s in self.stages:
+            c1, c2 = F.spatial_harmonics(s, t)
+            al1 = al1 + c1
+            al2 = al2 + c2
         scale = 0.5 / MC2_EV
-        a0 = 2.0 * scale * (al1.real**2 + al1.imag**2 + al2.real**2 + al2.imag**2)
-        a = (a0, 2.0 * scale * al2 * al1.conjugate(), scale * al1 * al1,
-             2.0 * scale * al1 * al2, scale * al2 * al2)
+        a0 = 2.0 * scale * (F.square(al1.real) + F.square(al1.imag)
+                            + F.square(al2.real) + F.square(al2.imag))
+        a = (a0, _product(2.0 * scale * al2, al1.conjugate()), _product(scale * al1, al1),
+             _product(2.0 * scale * al1, al2), _product(scale * al2, al2))
         kb = 1j * self.k * scale
-        return _sectors(a, (0j, kb * al1, 2.0 * kb * al2, 0j, 0j))
+        c = _sectors(a, (0j, kb * al1, 2.0 * kb * al2, 0j, 0j))
+        return c if c.ndim == 2 else np.moveaxis(c, (0, 1), (-2, -1))
 
 
 class _EffectiveModel:
@@ -326,17 +353,20 @@ _M_MMAP_THRESHOLD = -3
 
 
 @functools.cache
-def _keep_fft_scratch_on_heap() -> None:
-    """Serve the grid loop's FFT scratch from the heap, not from fresh mmaps.
+def _keep_scratch_on_heap() -> None:
+    """Serve the stepping loops' scratch blocks from the heap, not from fresh
+    mmaps.
 
     numpy.fft allocates a 16 N byte scratch row per transform (128 kB at
-    N = 8192).  Under glibc's default 128 kB mmap threshold each such block
-    is mmapped and unmapped again, so every page of it faults afresh on
-    first touch: about 190 minor faults per Strang step at (2, 8192), which
-    made the step 1.6 to 2 times slower.  glibc raises that threshold
-    dynamically only after a large mmapped block has been freed, which some
-    imports (scipy.optimize among them) happen to do.  An 8 MB mmap
-    threshold puts the scratch blocks in the heap, and a 64 MB trim
+    N = 8192), and a batch of mode-lattice steps builds temporaries of
+    several hundred kB.  Under glibc's default 128 kB mmap threshold each
+    such block is mmapped and unmapped again, so every page of it faults
+    afresh on first touch: about 190 minor faults per Strang step at
+    (2, 8192), which made the step 1.6 to 2 times slower, and a mode-lattice
+    batch at 2N + 1 = 49 ran about 1.5 times slower.  glibc raises that
+    threshold dynamically only after a large mmapped block has been freed,
+    which some imports (scipy.optimize among them) happen to do.  An 8 MB
+    mmap threshold puts the scratch blocks in the heap, and a 64 MB trim
     threshold keeps the heap from handing their pages back on free, whatever
     was imported first.  A no-op where the C library has no mallopt."""
     try:
@@ -424,7 +454,7 @@ class _GridPropagator:
         self.potential = potential
         self.hbar_k = hbar_k
         self._work = _PhaseWork(grid.points)
-        _keep_fft_scratch_on_heap()
+        _keep_scratch_on_heap()
 
     def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
         """Free evolution over tau: one kinetic step."""
@@ -458,29 +488,50 @@ _MAGNUS_K = math.sqrt(3.0) / 12.0        # weight of the commutator term
 # below 2^-53; larger exponents are scaled down by powers of two first.
 _TAYLOR_THETA = 0.11
 _TAYLOR_C = [1.0 / math.factorial(n) for n in range(10)]
+# Fresh Magnus steps are built in batches of about this many elements of the
+# (2, m, m) sector propagators, m = 2N + 1.  Small m is bound by numpy's
+# per-call cost, which a batch shares; large m is bound by the matrix
+# products, and larger batches leave the cache: 34 steps at N = 8, 4 at
+# N = 24.
+_BATCH_ELEMENTS = 20_000
 
 
 def _expm_skew(x: np.ndarray) -> np.ndarray:
     """exp of a stack of small anti-Hermitian matrices (..., m, m): degree-9
     Taylor series in Paterson-Stockmeyer form, four matrix products, with
-    scaling and squaring.  Each squaring doubles the rounding error, so x is
-    scaled no further than its 1-norm requires."""
-    norm = float(np.abs(x).sum(axis=-2).max())
-    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm > 0.0 else 0
-    if squarings:
-        x = x * 0.5**squarings
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)).  Each squaring doubles the rounding error, so each matrix is
+    scaled no further than its own 1-norm requires."""
+    ratio = np.abs(x).sum(axis=-2).max(axis=-1) / _TAYLOR_THETA
+    squarings = np.ceil(np.log2(np.maximum(ratio, 1.0))).astype(int)
+    most = int(squarings.max(initial=0))
+    if most:
+        x = x * np.ldexp(1.0, -squarings)[..., None, None]
     c = _TAYLOR_C
     x2 = x @ x
     x3 = x2 @ x
-    # sum_n c_n x^n = (c0 + c1 x + c2 x2) + x3 [(c3 + c4 x + c5 x2) + x3 (c6 + ... + c9 x3)]
-    inner = x3 * c[9] + x2 * c[8] + x * c[7]
+    # sum_n c_n x^n = (c0 + c1 x + c2 x2) + x3 [(c3 + c4 x + c5 x2) + x3 (c6 + ... + c9 x3)],
+    # summed in place so that few stack-sized temporaries live at once
+    inner = x3 * c[9]
+    inner += x2 * c[8]
+    inner += x * c[7]
     _add_to_diagonal(inner, c[6])
-    outer = x3 @ inner + x2 * c[5] + x * c[4]
+    outer = x3 @ inner
+    del inner
+    outer += x2 * c[5]
+    outer += x * c[4]
     _add_to_diagonal(outer, c[3])
-    u = x3 @ outer + x2 * c[2] + x
+    u = x3 @ outer
+    del outer
+    u += x2 * c[2]
+    u += x
     _add_to_diagonal(u, 1.0)
-    for _ in range(squarings):
-        u = u @ u
+    for n in range(most):
+        more = squarings > n
+        if more.all():
+            u = u @ u
+        else:
+            u[more] = u[more] @ u[more]
     return u
 
 
@@ -521,9 +572,11 @@ class ModeLatticeEngine:
         self._gather = np.where((np.abs(diff) <= 4) & (diff != 0), diff + 4, 9)
         self._kinetic = np.diag(self.energies).astype(complex)
         self._field = _FullFieldModel(self.stages, wavenumber)
+        self._batch = max(1, _BATCH_ELEMENTS // (2 * m * m))
         self._plateau = None    # (stages on their plateau, M) that the cache serves
         self._cache = {}        # lattice phase i mod M -> step propagators
         self._period_u = None   # product of the cached steps over one period
+        _keep_scratch_on_heap()
 
     def initial_state(self, mode: int, spin) -> np.ndarray:
         if abs(mode) > self.N:
@@ -532,29 +585,35 @@ class ModeLatticeEngine:
         amps[:, mode + self.N] = _y_sectors(normalize_spin(spin))
         return amps
 
-    def harmonics(self, t: float):
+    def harmonics(self, t):
         """c[s, j]: the coefficients of e^{ijkz} (j = 0..4) in V+- = a +- b at
-        time t (``_FullFieldModel``), or None when no stage is on."""
+        a time t, or None when no stage is on; on an array of times, one row
+        per time, zero where no stage is on (``_FullFieldModel``)."""
         return self._field(t)
 
-    def _magnus(self, t: float, dt: float):
-        """Sector propagators of [t, t + dt] (Schroedinger picture) from one
+    def _magnus(self, t: np.ndarray, dt: float):
+        """Sector propagators of the steps [t, t + dt] for an array of n step
+        starts t (Schroedinger picture), shape (n, 2, m, m), each from one
         4th-order Magnus step: exp(-i dt/2 (H1 + H2) + sqrt(3)/12 dt^2 [H1, H2])
-        with H at the two Gauss nodes.  None when no field acts at either node."""
-        nodes = [self.harmonics(tn) for tn in (t + (0.5 - _GAUSS_C) * dt,
-                                               t + (0.5 + _GAUSS_C) * dt)]
-        if all(c is None for c in nodes):
-            return None
+        with H at the two Gauss nodes; and, per step, whether a field acts at
+        either node."""
+        nodes = np.stack([t + (0.5 - _GAUSS_C) * dt, t + (0.5 + _GAUSS_C) * dt], axis=-1)
         # rows node 1 (y+, y-), node 2 (y+, y-): conj(c_4..c_1), c_0..c_4, 0
-        c = np.concatenate([np.zeros((2, 5)) if x is None else x for x in nodes])
-        band = np.concatenate([c[:, :0:-1].conj(), c, np.zeros((4, 1))], axis=1)
-        h = band[:, self._gather] + self._kinetic
-        h1, h2 = h[:2], h[2:]
-        # [H1, H2] = H1 H2 - (H1 H2)^dagger for Hermitian H1, H2
-        prod = h1 @ h2
-        omega = (h1 + h2) * (-0.5j * dt)
-        omega += (prod - prod.conj().swapaxes(-1, -2)) * (_MAGNUS_K * dt * dt)
-        return _expm_skew(omega)
+        c = self.harmonics(nodes).reshape(len(t), 4, 5)
+        band = np.concatenate([c[..., :0:-1].conj(), c, np.zeros((len(t), 4, 1))], axis=-1)
+        h = band[..., self._gather]
+        h += self._kinetic
+        # [H1, H2] = H1 H2 - (H1 H2)^dagger for Hermitian H1, H2; in-place
+        # updates and early deletes keep few batch-sized arrays alive at once
+        comm = h[:, :2] @ h[:, 2:]
+        comm -= comm.conj().swapaxes(-1, -2)
+        comm *= _MAGNUS_K * dt * dt
+        omega = h[:, :2] + h[:, 2:]
+        del h
+        omega *= -0.5j * dt
+        omega += comm
+        del comm
+        return _expm_skew(omega), self._field.on(nodes).any(axis=-1)
 
     def _step_class(self, t0: float, t1: float):
         """Indices of the stages overlapping [t0, t1] if every one of them is
@@ -581,13 +640,17 @@ class ModeLatticeEngine:
             self._period_u = u
         return self._period_u
 
-    def gl2_step(self, amps: np.ndarray, t: float, dt: float) -> np.ndarray:
+    def gl2_step(self, amps: np.ndarray, t, dt: float) -> np.ndarray:
         """Sector amplitudes at t -> at t + dt by one exact-exponential
         4th-order Magnus step (unitary to rounding), computed afresh: no
         cache, no lattice.  The free phase when no field acts at either
-        Gauss node.  ``advance`` takes every edge and fractional step here."""
-        u = self._magnus(t, dt)
-        return self.drift(amps, dt) if u is None else _apply(u, amps)
+        Gauss node.  For an array of step starts t, one such step from each
+        in turn, with the propagators built as one batch.  ``advance`` takes
+        every edge and fractional step here."""
+        us, acts = self._magnus(np.atleast_1d(np.asarray(t, dtype=float)), dt)
+        for u, act in zip(us, acts):
+            amps = _apply(u, amps) if act else self.drift(amps, dt)
+        return amps
 
     def advance(self, amps: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
         """Sector amplitudes at ta -> at tb.
@@ -596,14 +659,15 @@ class ModeLatticeEngine:
         integer that makes them no longer than dt; fresh fractional steps
         join ta and tb to it.  Between two stage boundaries every lattice
         step has one class: a free run is one ``drift``, an edge run is
-        stepped afresh, and a plateau run takes its steps from the cache
-        keyed by (stages on their plateau, M) and i mod M, whole periods as
-        one product U_T each.
+        stepped afresh in batches, and a plateau run takes its steps from
+        the cache keyed by (stages on their plateau, M) and i mod M, filled
+        in batches, whole periods as one product U_T each.
         """
         if self.period is None:
             raise ScenarioError("advance needs a stage")
         steps = max(1, math.ceil(self.period / dt - 1e-9))
         h = self.period / steps
+        batch = min(self._batch, steps)
         i = math.ceil(ta / h)
         j = math.floor(tb / h)
         if i > j:
@@ -622,9 +686,9 @@ class ModeLatticeEngine:
                 amps = self.drift(amps, (end - i) * h)
                 i = end
             elif key is None:
-                while i < end:
-                    amps = self.gl2_step(amps, i * h, h)
-                    i += 1
+                for lo in range(i, end, batch):
+                    amps = self.gl2_step(amps, np.arange(lo, min(lo + batch, end)) * h, h)
+                i = end
             else:
                 if self._plateau != (key, steps):
                     self._plateau, self._cache, self._period_u = (key, steps), {}, None
@@ -634,12 +698,14 @@ class ModeLatticeEngine:
                         for _ in range((end - i) // steps):
                             amps = _apply(period, amps)
                         i += (end - i) // steps * steps
-                    else:
-                        u = self._cache.get(i % steps)
-                        if u is None:
-                            u = self._cache[i % steps] = self._magnus(i * h, h)
-                        amps = _apply(u, amps)
-                        i += 1
+                        continue
+                    if i % steps not in self._cache:
+                        fill = [p for p in range(i, min(i + batch, end))
+                                if p % steps not in self._cache]
+                        us, _ = self._magnus(np.array(fill) * h, h)
+                        self._cache.update((p % steps, u) for p, u in zip(fill, us))
+                    amps = _apply(self._cache[i % steps], amps)
+                    i += 1
         if tb > j * h:
             amps = self.gl2_step(amps, j * h, tb - j * h)
         return amps

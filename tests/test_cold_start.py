@@ -3,9 +3,9 @@
 ``import spinsplit`` must not load scipy: scipy.optimize alone adds about
 0.4 s to every CLI run, and only ``fit_rabi`` and the design calculator need
 scipy, so they import it when called.  Without scipy's import side effects
-the grid loop must still not page-fault: numpy.fft's per-transform scratch
-row must come from the heap, not from a fresh mmap
-(``propagation._keep_fft_scratch_on_heap``)."""
+the stepping loops must still not page-fault: numpy.fft's per-transform
+scratch row and the temporaries of a batch of mode-lattice steps must come
+from the heap, not from fresh mmaps (``propagation._keep_scratch_on_heap``)."""
 
 import json
 import os
@@ -46,6 +46,28 @@ print(json.dumps({{"faults": after - before,
 """
 
 
+# 200 fresh mode-lattice steps at N = 8 on a sin^2 rise, after a warm-up
+# advance; their batches build temporaries of several hundred kB
+MODE_STEPS = f"""
+import json, resource, sys
+import numpy as np
+from spinsplit.fields import Envelope, MonoStandingWave
+from spinsplit.propagation import ModeLatticeEngine
+
+w = 1200.0
+h = 2 * np.pi / w / 512
+stage = MonoStandingWave(ea0=4952.57508777, photon_energy=w, chi=0.0,
+                         envelope=Envelope(1024 * h, 0.0, 1024 * h))
+engine = ModeLatticeEngine(w, 8, stages=[stage])
+c = engine.advance(engine.initial_state(2, "x+"), 0.0, 300 * h, h)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+c = engine.advance(c, 300 * h, {300 + STEPS} * h, h)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({{"faults": after - before,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
+"""
+
+
 def _fresh(code: str) -> dict:
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
@@ -64,5 +86,13 @@ def test_import_loads_no_scipy():
                     reason="the FFT scratch page faults are a glibc malloc effect")
 def test_grid_steps_do_not_page_fault_without_scipy():
     record = _fresh(GRID_STEPS)
+    assert record["scipy"] == []
+    assert record["faults"] / STEPS < 1.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the batch page faults are a glibc malloc effect")
+def test_mode_lattice_steps_do_not_page_fault_without_scipy():
+    record = _fresh(MODE_STEPS)
     assert record["scipy"] == []
     assert record["faults"] / STEPS < 1.0

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from taylor_expm import taylor_expm
 
 from spinsplit.analytic import EffectivePotential, effective_potential_value
@@ -253,9 +255,9 @@ class TestModeLattice:
         h = period / 32
         engine = ModeLatticeEngine(1200.0, 8, stages=stages)
         reference = ModeLatticeEngine(1200.0, 8, stages=stages)
-        calls = []
+        calls = []  # Gauss-node times, one per node of a fresh step
         harmonics = engine.harmonics
-        engine.harmonics = lambda t: calls.append(t) or harmonics(t)
+        engine.harmonics = lambda t: calls.extend(np.ravel(t)) or harmonics(t)
         products = []
         period_propagator = engine._period_propagator
         engine._period_propagator = lambda *a: products.append(period_propagator(*a)) or products[-1]
@@ -275,6 +277,35 @@ class TestModeLattice:
         # fractional steps at the cuts 6.2 T and 7.07 T are fresh
         late_plateau = [t for t in calls if 4.4 * period < t < 7.2 * period]
         assert len(late_plateau) == 2 * 2 * 2
+
+    def test_batched_runs_match_chain_of_single_steps(self):
+        # advance builds fresh steps and a plateau's cache in batches; one
+        # scalar gl2_step per lattice step is the reference.  A rise run of
+        # 115 steps spans several batches; a plateau run of 0.7 T fills part
+        # of the cache and never completes a period, so no U_T applies.
+        period = 2 * np.pi / 1200.0
+        stage = MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.4,
+                                 envelope=Envelope(2 * period, 4 * period, 2 * period),
+                                 start=1.3 * period)
+        h = period / 64
+        engine = ModeLatticeEngine(1200.0, 8, stages=[stage])
+        reference = ModeLatticeEngine(1200.0, 8, stages=[stage])
+        assert 3 * engine._batch < 115
+        products = []
+        period_propagator = engine._period_propagator
+        engine._period_propagator = lambda *a: products.append(period_propagator(*a)) or products[-1]
+        c0 = engine.initial_state(+2, "x+")
+        for ta, tb in ((1.4, 3.2), (3.5, 4.2)):
+            ta, tb = ta * period, tb * period
+            c = engine.advance(c0, ta, tb, h)
+            points = [ta, *(i * h for i in range(math.ceil(ta / h), math.floor(tb / h) + 1)
+                            if ta < i * h < tb), tb]
+            c_ref = c0
+            for t0, t1 in zip(points, points[1:]):
+                c_ref = reference.gl2_step(c_ref, t0, t1 - t0)
+            np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
+            assert np.max(np.abs(c - c0)) > 0.01  # the stage did act
+        assert not any(u is not None for u in products)
 
 
 class TestScenarioValidation:
@@ -521,6 +552,52 @@ def test_in_place_effective_step_is_bit_identical():
     z = _propagator(scn)[0].grid.z
     _assert_in_place_steps_match_reference(
         scn, times, dt, lambda t: _GridPotential(_EffectiveModel(stages), K, z)(t))
+
+
+# a mono and a bichromatic stage, overlapping on the mono fall
+_MODEL_STAGES = [MonoStandingWave(ea0=3000.0, photon_energy=K, chi=0.7,
+                                  envelope=Envelope(0.5, 1.0, 0.5)),
+                 BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=K,
+                                 envelope=Envelope(0.4, 0.6, 0.3), start=1.7)]
+_MODEL_BREAKS = sorted({x for s in _MODEL_STAGES
+                        for x in (s.start, s.start + s.envelope.rise,
+                                  s.start + s.envelope.rise + s.envelope.plateau, s.end)})
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(times=st.lists(st.one_of(st.sampled_from(_MODEL_BREAKS), st.floats(-0.5, 3.5)),
+                      min_size=1, max_size=12))
+@example(times=list(np.linspace(-0.5, 3.5, 4001)))
+def test_full_field_model_on_time_array_equals_scalar_calls(times):
+    # before, on and after the stages, on the sin^2 edges, where they
+    # overlap and exactly at the stage boundaries: an array of times gives
+    # the scalar calls' bits, and zero rows where the scalar call gives None.
+    # The dense example meets the roundings that differ about once in a
+    # thousand, such as numpy's x * x against the C library's pow(x, 2).
+    model = _FullFieldModel(_MODEL_STAGES, K)
+    rows = model(np.array(times))
+    assert rows.shape == (len(times), 2, 5)
+    for t, row in zip(times, rows):
+        alone = model(float(t))
+        if alone is None:
+            assert not model.on(float(t)) and not row.any()
+        else:
+            assert np.array_equal(row, alone)
+
+
+def test_expm_skew_squares_each_matrix_as_far_as_its_norm_needs():
+    # 1-norms 1e-3 and 5 in one stack: each matrix matches the oracle and
+    # its own exponential alone, so a small one does not take the squarings
+    # of a large neighbour
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(3, 2, 17, 17)) + 1j * rng.normal(size=(3, 2, 17, 17))
+    x = g - g.conj().swapaxes(-1, -2)
+    x *= np.array([[1e-3, 5.0], [5.0, 5.0], [1e-3, 1e-3]])[..., None, None] / np.abs(x).sum(
+        axis=-2).max(axis=-1)[..., None, None]
+    u = _expm_skew(x)
+    for xs, us in zip(x.reshape(-1, 17, 17), u.reshape(-1, 17, 17)):
+        np.testing.assert_allclose(us, taylor_expm(xs), rtol=0, atol=1e-13)
+        assert np.array_equal(us, _expm_skew(xs))
 
 
 @pytest.mark.parametrize("scale", [0.5, 4.5, 60.0])

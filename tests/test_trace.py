@@ -4,7 +4,9 @@ them fails every traced run, so one tiny traced simulate runs per backend.  On
 the grid backends the kinetic step must go through ``numpy.fft`` and every
 potential step through ``propagation._apply_potential``, and on the mode
 lattice every fresh step through ``ModeLatticeEngine.gl2_step``, or the
-per-layer metrics silently read 0."""
+per-layer metrics silently read 0.  ``gl2_step`` takes a batch of fresh steps
+per call, so the traced ``propagation.gl2_steps`` counts batches; a guard
+checks that the batches stay many steps long."""
 
 import json
 import os
@@ -12,7 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from spinsplit.propagation import ModeLatticeEngine, run_scenario
+from spinsplit.scenario import parse_scenario_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +56,20 @@ def test_traced_run_succeeds(backend, tmp_path):
     else:
         assert any(name == "propagation.kinetic_fft" for name, *_ in record["spans"])
         assert record["counts"].get("potential_applies", 0) > 0
+
+
+def test_mode_lattice_batches_its_fresh_steps(monkeypatch):
+    # the edges of TINY hold about 600 fresh steps; one gl2_step call per
+    # step would be the unbatched loop
+    starts = []
+    gl2_step = ModeLatticeEngine.gl2_step
+
+    def counted(self, amps, t, dt):
+        starts.append(np.size(t))
+        return gl2_step(self, amps, t, dt)
+
+    monkeypatch.setattr(ModeLatticeEngine, "gl2_step", counted)
+    scn, _ = parse_scenario_text(TINY, backend="mode-lattice")
+    run_scenario(scn)
+    assert sum(starts) > 500
+    assert sum(starts) >= 10 * len(starts)

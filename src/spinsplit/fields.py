@@ -2,12 +2,12 @@
 
 Amplitudes are stored as e*a in eV.  The magnetic field returned is e*B_y in
 eV per natural length unit (B = dA_x/dz with the slowly varying envelope
-treated as z-independent).
+treated as z-independent).  Every function of time here is written once, in
+numpy, and works elementwise on an array of times.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -16,16 +16,6 @@ import numpy as np
 # Mean of f(t)^power over one sin^2 edge; power counts how many field factors
 # the driving term carries (A^2 terms: 2, the bichromatic three-photon term: 3).
 EDGE_AREA_WEIGHTS = {1: 0.5, 2: 3.0 / 8.0, 3: 5.0 / 16.0}
-
-_POW = np.frompyfunc(math.pow, 2, 1)
-
-
-def square(x) -> np.ndarray:
-    """x**2 elementwise as Python squares a float, through the C library's
-    pow.  numpy squares an array as x * x, which rounds differently about
-    once in a thousand, so a time would give other bits in an array than
-    alone."""
-    return x**2 if isinstance(x, float) else np.asarray(_POW(x, 2.0), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -45,27 +35,19 @@ class Envelope:
         return self.rise + self.plateau + self.fall
 
     def value(self, t):
-        """Envelope at local time t (t = 0 is the start of the rise)."""
-        if isinstance(t, float):
-            plateau_hi = self.rise + self.plateau
-            if self.rise <= t <= plateau_hi:
-                return 1.0
-            if 0.0 <= t < self.rise:
-                return math.sin(0.5 * math.pi * t / self.rise) ** 2
-            if plateau_hi < t < self.duration:
-                return math.sin(0.5 * math.pi * (self.duration - t) / self.fall) ** 2
-            return 0.0
+        """Envelope at local time t (t = 0 is the start of the rise),
+        elementwise on an array of times; a float for a single time."""
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         if self.rise > 0:
             m = (t >= 0) & (t < self.rise)
-            out[m] = square(np.sin(0.5 * np.pi * t[m] / self.rise))
+            out[m] = np.sin(0.5 * np.pi * t[m] / self.rise) ** 2
         plateau_lo = self.rise
         plateau_hi = self.rise + self.plateau
         out[(t >= plateau_lo) & (t <= plateau_hi)] = 1.0
         if self.fall > 0:
             m = (t > plateau_hi) & (t < self.duration)
-            out[m] = square(np.sin(0.5 * np.pi * (self.duration - t[m]) / self.fall))
+            out[m] = np.sin(0.5 * np.pi * (self.duration - t[m]) / self.fall) ** 2
         return out if out.ndim else float(out)
 
     def effective_duration(self, power: int) -> float:
@@ -169,24 +151,17 @@ def vector_potential(stage: FieldStage, t, z):
 
 def spatial_harmonics(stage: FieldStage, t):
     """(alpha_1, alpha_2): the coefficients of e^{ikz} and e^{2ikz} in
-    e*A_x(t, z), envelope included, at a time t or elementwise on an array
-    of times.  e*A_x is real and has no uniform part, so
-    alpha_{-j} = conj(alpha_j) and alpha_0 = 0.  A time alone is computed
-    in Python floats, with ``math``; each coefficient is built from its real
-    and imaginary parts (re + 1j * im is exact), so a time gives the same
-    bits alone and in an array."""
+    e*A_x(t, z), envelope included, elementwise on an array of times.
+    e*A_x is real and has no uniform part, so alpha_{-j} = conj(alpha_j) and
+    alpha_0 = 0."""
     f = stage_envelope(stage, t)
     w = stage.omega
-    xp = math if isinstance(t, float) else np
     if isinstance(stage, MonoStandingWave):
-        half = 0.5 * f * stage.ea0 * xp.cos(2.0 * w * t)
-        return (0j * half,
-                half * math.cos(0.5 * stage.chi) + 1j * (half * math.sin(0.5 * stage.chi)))
+        half = 0.5 * f * stage.ea0 * np.cos(2.0 * w * t)
+        return 0j * half, half * np.exp(0.5j * stage.chi)
     # cos(w t - k z) carries e^{-i w t}/2 on e^{ikz}; cos(2 w t + 2 k z) e^{2i w t}/2 on e^{2ikz}
-    a1 = 0.5 * f * stage.ea1
-    a2 = 0.5 * f * stage.ea2
-    return (a1 * xp.cos(w * t) - 1j * (a1 * xp.sin(w * t)),
-            a2 * xp.cos(2.0 * w * t) + 1j * (a2 * xp.sin(2.0 * w * t)))
+    return (0.5 * f * stage.ea1 * np.exp(-1j * w * t),
+            0.5 * f * stage.ea2 * np.exp(2j * w * t))
 
 
 def magnetic_field(stage: FieldStage, t, z):

@@ -62,12 +62,18 @@ def _bloch_from_spinors(up, dn):
     )
 
 
+def _spin_density(phi: np.ndarray, weight: float) -> np.ndarray:
+    """Reduced spin density sum_p phi(p) phi(p)^dagger weight of
+    spin-resolved momentum amplitudes phi (2, M) whose columns each carry the
+    measure ``weight``; its trace is the total norm."""
+    return phi @ phi.conj().T * weight
+
+
 def _channels(phi: np.ndarray, weight: float, plus, minus):
-    """(ChannelReport, reduced spin density) of spin-resolved momentum
-    amplitudes phi (2, M) whose columns each carry the measure ``weight``;
-    ``plus`` and ``minus`` select the columns of the two channels.  The
-    density is sum_p phi(p) phi(p)^dagger weight, with trace the total norm."""
-    rho = phi @ phi.conj().T * weight
+    """(ChannelReport, ``_spin_density(phi, weight)``) of spin-resolved
+    momentum amplitudes phi (2, M); ``plus`` and ``minus`` select the columns
+    of the two channels."""
+    rho = _spin_density(phi, weight)
     norm = float(rho.trace().real)
     pops = []
     blochs = []
@@ -211,8 +217,7 @@ def spin_momentum_entanglement(state) -> float:
     entanglement.
     """
     if isinstance(state, SpinorWavefunction):
-        phi = state.momentum_amplitudes()
-        rho = phi @ phi.conj().T * state.grid.momentum_spacing
+        rho = _spin_density(state.momentum_amplitudes(), state.grid.momentum_spacing)
     elif isinstance(state, BraggState):
         if abs(state.norm() - 1.0) > 1e-6:
             raise AnalysisError("BraggState must be normalized and pure")
@@ -220,7 +225,7 @@ def spin_momentum_entanglement(state) -> float:
         rho = np.outer(a[0:2], np.conj(a[0:2])) + np.outer(a[2:4], np.conj(a[2:4]))
     elif isinstance(state, np.ndarray) and state.ndim == 2 and state.shape[1] == 2:
         # mode-lattice amplitudes (2N+1, 2): rho = sum_n c_n c_n^dagger
-        rho = state.T @ state.conj()
+        rho = _spin_density(state.T, 1.0)
     else:
         raise AnalysisError("unsupported state type for entanglement")
     return _entropy_of_spin_density(rho)

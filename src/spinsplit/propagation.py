@@ -7,12 +7,16 @@ psi_+- = (psi_up -+ i psi_down)/sqrt(2), each a scalar Schroedinger problem
 with potential V+- = a +- b; sigma_y conservation is structural.  All stages
 share one photon energy, so V+- is a Fourier series with harmonics e^{ijkz},
 |j| <= 4, and every backend reads its coefficients from one field model.
-Observation rotates back to the z basis once per snapshot.
+The model takes an array of times and returns one row of coefficients per
+time, a zero row where no field acts; each backend calls it on all the
+times of a run of steps at once.  Observation rotates back to the z basis
+once per snapshot.
 
 * ``full-field``   - Strang splitting on the spatial grid with the exact
   time-dependent fields, whose coefficients come from each stage's spatial
-  harmonics, summed on the grid at the step midpoint.  The potential factor
-  is the exact phase exp(-i V+- dt) in each sector.
+  harmonics.  ``advance`` evaluates them once on its step midpoints and sums
+  V+- on the grid one step at a time.  The potential factor is the exact
+  phase exp(-i V+- dt) in each sector.
 * ``effective``    - same splitting with the cycle-averaged lattices (j = 4);
   inside pulse edges the monochromatic lattice scales as f(t)^2 and the
   bichromatic one as f(t)^3 (two resp. three field factors drive them).
@@ -253,66 +257,43 @@ def _z_spinor(sectors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# field model: a callable harmonics(t) -> complex (2, 5) array c[s, j], the
-# coefficients of e^{ijkz} (j = 0..4) in V+- = a +- b, or None when no field
-# acts; V is real, so c_{-j} = conj(c_j).  The full-field model also takes an
-# array of times, for the mode lattice's batches.
+# field model: a callable harmonics(t) on an array of times t -> complex
+# (..., 2, 5) array c[s, j], the coefficients of e^{ijkz} (j = 0..4) in
+# V+- = a +- b, one (2, 5) row per time and zero where no field acts; V is
+# real, so c_{-j} = conj(c_j).
 
 def _sectors(a, b) -> np.ndarray:
-    """c[s, j] of V+- = a +- b from the coefficients a_j and b_j, j = 0..4."""
-    return np.array([[x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]])
-
-
-def _product(x, y):
-    """x * y for complex numbers or elementwise for arrays, rounded as Python
-    forms the product.  numpy's vectorized complex product rounds
-    differently, so a time would give other bits in an array than alone.  A
-    factor that is real or imaginary rounds alike in both."""
-    if isinstance(x, complex):
-        return x * y
-    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+    """c[..., s, j] of V+- = a +- b from the coefficients a_j and b_j,
+    j = 0..4, each a scalar or an array of times."""
+    c = np.array([[x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]])
+    return np.moveaxis(c, (0, 1), (-2, -1))
 
 
 class _FullFieldModel:
     """The exact fields: eA = sum over j = +-1, +-2 of alpha_j e^{ijkz}
     (``fields.spatial_harmonics``, summed over the stages), so
     (eA)^2/2m is the self-convolution of the alpha_j, and d/dz multiplies
-    e^{ijkz} by i j k.  Its j = 0 term is (|alpha_1|^2 + |alpha_2|^2)/mc^2."""
+    e^{ijkz} by i j k.  Its j = 0 term is (|alpha_1|^2 + |alpha_2|^2)/mc^2.
+    An envelope is 0 outside its stage, so every stage contributes at every
+    time and a row is zero where no stage is on."""
 
     def __init__(self, stages, wavenumber: float):
         self.stages = list(stages)
         self.k = wavenumber
 
-    def on(self, t):
-        """Whether a stage is on at t, a time or elementwise on an array."""
-        if isinstance(t, float):
-            return any(s.start <= t <= s.end for s in self.stages)
-        on = np.zeros(np.shape(t), dtype=bool)
-        for s in self.stages:
-            on |= (s.start <= t) & (t <= s.end)
-        return on
-
     def __call__(self, t):
-        """c[s, j] at a time t, or None when no stage is on; for an array of
-        times, shape (..., 2, 5), with zero rows where no stage is on (an
-        envelope is 0 outside its stage, so every stage can contribute)."""
-        if isinstance(t, float):
-            if not self.on(t):
-                return None
-            t = float(t)  # a time alone is computed in Python floats
-        al1 = al2 = 0j * t  # complex zeros shaped like t
+        t = np.asarray(t, dtype=float)
+        al1 = al2 = np.zeros(t.shape, dtype=complex)
         for s in self.stages:
             c1, c2 = F.spatial_harmonics(s, t)
             al1 = al1 + c1
             al2 = al2 + c2
         scale = 0.5 / MC2_EV
-        a0 = 2.0 * scale * (F.square(al1.real) + F.square(al1.imag)
-                            + F.square(al2.real) + F.square(al2.imag))
-        a = (a0, _product(2.0 * scale * al2, al1.conjugate()), _product(scale * al1, al1),
-             _product(2.0 * scale * al1, al2), _product(scale * al2, al2))
+        a0 = 2.0 * scale * (al1.real**2 + al1.imag**2 + al2.real**2 + al2.imag**2)
+        a = (a0, 2.0 * scale * al2 * al1.conj(), scale * al1 * al1,
+             2.0 * scale * al1 * al2, scale * al2 * al2)
         kb = 1j * self.k * scale
-        c = _sectors(a, (0j, kb * al1, 2.0 * kb * al2, 0j, 0j))
-        return c if c.ndim == 2 else np.moveaxis(c, (0, 1), (-2, -1))
+        return _sectors(a, (0j, kb * al1, 2.0 * kb * al2, 0j, 0j))
 
 
 class _EffectiveModel:
@@ -334,13 +315,12 @@ class _EffectiveModel:
                 row[4] = 0.5j * pot.strength
                 self._entries.append((stage, power, _sectors(zero, row)))
 
-    def __call__(self, t: float):
-        c = None
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        c = np.zeros(t.shape + (2, 5), dtype=complex)
         for stage, power, unit in self._entries:
             f = stage.envelope.value(t - stage.start)
-            if f != 0.0:
-                term = f**power * unit
-                c = term if c is None else c + term
+            c += np.multiply.outer(f**power, unit)
         return c
 
 
@@ -417,7 +397,7 @@ def _apply_potential(psi: np.ndarray, v: np.ndarray, dt: float, work: _PhaseWork
 
 
 class _GridPotential:
-    """V+- = a +- b on the grid from a field model's coefficients c[s, j]:
+    """V+- = a +- b on the grid from the coefficients c[s, j] of one time:
     V = R(c) @ P with R(c) = [Re c_0, Re c_j, Im c_j] and the profiles
     P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built once.  While c repeats,
     a call returns the V of the previous one, so a plateau of the effective
@@ -430,10 +410,7 @@ class _GridPotential:
         self._c = None
         self._v = None
 
-    def __call__(self, t: float):
-        c = self.model(t)
-        if c is None:
-            return None
+    def __call__(self, c: np.ndarray) -> np.ndarray:
         if self._c is None or not np.array_equal(c, self._c):
             self._c = c
             self._v = np.hstack([c.real, c.imag[:, 1:]]) @ self._profiles
@@ -461,15 +438,17 @@ class _GridPropagator:
         return _apply_kinetic(psi, _kinetic_phase(self.grid, tau))
 
     def advance(self, psi: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
-        """Sectors at ta -> at tb, in equal steps no longer than dt."""
+        """Sectors at ta -> at tb, in equal steps no longer than dt, with the
+        field model called once on the array of the step midpoints."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
         half, full = _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h)
+        coefficients = self.potential.model(ta + (np.arange(n) + 0.5) * h)
+        acts = coefficients.any(axis=(-2, -1))
         _apply_kinetic(psi, half)
         for i in range(n):
-            v = self.potential(ta + (i + 0.5) * h)
-            if v is not None:
-                _apply_potential(psi, v, h, self._work)
+            if acts[i]:
+                _apply_potential(psi, self.potential(coefficients[i]), h, self._work)
             _apply_kinetic(psi, full if i < n - 1 else half)
         return psi
 
@@ -586,9 +565,9 @@ class ModeLatticeEngine:
         return amps
 
     def harmonics(self, t):
-        """c[s, j]: the coefficients of e^{ijkz} (j = 0..4) in V+- = a +- b at
-        a time t, or None when no stage is on; on an array of times, one row
-        per time, zero where no stage is on (``_FullFieldModel``)."""
+        """c[..., s, j]: the coefficients of e^{ijkz} (j = 0..4) in
+        V+- = a +- b on an array of times, one (2, 5) row per time, zero where
+        no stage is on (``_FullFieldModel``)."""
         return self._field(t)
 
     def _magnus(self, t: np.ndarray, dt: float):
@@ -613,7 +592,7 @@ class ModeLatticeEngine:
         omega *= -0.5j * dt
         omega += comm
         del comm
-        return _expm_skew(omega), self._field.on(nodes).any(axis=-1)
+        return _expm_skew(omega), c.any(axis=(-2, -1))
 
     def _step_class(self, t0: float, t1: float):
         """Indices of the stages overlapping [t0, t1] if every one of them is

@@ -264,6 +264,9 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
     if not isinstance(points, int) or isinstance(points, bool) or points <= 0:
         val.error("propagation.grid_points", f"bad value {points!r}")
         points = 16384
+    elif points & (points - 1):
+        val.error("propagation.grid_points", f"must be a power of two, got {points}")
+        points = 16384
     glen = val.number(prop, "grid_length", "propagation", default=None, positive=True)
     halfwidth = mode_halfwidth if mode_halfwidth is not None else prop.get("mode_halfwidth", 8)
     if not isinstance(halfwidth, int) or halfwidth < 4:

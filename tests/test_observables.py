@@ -3,9 +3,12 @@ import pytest
 
 from spinsplit.observables import (
     AnalysisError,
+    _entropy_of_spin_density,
     channel_report,
     fit_rabi,
+    grid_channels,
     mode_channel_report,
+    mode_channels,
     polarization_degree,
     spin_momentum_entanglement,
 )
@@ -188,3 +191,13 @@ class TestEntanglement:
         assert state.norm() == pytest.approx(norm, rel=1e-12)
         expected = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
         assert spin_momentum_entanglement(state) == pytest.approx(expected, abs=1e-9)
+
+    def test_channel_density_gives_the_same_entropy(self, rng):
+        # the runner takes the entropy of the channel report's spin density;
+        # spin_momentum_entanglement builds that density from the same
+        # amplitudes, so the two agree bit for bit on a grid and on modes
+        psi = np.sqrt(0.6) * packet(2 * K, "x+").psi + np.sqrt(0.4) * packet(-2 * K, "down").psi
+        wf = SpinorWavefunction(grid(), psi)
+        modes = rng.normal(size=(17, 2)) + 1j * rng.normal(size=(17, 2))
+        for state, (_, rho) in ((wf, grid_channels(wf, K)), (modes, mode_channels(modes))):
+            assert spin_momentum_entanglement(state) == _entropy_of_spin_density(rho)

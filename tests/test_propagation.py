@@ -3,8 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from taylor_expm import taylor_expm
 
 from spinsplit.analytic import EffectivePotential, effective_potential_value
@@ -200,21 +198,23 @@ class TestModeLattice:
         # the grid backends sum V+- on the grid from the same coefficients
         grid = SpatialGrid(8 * 2 * np.pi / K, 256)
         potential = _GridPotential(_FullFieldModel(stages, K), K, grid.z)
-        for t in (0.1, 0.45, 0.9, 1.95):
+        times = np.array([0.1, 0.45, 0.9, 1.95, 2.5])
+        rows = engine.harmonics(times)
+        assert rows.shape == (5, 2, 5)
+        for t, c in zip(times[:-1], rows):
             on = [s for s in stages if s.start <= t <= s.end]
             ea = sum(vector_potential(s, t, z) for s in on)
             eb = sum(magnetic_field(s, t, z) for s in on)
-            c = engine.harmonics(t)
             for got, want in (((c[0] + c[1]) / 2, np.fft.fft(ea * ea / (2 * MC2_EV))[:5] / 32),
                               ((c[0] - c[1]) / 2, np.fft.fft(eb / (2 * MC2_EV))[:5] / 32)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
             ea = sum(vector_potential(s, t, grid.z) for s in on)
             eb = sum(magnetic_field(s, t, grid.z) for s in on)
-            v = potential(t)
+            v = potential(c)
             for got, want in (((v[0] + v[1]) / 2, ea * ea / (2 * MC2_EV)),
                               ((v[0] - v[1]) / 2, eb / (2 * MC2_EV))):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert engine.harmonics(2.5) is None
+        assert not rows[-1].any()  # after the stages no field acts
 
     def test_effective_harmonics_match_fft_of_analytic_lattice(self):
         # the effective model's c[s, j] against the FFT of
@@ -229,15 +229,17 @@ class TestModeLattice:
                     (EffectivePotential.bichromatic(2.35e4, 2.35e4, K), 3)]
         model = _EffectiveModel(stages)
         z = np.arange(32) * (2 * np.pi / K) / 32
-        for t in (0.1, 0.45, 0.9, 1.95):
+        times = np.array([0.1, 0.45, 0.9, 1.95, 2.5])
+        rows = model(times)
+        assert rows.shape == (5, 2, 5)
+        for t, c in zip(times[:-1], rows):
             v = np.array([[sum(stage_envelope(s, t) ** power
                                * (y.conj() @ effective_potential_value(pot, zz) @ y).real
                                for s, (pot, power) in zip(stages, lattices))
                            for zz in z] for y in (SPIN_Y_PLUS, SPIN_Y_MINUS)])
             want = np.fft.fft(v, axis=1)[:, :5] / 32
-            np.testing.assert_allclose(model(t), want, rtol=0,
-                                       atol=1e-12 * np.max(np.abs(want)))
-        assert model(2.5) is None
+            np.testing.assert_allclose(c, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        assert not rows[-1].any()  # after the stages no field acts
 
     def test_advance_matches_chain_of_fresh_steps(self):
         # advance serves plateau steps from its cache (keyed by the active
@@ -499,33 +501,43 @@ def _reference_kinetic(grid, psi, tau):
     return np.fft.ifft(np.fft.fft(psi, axis=1) * np.exp(-0.5j * tau * grid.p**2 / MC2_EV), axis=1)
 
 
-def _reference_advance(grid, potential, psi, ta, tb, dt):
-    """The grid Strang step with out-of-place formulas: every FFT and every
-    exp(-i V+- h) is a new array, and nothing is cached or reused."""
+def _midpoints(ta, tb, dt):
     n = max(1, math.ceil((tb - ta) / dt - 1e-12))
     h = (tb - ta) / n
+    return ta + (np.arange(n) + 0.5) * h, h
+
+
+def _reference_advance(prop, psi, ta, tb, dt):
+    """The grid Strang step with out-of-place formulas: every FFT, every V+-
+    and every exp(-i V+- h) is a new array, and nothing is cached or reused.
+    The coefficients come from one field-model call on the step midpoints."""
+    grid, model = prop.grid, prop.potential.model
+    midpoints, h = _midpoints(ta, tb, dt)
     psi = _reference_kinetic(grid, psi, 0.5 * h)
-    for i in range(n):
-        v = potential(ta + (i + 0.5) * h)
-        if v is not None:
+    for i, c in enumerate(model(midpoints)):
+        if c.any():
+            v = _GridPotential(model, prop.hbar_k, grid.z)(c)
             psi = np.stack([psi[0] * np.exp(-1j * h * v[0]), psi[1] * np.exp(-1j * h * v[1])])
-        psi = _reference_kinetic(grid, psi, h if i < n - 1 else 0.5 * h)
+        psi = _reference_kinetic(grid, psi, h if i < len(midpoints) - 1 else 0.5 * h)
     return psi
 
 
-def _assert_in_place_steps_match_reference(scn, times, dt, reference_potential=None,
-                                           drift_until=0.0):
+def _assert_in_place_steps_match_reference(scn, times, dt, drift_until=0.0):
     prop, state = _propagator(scn)
     ref_prop, ref = _propagator(scn)
-    potential = reference_potential or ref_prop.potential
+    calls = []  # the times of each field-model call of prop
+    model = prop.potential.model
+    prop.potential.model = lambda t: calls.append(t) or model(t)
     if drift_until:
         assert prop.drift(state, drift_until) is state
         ref = _reference_kinetic(ref_prop.grid, ref, drift_until)
         assert np.array_equal(state, ref)
     for ta, tb in zip(times, times[1:]):
         assert prop.advance(state, ta, tb, dt) is state
-        ref = _reference_advance(ref_prop.grid, potential, ref, ta, tb, dt)
+        ref = _reference_advance(ref_prop, ref, ta, tb, dt)
         assert np.array_equal(state, ref), (ta, tb)
+        # one model call per advance, on the array of its step midpoints
+        assert len(calls) == 1 and np.array_equal(calls.pop(), _midpoints(ta, tb, dt)[0])
 
 
 def test_in_place_full_field_step_is_bit_identical():
@@ -549,40 +561,7 @@ def test_in_place_effective_step_is_bit_identical():
     scn = effective_scenario(stages, spin=(1, 1))  # x+
     times = scn.duration * np.array([0.0, 0.13, 0.29, 0.41, 0.58, 0.66, 0.83, 1.0])
     dt = timestep_ceiling("effective", stages) / 2.0
-    z = _propagator(scn)[0].grid.z
-    _assert_in_place_steps_match_reference(
-        scn, times, dt, lambda t: _GridPotential(_EffectiveModel(stages), K, z)(t))
-
-
-# a mono and a bichromatic stage, overlapping on the mono fall
-_MODEL_STAGES = [MonoStandingWave(ea0=3000.0, photon_energy=K, chi=0.7,
-                                  envelope=Envelope(0.5, 1.0, 0.5)),
-                 BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=K,
-                                 envelope=Envelope(0.4, 0.6, 0.3), start=1.7)]
-_MODEL_BREAKS = sorted({x for s in _MODEL_STAGES
-                        for x in (s.start, s.start + s.envelope.rise,
-                                  s.start + s.envelope.rise + s.envelope.plateau, s.end)})
-
-
-@settings(derandomize=True, database=None, deadline=None)
-@given(times=st.lists(st.one_of(st.sampled_from(_MODEL_BREAKS), st.floats(-0.5, 3.5)),
-                      min_size=1, max_size=12))
-@example(times=list(np.linspace(-0.5, 3.5, 4001)))
-def test_full_field_model_on_time_array_equals_scalar_calls(times):
-    # before, on and after the stages, on the sin^2 edges, where they
-    # overlap and exactly at the stage boundaries: an array of times gives
-    # the scalar calls' bits, and zero rows where the scalar call gives None.
-    # The dense example meets the roundings that differ about once in a
-    # thousand, such as numpy's x * x against the C library's pow(x, 2).
-    model = _FullFieldModel(_MODEL_STAGES, K)
-    rows = model(np.array(times))
-    assert rows.shape == (len(times), 2, 5)
-    for t, row in zip(times, rows):
-        alone = model(float(t))
-        if alone is None:
-            assert not model.on(float(t)) and not row.any()
-        else:
-            assert np.array_equal(row, alone)
+    _assert_in_place_steps_match_reference(scn, times, dt)
 
 
 def test_expm_skew_squares_each_matrix_as_far_as_its_norm_needs():

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinsplit.fields import BichromaticWave, MonoStandingWave
+from spinsplit import scenario as scenario_module
 from spinsplit.scenario import (
     ScenarioFileError,
     bundled_scenario_names,
@@ -27,6 +28,38 @@ propagation:
   grid_points: 1024
   grid_length: 0.8
 """
+
+# fig2 with an outputs mapping: a file with every level of mapping
+FULL = bundled_scenario_path("fig2").read_text() + "outputs:\n  format: csv\n"
+KNOWN_KEYS = set().union(*(getattr(scenario_module, name) for name in (
+    "_TOP_KEYS", "_UNIT_KEYS", "_ELECTRON_KEYS", "_STAGE_KEYS_MONO", "_STAGE_KEYS_BI",
+    "_PROP_KEYS", "_OUTPUT_KEYS")))
+
+
+def _key_slots(text: str) -> dict:
+    """Mapping path -> (indent, 0-based rows of its keys) for every block
+    mapping of the file, top level included, where a new key can go on a row
+    of its own right before the key of that row: the key starts its row (so
+    not the first key of a list item)."""
+    rows = text.splitlines()
+    slots = {}
+
+    def visit(node, path):
+        if isinstance(node, yaml.MappingNode):
+            keys = [k.start_mark for k, _ in node.value]
+            free = [m.line for m in keys if not rows[m.line][:m.column].strip()]
+            slots[path or "scenario"] = (keys[-1].column, free)
+            for key, value in node.value:
+                visit(value, f"{path}.{key.value}" if path else key.value)
+        elif isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                visit(item, f"{path}[{i}]")
+
+    visit(yaml.compose(text), "")
+    return slots
+
+
+FULL_SLOTS = _key_slots(FULL)
 
 
 class TestBundled:
@@ -86,6 +119,23 @@ class TestParsing:
         assert "unknown key" in str(err.value)
         assert "wavelength" in str(err.value)
 
+    @pytest.mark.parametrize("path", ["scenario", "units", "electron", "stages[0]", "stages[1]",
+                                      "stages[2]", "propagation", "outputs"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(key=st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True).filter(
+               lambda k: k not in KNOWN_KEYS and yaml.safe_load(k) == k),
+           value=st.sampled_from(["1", "2.5e3", "x", "[1, 2]", "{a: 1}", "null"]),
+           choice=st.integers(0, 20))
+    def test_unknown_key_reported_at_its_own_line(self, path, key, value, choice):
+        # a key no mapping knows, put before any key of the mapping at path
+        indent, rows = FULL_SLOTS[path]
+        row = rows[choice % len(rows)]
+        lines = FULL.splitlines(keepends=True)
+        lines.insert(row, f"{' ' * indent}{key}: {value}\n")
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text("".join(lines))
+        assert err.value.errors == [f"line {row + 1}: {path}.{key}: unknown key"]
+
     def test_negative_duration_names_field_and_line(self):
         bad = MINIMAL.replace("duration: 100.0", "duration: -5.0")
         with pytest.raises(ScenarioFileError) as err:
@@ -128,12 +178,16 @@ class TestParsing:
         ("a0", ".inf", "stages[0].a0: must be finite, got inf"),
         ("a0", "1" + "0" * 400, "stages[0].a0: must be finite, got inf"),
         ("grid_points", "true", "propagation.grid_points: bad value True"),
-    ], ids=["plateau", "duration", "snapshot_every", "a0", "a0-int", "grid_points"])
+        ("grid_points", "3000", "propagation.grid_points: must be a power of two, got 3000"),
+    ], ids=["plateau", "duration", "snapshot_every", "a0", "a0-int", "grid_points",
+            "grid_points-3000"])
     def test_nonfinite_numbers_and_boolean_counts_rejected(self, key, value, error):
         # each used to parse: a nan plateau gave a stage that never acts, a
         # nan duration or snapshot_every failed later in the runner, an
-        # infinite a0 failed mid-run, true was read as 1 grid point, and an
-        # integer beyond the float range raised OverflowError without a line
+        # infinite a0 failed mid-run, true was read as 1 grid point, 3000
+        # grid points failed later in the grid constructor without a line,
+        # and an integer beyond the float range raised OverflowError without
+        # a line
         lines = bundled_scenario_path("desk-mono").read_text().splitlines(keepends=True)
         (row,) = [i for i, line in enumerate(lines) if line.strip().startswith(f"{key}:")]
         lines[row] = f"{lines[row].split(':')[0]}: {value}\n"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import rabi_frequency_bi, rabi_frequency_mono
-from .units import C_NM_PER_FS, MC2_EV, TIME_UNIT_FS
+from .units import C_NM_PER_FS, C_SI, E_SI, EPSILON_0_SI, HBAR_SI, M_E_SI, MC2_EV, TIME_UNIT_FS
 
 XI_NONRELATIVISTIC_LIMIT = 0.2
 VELOCITY_FLAG_LIMIT = 0.05
@@ -66,15 +66,11 @@ def intensity_from_xi(xi: float, hbar_omega: float) -> float:
 
     Peak electric field E = xi m c omega / e, I = eps0 c E^2 / 2.
     """
-    # m_e and eps0 are measured CODATA values, so they come from scipy, which
-    # is imported here to keep it off the package's import path
-    import scipy.constants as _si
-
     if xi < 0 or hbar_omega <= 0:
         raise ValueError("need xi >= 0 and positive photon energy")
-    omega_si = hbar_omega * _si.eV / _si.hbar
-    e_peak = xi * _si.m_e * _si.c * omega_si / _si.e
-    intensity_w_m2 = 0.5 * _si.epsilon_0 * _si.c * e_peak**2
+    omega_si = hbar_omega * E_SI / HBAR_SI
+    e_peak = xi * M_E_SI * C_SI * omega_si / E_SI
+    intensity_w_m2 = 0.5 * EPSILON_0_SI * C_SI * e_peak**2
     return intensity_w_m2 * 1e-4
 
 

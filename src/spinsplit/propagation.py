@@ -15,8 +15,9 @@ once per snapshot.
 * ``full-field``   - Strang splitting on the spatial grid with the exact
   time-dependent fields, whose coefficients come from each stage's spatial
   harmonics.  ``advance`` evaluates them once on its step midpoints and sums
-  V+- on the grid one step at a time.  The potential factor is the exact
-  phase exp(-i V+- dt) in each sector.
+  V+- on the grid one step at a time.  The potential factor is the phase
+  exp(-i V+- dt) in each sector, built from one tangent tan(-V+- dt/2) per
+  grid point without sin or cos, within 4e-16 of the exact phase.
 * ``effective``    - same splitting with the cycle-averaged lattices (j = 4);
   inside pulse edges the monochromatic lattice scales as f(t)^2 and the
   bichromatic one as f(t)^3 (two resp. three field factors drive them).
@@ -370,58 +371,74 @@ def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 class _PhaseWork:
-    """Buffers of ``_apply_potential`` for N grid points: the angles -dt V,
-    the factor exp(-i dt V) of the last potential step, and the (V, dt) that
-    factor was made from."""
+    """Buffers of ``_apply_potential`` for N grid points: the half angles
+    -h V/2 (then their tangents tau), the weights 2/(1 + tau^2), the factor
+    exp(-i h V) of the last potential step, and the (c bytes, h) that factor
+    was made from."""
 
     def __init__(self, points: int):
         self.angle = np.empty((2, points))
+        self.weight = np.empty((2, points))
         self.factor = np.empty((2, points), dtype=complex)
         self.made_from = None
 
 
-def _apply_potential(psi: np.ndarray, v: np.ndarray, dt: float, work: _PhaseWork) -> None:
-    """In-place exp(-i V dt) on the sigma_y sectors psi of shape (2, N), with
-    V = (a + b, a - b) of the same shape.
+def _phase_from_half_angles(work: _PhaseWork) -> None:
+    """work.factor = exp(2i phi) for the half angles phi in work.angle, from
+    one tangent per point: with tau = tan(phi), exp(2i phi) =
+    (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2).  numpy's float64 tan is
+    vectorised where the CPU has AVX-512, while sin and cos run as scalar
+    loops; elsewhere one libm call per point replaces two.  Within 4.0e-16 of
+    np.exp(2i phi) for |2 phi| <= 50, |factor| within 4.4e-16 of 1, and
+    finite at 2 phi = +-pi, where tan(pi/2) is 1.6e16 in float64.  Overwrites
+    work.angle with the tangents."""
+    tau, weight = work.angle, work.weight
+    np.tan(tau, out=tau)
+    np.multiply(tau, tau, out=weight)
+    np.add(weight, 1.0, out=weight)
+    np.divide(2.0, weight, out=weight)
+    np.multiply(tau, weight, out=work.factor.imag)
+    np.subtract(weight, 1.0, out=work.factor.real)
 
-    The factor is cos + i sin of the real angles, built in ``work``; it is
-    reused while v is the very array of the last call and dt repeats
-    (``_GridPotential`` returns the same array while the field repeats)."""
-    made = work.made_from
-    if made is None or made[0] is not v or made[1] != dt:
-        work.made_from = (v, dt)
-        np.multiply(v, -dt, out=work.angle)
-        np.cos(work.angle, out=work.factor.real)
-        np.sin(work.angle, out=work.factor.imag)
+
+def _apply_potential(psi: np.ndarray, potential: _GridPotential, c: np.ndarray, h: float,
+                     work: _PhaseWork) -> None:
+    """In-place exp(-i V h) on the sigma_y sectors psi of shape (2, N), with
+    V = (a + b, a - b) summed on the grid from the coefficients c[s, j].
+
+    The half angles -h V/2 are written straight into ``work`` and turned into
+    the factor by ``_phase_from_half_angles``; the factor is reused while c
+    (bit for bit) and h repeat (a plateau of the effective model)."""
+    key = (c.tobytes(), h)
+    if work.made_from != key:
+        work.made_from = key
+        potential(c, -0.5 * h, out=work.angle)
+        _phase_from_half_angles(work)
     psi *= work.factor
 
 
 class _GridPotential:
     """V+- = a +- b on the grid from the coefficients c[s, j] of one time:
     V = R(c) @ P with R(c) = [Re c_0, Re c_j, Im c_j] and the profiles
-    P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built once.  While c repeats,
-    a call returns the V of the previous one, so a plateau of the effective
-    model reuses its potential factor."""
+    P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built once."""
 
     def __init__(self, model, wavenumber: float, z: np.ndarray):
         self.model = model
         jkz = (np.arange(1, 5) * wavenumber)[:, None] * z
         self._profiles = np.vstack([np.ones_like(z), 2.0 * np.cos(jkz), -2.0 * np.sin(jkz)])
-        self._c = None
-        self._v = None
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        if self._c is None or not np.array_equal(c, self._c):
-            self._c = c
-            self._v = np.hstack([c.real, c.imag[:, 1:]]) @ self._profiles
-        return self._v
+    def __call__(self, c: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None):
+        """scale * V, as (scale R(c)) @ P so that the scale costs no pass over
+        the grid; written into out if given."""
+        rows = np.hstack([c.real, c.imag[:, 1:]]) * scale
+        return np.matmul(rows, self._profiles, out=out)
 
 
 class _GridPropagator:
     """Strang splitting on the spatial grid: half kinetic, full potential at
     the step midpoint, half kinetic, with the half steps of neighbours merged.
     The state is the pair of sigma_y sectors (2, N), so the potential factor
-    is one exact phase per sector and every step is unitary to rounding.
+    is one phase per sector and every step is unitary to rounding.
 
     ``advance`` and ``drift`` work in place: they overwrite the complex
     (2, N) array they are given and return it."""
@@ -448,7 +465,7 @@ class _GridPropagator:
         _apply_kinetic(psi, half)
         for i in range(n):
             if acts[i]:
-                _apply_potential(psi, self.potential(coefficients[i]), h, self._work)
+                _apply_potential(psi, self.potential, coefficients[i], h, self._work)
             _apply_kinetic(psi, full if i < n - 1 else half)
         return psi
 

@@ -11,22 +11,27 @@ import math
 # SI constants that are exact by definition (2019 SI).  hbar is formed from h
 # as scipy.constants forms it, so the units below equal the ones built from
 # scipy.constants bit for bit, without importing scipy.
-_HBAR_SI = 6.62607015e-34 / (2 * math.pi)   # J s
-_E_SI = 1.602176634e-19                     # C
-_C_SI = 299792458.0                         # m/s
+HBAR_SI = 6.62607015e-34 / (2 * math.pi)    # J s
+E_SI = 1.602176634e-19                      # C
+C_SI = 299792458.0                          # m/s
+
+# Measured constants of the design calculator: the CODATA 2022 values, as
+# scipy.constants 1.17 returns them.
+M_E_SI = 9.1093837139e-31                   # kg
+EPSILON_0_SI = 8.8541878188e-12             # F/m
 
 # Electron rest energy used throughout the dynamical formulas [eV].
 MC2_EV = 5.110e5
 
 # One natural time unit (hbar / 1 eV) expressed in femtoseconds: 0.6582... fs
-TIME_UNIT_FS = _HBAR_SI / _E_SI * 1e15
+TIME_UNIT_FS = HBAR_SI / E_SI * 1e15
 
 # One natural length unit (hbar c / 1 eV) in nanometres: 197.33 nm
-LENGTH_UNIT_NM = _HBAR_SI * _C_SI / _E_SI * 1e9
+LENGTH_UNIT_NM = HBAR_SI * C_SI / E_SI * 1e9
 LENGTH_UNIT_UM = LENGTH_UNIT_NM * 1e-3
 
 # Speed of light in lab units, handy for the design calculator.
-C_NM_PER_FS = _C_SI * 1e-6
+C_NM_PER_FS = C_SI * 1e-6
 
 
 def fs_to_natural(t_fs: float) -> float:

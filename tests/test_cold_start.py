@@ -1,11 +1,12 @@
 """Start-up cost of the package, each measured in a fresh interpreter.
 
 ``import spinsplit`` must not load scipy: scipy.optimize alone adds about
-0.4 s to every CLI run, and only ``fit_rabi`` and the design calculator need
-scipy, so they import it when called.  Without scipy's import side effects
-the stepping loops must still not page-fault: numpy.fft's per-transform
-scratch row and the temporaries of a batch of mode-lattice steps must come
-from the heap, not from fresh mmaps (``propagation._keep_scratch_on_heap``)."""
+0.4 s to every CLI run, and only ``fit_rabi`` needs scipy, so it imports it
+when called; the design calculator reads its constants from ``units``.
+Without scipy's import side effects the stepping loops must still not
+page-fault: numpy.fft's per-transform scratch row and the temporaries of a
+batch of mode-lattice steps must come from the heap, not from fresh mmaps
+(``propagation._keep_scratch_on_heap``)."""
 
 import json
 import os
@@ -75,11 +76,17 @@ def _fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+SCIPY_MODULES = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+
 def test_import_loads_no_scipy():
-    loaded = _fresh("import json, sys\nimport spinsplit, spinsplit.cli\n"
-                    "print(json.dumps(sorted(m for m in sys.modules "
-                    "if m.split('.')[0] == 'scipy')))")
-    assert loaded == []
+    assert _fresh("import json, sys\nimport spinsplit, spinsplit.cli\n" + SCIPY_MODULES) == []
+
+
+def test_design_loads_no_scipy():
+    # ``spinsplit design`` prints its report, then the scipy modules it loaded
+    code = "import json, sys\nfrom spinsplit.cli import main\nassert main(['design']) == 0\n"
+    assert _fresh(code + SCIPY_MODULES) == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -23,6 +23,16 @@ HBAR_RABI_BI = 2.35e4**2 * 2.35e4 * 200.0 / (2.0 * MC2_EV**3)
 
 
 class TestIntensity:
+    def test_equals_scipy_constants_formula(self, rng):
+        # the same formula in scipy.constants' terms gives the same bits:
+        # units.py's m_e and eps0 are the values scipy returns
+        import scipy.constants as si
+
+        for xi, hw in [(XI_PAPER, HBAR_OMEGA), (XI_PAPER, 2 * HBAR_OMEGA),
+                       *zip(rng.uniform(0.0, 0.2, 10), rng.uniform(10.0, 2000.0, 10))]:
+            e_peak = xi * si.m_e * si.c * (hw * si.eV / si.hbar) / si.e
+            assert intensity_from_xi(xi, hw) == 0.5 * si.epsilon_0 * si.c * e_peak**2 * 1e-4
+
     def test_paper_value(self):
         assert intensity_from_xi(0.046, HBAR_OMEGA) == pytest.approx(7.6e19, rel=0.03)
 

@@ -22,6 +22,8 @@ from spinsplit.propagation import (
     _FullFieldModel,
     _GridPotential,
     _GridPropagator,
+    _phase_from_half_angles,
+    _PhaseWork,
     _propagator,
     PacketSpec,
     PropagationConfig,
@@ -507,17 +509,25 @@ def _midpoints(ta, tb, dt):
     return ta + (np.arange(n) + 0.5) * h, h
 
 
-def _reference_advance(prop, psi, ta, tb, dt):
-    """The grid Strang step with out-of-place formulas: every FFT, every V+-
-    and every exp(-i V+- h) is a new array, and nothing is cached or reused.
+def _reference_advance(prop, psi, ta, tb, dt, exact=False):
+    """The grid Strang step with out-of-place formulas: every FFT, every
+    angle and every potential factor is a new array, and nothing is cached or
+    reused.  The factor exp(-i V+- h) is built from tau = tan(-h V+-/2) as
+    (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2), or with exact=True by np.exp.
     The coefficients come from one field-model call on the step midpoints."""
     grid, model = prop.grid, prop.potential.model
+    potential = _GridPotential(model, prop.hbar_k, grid.z)
     midpoints, h = _midpoints(ta, tb, dt)
     psi = _reference_kinetic(grid, psi, 0.5 * h)
     for i, c in enumerate(model(midpoints)):
         if c.any():
-            v = _GridPotential(model, prop.hbar_k, grid.z)(c)
-            psi = np.stack([psi[0] * np.exp(-1j * h * v[0]), psi[1] * np.exp(-1j * h * v[1])])
+            if exact:
+                factor = np.exp(-1j * h * potential(c))
+            else:
+                tau = np.tan(potential(c, -0.5 * h))
+                weight = 2.0 / (1.0 + tau * tau)
+                factor = (weight - 1.0) + 1j * (tau * weight)
+            psi = psi * factor
         psi = _reference_kinetic(grid, psi, h if i < len(midpoints) - 1 else 0.5 * h)
     return psi
 
@@ -525,19 +535,39 @@ def _reference_advance(prop, psi, ta, tb, dt):
 def _assert_in_place_steps_match_reference(scn, times, dt, drift_until=0.0):
     prop, state = _propagator(scn)
     ref_prop, ref = _propagator(scn)
+    exact = ref.copy()
     calls = []  # the times of each field-model call of prop
     model = prop.potential.model
     prop.potential.model = lambda t: calls.append(t) or model(t)
     if drift_until:
         assert prop.drift(state, drift_until) is state
-        ref = _reference_kinetic(ref_prop.grid, ref, drift_until)
+        ref = exact = _reference_kinetic(ref_prop.grid, ref, drift_until)
         assert np.array_equal(state, ref)
     for ta, tb in zip(times, times[1:]):
         assert prop.advance(state, ta, tb, dt) is state
         ref = _reference_advance(ref_prop, ref, ta, tb, dt)
         assert np.array_equal(state, ref), (ta, tb)
+        # the tangent factor is exp(-i V h) to rounding
+        exact = _reference_advance(ref_prop, exact, ta, tb, dt, exact=True)
+        np.testing.assert_allclose(state, exact, rtol=0, atol=1e-13 * np.abs(exact).max())
         # one model call per advance, on the array of its step midpoints
         assert len(calls) == 1 and np.array_equal(calls.pop(), _midpoints(ta, tb, dt)[0])
+
+
+@pytest.mark.parametrize("theta", [np.linspace(-np.pi, np.pi, 400_001),
+                                   np.linspace(-50.0, 50.0, 400_001),
+                                   np.array([np.pi, -np.pi, 0.0, np.pi / 2])],
+                         ids=["one-turn", "many-turns", "edges"])
+def test_potential_factor_matches_exp(theta):
+    # the factor of _apply_potential from the half angles -theta/2 (exact
+    # in binary): exp(-i theta) to rounding, unimodular, and finite at
+    # theta = +-pi, where the tangent is 1.6e16
+    work = _PhaseWork(theta.size)
+    work.angle[:] = -0.5 * theta
+    _phase_from_half_angles(work)
+    assert np.isfinite(work.factor).all()
+    np.testing.assert_allclose(work.factor, [np.exp(-1j * theta)] * 2, rtol=0, atol=5e-16)
+    np.testing.assert_allclose(np.abs(work.factor), 1.0, rtol=0, atol=5e-16)
 
 
 def test_in_place_full_field_step_is_bit_identical():

@@ -48,3 +48,13 @@ def test_units_equal_scipy_formulas_exactly():
     assert units.TIME_UNIT_FS == si.hbar / si.eV * 1e15
     assert units.LENGTH_UNIT_NM == si.hbar * si.c / si.eV * 1e9
     assert units.C_NM_PER_FS == si.c * 1e-6
+
+
+def test_si_constants_equal_scipy_constants_exactly():
+    # the package writes out the SI constants so that no runtime path imports
+    # scipy; m_e and eps0 are measured, so a CODATA revision in scipy shows
+    # here
+    import scipy.constants as si
+
+    assert (units.HBAR_SI, units.E_SI, units.C_SI) == (si.hbar, si.e, si.c)
+    assert (units.M_E_SI, units.EPSILON_0_SI) == (si.m_e, si.epsilon_0)

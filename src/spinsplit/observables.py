@@ -3,6 +3,7 @@ polarization degrees, Rabi-trace fitting, and spin-momentum entanglement."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,12 +158,64 @@ class RabiFit:
         return self.omega * np.sqrt(max(0.0, 1.0 - self.visibility))
 
 
-def fit_rabi(t: np.ndarray, population: np.ndarray) -> RabiFit:
-    """Fit a Rabi oscillation trace; the trace must span at least half a period."""
-    # imported here, not at module level: scipy.optimize costs ~0.4 s of
-    # start-up that no other command needs
-    from scipy.optimize import curve_fit
+# Spectral peaks that seed a Rabi fit, and the Levenberg-Marquardt limits
+_RABI_SEEDS = 3
+_LM_ITERATIONS = 200
+_LM_STEP_TOL = 1e-12
 
+
+def _rabi_model(p: np.ndarray, t: np.ndarray):
+    """vis sin^2(omega t/2 + phase) for p = (omega, vis, phase), and its
+    Jacobian (len(t), 3)."""
+    omega, vis, phase = p
+    x = 0.5 * omega * t + phase
+    s = np.sin(x)
+    s2 = np.sin(2.0 * x)
+    return vis * s * s, np.stack([0.5 * vis * s2 * t, s * s, vis * s2], axis=1)
+
+
+def _fit_from(t: np.ndarray, pop: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Levenberg-Marquardt from p with each step clipped to the box [lo, hi]:
+    (parameters, sum of squared residuals).  The Jacobian's columns are
+    scaled to unit norm, so the damping weighs the parameters alike."""
+    f, jac = _rabi_model(p, t)
+    r = f - pop
+    cost = r @ r
+    damping = 1e-3
+    for _ in range(_LM_ITERATIONS):
+        scale = np.linalg.norm(jac, axis=0)
+        scale[scale == 0.0] = 1.0
+        js = jac / scale
+        step = np.linalg.solve(js.T @ js + damping * np.eye(3), -(js.T @ r)) / scale
+        trial = np.clip(p + step, lo, hi)
+        f, trial_jac = _rabi_model(trial, t)
+        trial_r = f - pop
+        trial_cost = trial_r @ trial_r
+        if trial_cost < cost:
+            moved = np.abs(trial - p) > _LM_STEP_TOL * np.array([abs(trial[0]), 1.0, 1.0])
+            p, r, jac, cost = trial, trial_r, trial_jac, trial_cost
+            damping = max(0.1 * damping, 1e-12)
+            if not moved.any():
+                break
+        elif damping > 1e12:
+            break
+        else:
+            damping *= 10.0
+    return p, cost
+
+
+def fit_rabi(t: np.ndarray, population: np.ndarray) -> RabiFit:
+    """Fit a Rabi oscillation trace; the trace must span at least half a period.
+
+    Least squares of vis sin^2(omega t/2 + phase) on equally spaced samples,
+    once from each of the ``_RABI_SEEDS`` largest peaks omega0 of the
+    trace's discrete spectrum, within omega0/4 <= omega <= 4 omega0,
+    0 <= vis <= 1.5 and |phase| <= pi; the fit with the least residual is
+    returned.  A single bin of a small fast ripple (an aliased carrier
+    harmonic, say) can outweigh the bin of the slow oscillation whose
+    weight is spread over its neighbours, so the largest peak alone is not
+    a safe start.  Each start takes vis and phase from a linear fit of
+    A + B cos(omega0 t) + C sin(omega0 t)."""
     t = np.asarray(t, dtype=float)
     pop = np.asarray(population, dtype=float)
     if t.size != pop.size or t.size < 8:
@@ -171,27 +224,28 @@ def fit_rabi(t: np.ndarray, population: np.ndarray) -> RabiFit:
     if spread < 1e-6:
         raise AnalysisError("trace is non-oscillatory (flat)")
 
-    # Frequency guess from the discrete spectrum of the detrended trace.
     dt = t[1] - t[0]
     spec = np.abs(np.fft.rfft(pop - pop.mean()))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(pop.size, d=dt)
-    omega0 = freqs[np.argmax(spec[1:]) + 1]
-    if omega0 <= 0.0:
+    padded = np.concatenate([[-np.inf], spec[1:], [-np.inf]])
+    peaks = np.flatnonzero((padded[1:-1] >= padded[:-2]) & (padded[1:-1] >= padded[2:])) + 1
+    seeds = freqs[peaks[np.argsort(-spec[peaks], kind="stable")][:_RABI_SEEDS]]
+    if not seeds.size or seeds[0] <= 0.0:
         raise AnalysisError("could not locate an oscillation frequency")
 
-    def model(tt, omega, vis, phase):
-        return vis * np.sin(0.5 * omega * tt + phase) ** 2
-
-    p0 = (omega0, min(spread, 1.0), 0.0)
-    try:
-        popt, _ = curve_fit(
-            model, t, pop, p0=p0,
-            bounds=([0.25 * omega0, 0.0, -np.pi], [4.0 * omega0, 1.5, np.pi]),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise AnalysisError(f"Rabi fit did not converge: {exc}") from exc
-    omega, vis, phase = popt
+    fits = []
+    for omega0 in seeds:
+        basis = np.stack([np.ones_like(t), np.cos(omega0 * t), np.sin(omega0 * t)], axis=1)
+        a, b, c = np.linalg.lstsq(basis, pop, rcond=None)[0]
+        # vis sin^2(x) = vis/2 - (vis/2) cos(2x), so A + |(B, C)| = vis,
+        # B = -(vis/2) cos(2 phase) and C = (vis/2) sin(2 phase)
+        lo = np.array([0.25 * omega0, 0.0, -np.pi])
+        hi = np.array([4.0 * omega0, 1.5, np.pi])
+        start = np.clip([omega0, a + math.hypot(b, c), 0.5 * math.atan2(c, -b)], lo, hi)
+        fits.append(_fit_from(t, pop, start, lo, hi))
+    (omega, vis, phase), cost = min(fits, key=lambda fit: fit[1])
+    if not np.isfinite(cost):
+        raise AnalysisError("Rabi fit did not converge")
     if omega * (t[-1] - t[0]) < np.pi * 0.9:
         raise AnalysisError("trace spans less than half a Rabi period")
     return RabiFit(float(omega), float(vis), float(phase))

@@ -4,8 +4,13 @@ H = p^2/2m + a(z,t) + b(z,t) sigma_y with a = (eA)^2/(2mc^2) and
 b = (e hbar/2mc) B_y.  [sigma_y, H] = 0 for every field modelled here, so
 every backend holds the state in the two sigma_y sectors
 psi_+- = (psi_up -+ i psi_down)/sqrt(2), each a scalar Schroedinger problem
-with potential V+- = a +- b; sigma_y conservation is structural.  All stages
-share one photon energy, so V+- is a Fourier series with harmonics e^{ijkz},
+with potential V+- = a +- b; sigma_y conservation is structural.  The grid
+backends hold one row per distinct sector potential: where b = 0 at every
+time (no stage, or only monochromatic stages on the effective backend),
+H = (p^2/2m + a) x 1, the spin is a spectator and psi = phi x chi, so they
+step the one spin-free packet phi, keep the constant sector weights chi+-
+and form the sectors chi+- phi only to observe.  All stages share one
+photon energy, so V+- is a Fourier series with harmonics e^{ijkz},
 |j| <= 4, and every backend reads its coefficients from one field model.
 The model takes an array of times and returns one row of coefficients per
 time, a zero row where no field acts; each backend calls it on all the
@@ -21,6 +26,8 @@ once per snapshot.
 * ``effective``    - same splitting with the cycle-averaged lattices (j = 4);
   inside pulse edges the monochromatic lattice scales as f(t)^2 and the
   bichromatic one as f(t)^3 (two resp. three field factors drive them).
+  Only the bichromatic lattice couples to the spin (b != 0): the
+  monochromatic standing waves act on both spins alike.
 * ``mode-lattice`` - amplitudes c_n on momenta n*hbar*k, |n| <= N, under the
   full-field coefficients; each sector is a (2N+1)-mode Hermitian problem
   with Toeplitz coupling.  Each step is the exact exponential of the
@@ -36,8 +43,9 @@ once per snapshot.
   Gauss-node times, one stacked commutator and one stacked exponential.
   A plateau's step cache is filled in the same batches.
 
-One runner drives every backend through the same three calls on the same
-state, the sigma_y sectors: ``advance`` across a snapshot interval with a
+One runner drives every backend through the same three calls on the state
+its propagator holds (the sigma_y sectors, or the spin-free packet):
+``advance`` across a snapshot interval with a
 field on, ``drift`` (the free phase) across one without, and ``observe`` at
 each snapshot (channel report and reduced spin density from
 ``observables``).  These propagators are the only steppers; the mode
@@ -371,15 +379,15 @@ def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 class _PhaseWork:
-    """Buffers of ``_apply_potential`` for N grid points: the half angles
-    -h V/2 (then their tangents tau), the weights 2/(1 + tau^2), the factor
-    exp(-i h V) of the last potential step, and the (c bytes, h) that factor
-    was made from."""
+    """Buffers of ``_apply_potential`` for a state of shape (rows, N): the
+    half angles -h V/2 (then their tangents tau), the weights 2/(1 + tau^2),
+    the factor exp(-i h V) of the last potential step, and the (c bytes, h)
+    that factor was made from."""
 
-    def __init__(self, points: int):
-        self.angle = np.empty((2, points))
-        self.weight = np.empty((2, points))
-        self.factor = np.empty((2, points), dtype=complex)
+    def __init__(self, points: int, rows: int = 2):
+        self.angle = np.empty((rows, points))
+        self.weight = np.empty((rows, points))
+        self.factor = np.empty((rows, points), dtype=complex)
         self.made_from = None
 
 
@@ -403,12 +411,15 @@ def _phase_from_half_angles(work: _PhaseWork) -> None:
 
 def _apply_potential(psi: np.ndarray, potential: _GridPotential, c: np.ndarray, h: float,
                      work: _PhaseWork) -> None:
-    """In-place exp(-i V h) on the sigma_y sectors psi of shape (2, N), with
-    V = (a + b, a - b) summed on the grid from the coefficients c[s, j].
+    """In-place exp(-i V h) on psi of shape (r, N), with V summed on the grid
+    from the first r rows of the coefficients c[s, j]: the sigma_y sectors
+    under V = (a + b, a - b) for r = 2, the spin-free packet under V = a
+    for r = 1 (where b = 0, so c+ = c-).
 
     The half angles -h V/2 are written straight into ``work`` and turned into
     the factor by ``_phase_from_half_angles``; the factor is reused while c
     (bit for bit) and h repeat (a plateau of the effective model)."""
+    c = c[:len(psi)]
     key = (c.tobytes(), h)
     if work.made_from != key:
         work.made_from = key
@@ -418,9 +429,10 @@ def _apply_potential(psi: np.ndarray, potential: _GridPotential, c: np.ndarray, 
 
 
 class _GridPotential:
-    """V+- = a +- b on the grid from the coefficients c[s, j] of one time:
-    V = R(c) @ P with R(c) = [Re c_0, Re c_j, Im c_j] and the profiles
-    P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built once."""
+    """V+- = a +- b on the grid from the coefficients c[s, j] of one time,
+    one row per row of c: V = R(c) @ P with R(c) = [Re c_0, Re c_j, Im c_j]
+    and the profiles P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built
+    once."""
 
     def __init__(self, model, wavenumber: float, z: np.ndarray):
         self.model = model
@@ -437,17 +449,22 @@ class _GridPotential:
 class _GridPropagator:
     """Strang splitting on the spatial grid: half kinetic, full potential at
     the step midpoint, half kinetic, with the half steps of neighbours merged.
-    The state is the pair of sigma_y sectors (2, N), so the potential factor
-    is one phase per sector and every step is unitary to rounding.
+    The state has one row per distinct sector potential, so the potential
+    factor is one phase per row and every step is unitary to rounding:
+    the pair of sigma_y sectors (2, N), or, given the constant sector
+    weights ``spin`` of a run in which b = 0 at every time, the spin-free
+    packet phi (1, N) under V = a.
 
     ``advance`` and ``drift`` work in place: they overwrite the complex
-    (2, N) array they are given and return it."""
+    (r, N) array they are given and return it."""
 
-    def __init__(self, grid: SpatialGrid, potential: _GridPotential, hbar_k: float):
+    def __init__(self, grid: SpatialGrid, potential: _GridPotential, hbar_k: float,
+                 spin: np.ndarray | None = None):
         self.grid = grid
         self.potential = potential
         self.hbar_k = hbar_k
-        self._work = _PhaseWork(grid.points)
+        self.spin = spin
+        self._work = _PhaseWork(grid.points, 2 if spin is None else 1)
         _keep_scratch_on_heap()
 
     def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
@@ -470,7 +487,10 @@ class _GridPropagator:
         return psi
 
     def observe(self, psi: np.ndarray):
-        """(z-basis wavefunction, channel report, reduced spin density)."""
+        """(z-basis wavefunction, channel report, reduced spin density); a
+        spin-free packet phi is first formed into the sectors spin * phi."""
+        if self.spin is not None:
+            psi = self.spin[:, None] * psi
         wf = SpinorWavefunction(self.grid, _z_spinor(psi))
         return (wf, *grid_channels(wf, self.hbar_k))
 
@@ -762,7 +782,11 @@ class _RowCollector:
 
 
 def _propagator(scn: Scenario):
-    """The backend's propagator and its initial state."""
+    """The backend's propagator and its initial state.  On a grid backend
+    the state is the two sigma_y sectors (2, N), or the spin-free packet
+    (1, N) with the sector weights kept by the propagator when no field
+    couples to the spin: no stage, or only monochromatic stages on the
+    effective backend."""
     cfg = scn.config
     packet = scn.packet
     if cfg.backend == "mode-lattice":
@@ -776,9 +800,14 @@ def _propagator(scn: Scenario):
         model = _FullFieldModel(scn.stages, k)
     else:
         model = _EffectiveModel(scn.stages)
-    prop = _GridPropagator(grid, _GridPotential(model, k, grid.z), k)
+    potential = _GridPotential(model, k, grid.z)
+    spin_blind = not scn.stages or (cfg.backend == "effective"
+                                    and all(s.kind == KIND_MONO for s in scn.stages))
+    if spin_blind:
+        phi = gaussian_packet(grid, packet.center, packet.width, packet.momentum, "up")
+        return _GridPropagator(grid, potential, k, _y_sectors(packet.spin)), phi.psi[:1]
     psi = gaussian_packet(grid, packet.center, packet.width, packet.momentum, packet.spin)
-    return prop, _y_sectors(psi.psi)
+    return _GridPropagator(grid, potential, k), _y_sectors(psi.psi)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

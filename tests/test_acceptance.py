@@ -4,6 +4,8 @@ Paper-scale full-field and mode-lattice runs take minutes to an hour and are
 marked slow; run them with  pytest -m slow tests/test_acceptance.py.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,10 @@ def test_c2_oracle_equivalence():
 
 # -- 3 -----------------------------------------------------------------------
 
-def _plateau_fit(name):
+@functools.cache
+def _plateau_trace(name):
+    """(t from the plateau start, pop_minus) over a bundled scenario's first
+    stage plateau; each scenario runs once per pytest process."""
     scn, _ = load_scenario(name)
     result = run_scenario(scn)
     stage = scn.stages[0]
@@ -87,7 +92,27 @@ def _plateau_fit(name):
     lo = stage.start + stage.envelope.rise
     hi = lo + stage.envelope.plateau
     mask = (ts.t >= lo) & (ts.t <= hi)
-    return fit_rabi(ts.t[mask] - lo, ts.pop_minus[mask])
+    return ts.t[mask] - lo, ts.pop_minus[mask]
+
+
+def _plateau_fit(name):
+    return fit_rabi(*_plateau_trace(name))
+
+
+def _curve_fit_omega(t, pop):
+    """The Rabi frequency of scipy's bounded curve_fit of
+    vis sin^2(omega t/2 + phase), started at the largest non-DC bin omega0 of
+    the trace's spectrum with vis = min(spread, 1) and phase = 0, within
+    [omega0/4, 4 omega0] x [0, 1.5] x [-pi, pi]."""
+    from scipy.optimize import curve_fit
+
+    spec = np.abs(np.fft.rfft(pop - pop.mean()))
+    omega0 = 2.0 * np.pi * np.fft.rfftfreq(pop.size, d=t[1] - t[0])[np.argmax(spec[1:]) + 1]
+    popt, _ = curve_fit(lambda tt, omega, vis, phase: vis * np.sin(0.5 * omega * tt + phase) ** 2,
+                        t, pop, p0=(omega0, min(np.ptp(pop), 1.0), 0.0),
+                        bounds=([0.25 * omega0, 0.0, -np.pi], [4.0 * omega0, 1.5, np.pi]),
+                        maxfev=20000)
+    return popt[0]
 
 
 def test_c3_rabi_frequency_regression():
@@ -107,6 +132,14 @@ def test_c3_rabi_frequency_regression():
     report(3, ok, f"mono fit {fit_m.omega:.4e} eV (dev {dev_m:.2%}), bichromatic fit "
                   f"{fit_b.omega:.4e} eV (dev {dev_b:.2%}, vs 9.73e-3: {dev_paper:.2%}), "
                   f"T_b = {t_b_fs:.1f} fs (dev {dev_tb:.2%})")
+
+
+@pytest.mark.parametrize("name", ["mono-rabi", "bichrom-rabi"])
+def test_c3_fit_matches_curve_fit(name):
+    # fit_rabi's numpy least squares reaches the minimum that scipy's
+    # curve_fit finds on C3's plateau traces
+    t, pop = _plateau_trace(name)
+    assert fit_rabi(t, pop).omega == pytest.approx(_curve_fit_omega(t, pop), rel=1e-6)
 
 
 # -- 4 -----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Start-up cost of the package, each measured in a fresh interpreter.
 
-``import spinsplit`` must not load scipy: scipy.optimize alone adds about
-0.4 s to every CLI run, and only ``fit_rabi`` needs scipy, so it imports it
-when called; the design calculator reads its constants from ``units``.
+The package must not load scipy, which is a test dependency only:
+scipy.optimize alone adds about 0.4 s and 49 MB to a CLI run.  ``fit_rabi``
+fits in numpy, and the design calculator reads its constants from
+``units``.
 Without scipy's import side effects the stepping loops must still not
 page-fault: numpy.fft's per-transform scratch row and the temporaries of a
 batch of mode-lattice steps must come from the heap, not from fresh mmaps
@@ -81,6 +82,49 @@ SCIPY_MODULES = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[
 
 def test_import_loads_no_scipy():
     assert _fresh("import json, sys\nimport spinsplit, spinsplit.cli\n" + SCIPY_MODULES) == []
+
+
+# the rabi-trace benchmark workload at an eighth of its grid: mono-rabi's
+# lattice on the effective backend over a little more than half a Rabi
+# period, with CSV snapshots every 5 fs; then a Rabi fit on the plateau
+RABI_SCENARIO = """\
+label: cold-rabi-trace
+units: {time: fs, length: um}
+electron: {center: 0.0, width: 0.02, momentum: 400.0, spin: x+}
+stages:
+  - {kind: monochromatic, label: grating, a0: 100.0, photon_energy: 200.0, chi: 0.0,
+     start: 1.0, rise: 0.5, plateau: 220.0, fall: 0.5}
+duration: 227.0
+propagation:
+  {backend: effective, snapshot_every: 5.0, grid_points: 1024, grid_length: 0.32,
+   mono_convention: traveling}
+outputs: {format: csv}
+"""
+
+RABI_TRACE = f"""
+import json, sys, tempfile
+from pathlib import Path
+import spinsplit.cli as cli
+from spinsplit.observables import fit_rabi
+
+results = []
+run = cli.run_scenario
+cli.run_scenario = lambda scn: results.append(run(scn)) or results[-1]
+with tempfile.TemporaryDirectory() as tmp:
+    scenario = Path(tmp) / "rabi.scenario"
+    scenario.write_text({RABI_SCENARIO!r})
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", tmp + "/out"]) == 0
+stage = results[0].scenario.stages[0]
+ts = results[0].timeseries
+lo = stage.start + stage.envelope.rise
+mask = (ts.t >= lo) & (ts.t <= lo + stage.envelope.plateau)
+assert fit_rabi(ts.t[mask] - lo, ts.pop_minus[mask]).omega > 0
+"""
+
+
+def test_rabi_trace_loads_no_scipy():
+    # a CLI simulate that writes CSV snapshots, then fit_rabi
+    assert _fresh(RABI_TRACE + SCIPY_MODULES) == []
 
 
 def test_design_loads_no_scipy():

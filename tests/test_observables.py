@@ -20,7 +20,7 @@ from spinsplit.states import (
     SpinorWavefunction,
     gaussian_packet,
 )
-from spinsplit.units import um_to_natural
+from spinsplit.units import fs_to_natural, um_to_natural
 
 K = 200.0
 
@@ -147,6 +147,22 @@ class TestFitRabi:
         t = np.linspace(0, 100, 64)
         with pytest.raises(AnalysisError):
             fit_rabi(t, np.full_like(t, 0.25))
+
+    def test_aliased_ripple_does_not_capture_the_fit(self):
+        # half a slow Rabi period sampled every 2.5 fs for 240 fs, plus a
+        # small ripple on FFT bin 39 (a carrier harmonic aliased to 6.2 fs)
+        # whose bin outweighs the slow one, 1.21 against 1.05; a fit started
+        # only from the largest bin settles on the ripple
+        dt = fs_to_natural(2.5)
+        t = np.arange(97) * dt
+        omega0 = np.pi / t[-1]
+        ripple = 0.025 * np.cos(2 * np.pi * 39 / 97 * t / dt)
+        pop = 0.1 * np.sin(0.5 * omega0 * t + 0.8) ** 2 + ripple
+        spec = np.abs(np.fft.rfft(pop - pop.mean()))
+        assert np.argmax(spec[1:]) + 1 == 39 and spec[39] > 1.1 * spec[1]
+        fit = fit_rabi(t, pop)
+        assert fit.omega == pytest.approx(omega0, rel=1e-2)
+        assert fit.visibility == pytest.approx(0.1, rel=5e-2)
 
     def test_short_trace_rejected(self):
         omega0 = 0.01

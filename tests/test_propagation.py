@@ -25,6 +25,8 @@ from spinsplit.propagation import (
     _phase_from_half_angles,
     _PhaseWork,
     _propagator,
+    _y_sectors,
+    _z_spinor,
     PacketSpec,
     PropagationConfig,
     Scenario,
@@ -620,3 +622,55 @@ def test_expm_skew_matches_taylor_oracle(scale):
     np.testing.assert_allclose(u, [taylor_expm(m) for m in x], rtol=0, atol=1e-13)
     unitarity = u.conj().swapaxes(-1, -2) @ u - np.eye(17)
     assert np.max(np.abs(unitarity)) < 1e-13
+
+
+@pytest.mark.parametrize("spin", [(1, 0), tuple(SPIN_Y_MINUS), (1, 1), "seeded"],
+                         ids=["up", "y-", "x+", "seeded"])
+def test_spin_free_packet_follows_the_two_sector_step(spin):
+    # monochromatic stages on the effective backend act on both spins alike
+    # (b = 0), so the grid propagator steps the spin-free packet phi alone;
+    # its sectors spin * phi must follow the two-row reference step on the
+    # free flight, the rise, the plateau and the fall
+    if isinstance(spin, str):
+        spin = tuple(np.random.default_rng(12).normal(size=(2, 2)) @ [1, 1j])
+    scn = effective_scenario([mono_stage(np.pi / 2, chi=0.3, rise_fs=5.0)], spin=spin)
+    prop, phi = _propagator(scn)
+    points = scn.config.grid_points
+    assert phi.shape == (1, points)
+    packet = gaussian_packet(prop.grid, scn.packet.center, scn.packet.width,
+                             scn.packet.momentum, scn.packet.spin)
+    ref = _y_sectors(packet.psi)
+    start = scn.stages[0].start
+    assert prop.drift(phi, start) is phi
+    ref = _reference_kinetic(prop.grid, ref, start)
+    fractions = np.array([0.0, 0.13, 0.29, 0.41, 0.58, 0.66, 0.83, 1.0])
+    times = start + (scn.duration - start) * fractions
+    dt = timestep_ceiling("effective", scn.stages) / 2.0
+    for ta, tb in zip(times, times[1:]):
+        assert prop.advance(phi, ta, tb, dt) is phi and phi.shape == (1, points)
+        ref = _reference_advance(prop, ref, ta, tb, dt)
+        np.testing.assert_allclose(prop.spin[:, None] * phi, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+    wf = prop.observe(phi)[0]
+    np.testing.assert_allclose(wf.psi, _z_spinor(ref), rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("backend, kinds, rows", [
+    ("effective", ("mono",), 1),
+    ("effective", (), 1),
+    ("full-field", (), 1),
+    ("effective", ("mono", "bi"), 2),
+    ("effective", ("bi",), 2),
+    ("full-field", ("mono",), 2),
+])
+def test_state_holds_one_row_per_sector_potential(backend, kinds, rows):
+    # b = 0 at every time without a stage, and on the effective backend with
+    # monochromatic stages only; the full-field standing wave's B_y couples
+    # to the spin.  Observation always sees both spin components.
+    make = {"mono": lambda: mono_stage(np.pi / 2), "bi": lambda: bi_stage(np.pi / 2, start_fs=50.0)}
+    scn = with_backend(effective_scenario([make[k]() for k in kinds], spin=(1, 1)), backend)
+    prop, state = _propagator(scn)
+    points = scn.config.grid_points
+    assert state.shape == (rows, points)
+    assert (prop.spin is None) == (rows == 2)
+    assert prop.observe(state)[0].psi.shape == (2, points)

@@ -8,6 +8,7 @@ every file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .design import LaserSpec, ToleranceBudget, full_design_report
 from .observables import spin_momentum_entanglement
 from .propagation import run_scenario, stage_pulse_areas, with_backend
 from .scenario import OutputSpec, ScenarioFileError, load_scenario
-from .states import BraggState, unpolarized_density
+from .states import BraggState, SpatialGrid, unpolarized_density
 from .units import natural_to_fs, natural_to_um
 
 
@@ -38,9 +39,15 @@ def _header(scenario_hash: str | None) -> str:
     )
 
 
-def _write(path: Path, text: str):
+def _write(path: Path, content):
+    """Write content to path, making its directory: a str, bytes, or an
+    iterable of str chunks, each written as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+        return
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines([content] if isinstance(content, str) else content)
 
 
 TIMESERIES_COLUMNS = (
@@ -94,14 +101,46 @@ def read_snapshot_binary(data: bytes):
     return header, block
 
 
-def snapshot_csv(t, psi, scenario_hash) -> str:
-    block = _snapshot_block(psi)
-    # one row per grid point, each value as _fmt writes a float
-    rows = (",".join(["%.12g"] * len(SNAPSHOT_COLUMNS)) + "\n") * block.shape[1]
-    return (_header(scenario_hash)
-            + f"# time_fs={_fmt(natural_to_fs(t))} norm={_fmt(psi.norm())}\n"
-            + ",".join(SNAPSHOT_COLUMNS) + "\n"
-            + rows % tuple(block.T.ravel().tolist()))
+# rows per chunk of snapshot_csv, so that no snapshot file is ever whole in memory
+_CSV_BLOCK_ROWS = 1024
+
+
+@functools.lru_cache(maxsize=4)
+def _snapshot_row_templates(length: float, points: int) -> tuple:
+    """The data rows of a snapshot CSV on the grid (length, points), in
+    blocks of _CSV_BLOCK_ROWS: each row's z_um value written in as _fmt
+    writes a float, then a %.12g slot per psi column.  z is the same in
+    every snapshot of a run, so it is formatted once."""
+    slots = ",%.12g" * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
+    rows = ["%.12g" % z + slots for z in natural_to_um(SpatialGrid(length, points).z).tolist()]
+    return tuple("".join(rows[i:i + _CSV_BLOCK_ROWS]) for i in range(0, points, _CSV_BLOCK_ROWS))
+
+
+def snapshot_csv(t, psi, scenario_hash):
+    """The snapshot's CSV text in chunks: the header lines, then blocks of
+    _CSV_BLOCK_ROWS rows, one row per grid point."""
+    yield (_header(scenario_hash)
+           + f"# time_fs={_fmt(natural_to_fs(t))} norm={_fmt(psi.norm())}\n"
+           + ",".join(SNAPSHOT_COLUMNS) + "\n")
+    templates = _snapshot_row_templates(psi.grid.length, psi.grid.points)
+    for lo, template in zip(range(0, psi.grid.points, _CSV_BLOCK_ROWS), templates):
+        # rows (re_up, im_up, re_dn, im_dn): each point's spinor as float pairs
+        values = np.ascontiguousarray(psi.psi[:, lo:lo + _CSV_BLOCK_ROWS].T).view(np.float64)
+        yield template % tuple(values.ravel().tolist())
+
+
+def _snapshot_writer(snap_dir: Path, fmt: str, scenario_hash):
+    """The runner's snapshot sink for ``simulate --out``: snapshot i goes to
+    its file in snap_dir as soon as it is observed, and the first write
+    makes snap_dir."""
+
+    def write(i, t, psi):
+        if fmt == "binary":
+            _write(snap_dir / f"{i:06d}.snap", snapshot_binary(t, psi, scenario_hash))
+        else:
+            _write(snap_dir / f"{i:06d}.csv", snapshot_csv(t, psi, scenario_hash))
+
+    return write
 
 
 def _report_row(report, entropy) -> list:
@@ -222,26 +261,16 @@ def cmd_simulate(args) -> int:
     if args.fmt:
         out_spec = OutputSpec(format=args.fmt, timeseries=out_spec.timeseries,
                               snapshots=out_spec.snapshots)
-    write_snaps = args.out is not None and not args.no_snapshots
-    if write_snaps:
-        scenario.config.keep_snapshots = True
+    # wavefunction dumps exist only for the grid backends; mode-lattice
+    # snapshots are amplitude vectors already summarized in the series
+    if args.out and not args.no_snapshots and scenario.config.backend != "mode-lattice":
+        scenario.config.on_snapshot = _snapshot_writer(
+            Path(args.out) / out_spec.snapshots, out_spec.format, scenario.source_hash)
     result = run_scenario(scenario)
     summary = result.final_report
     if args.out:
         out = Path(args.out)
         _write(out / out_spec.timeseries, timeseries_csv(result, scenario.source_hash))
-        # wavefunction dumps exist only for the grid backends; mode-lattice
-        # snapshots are amplitude vectors already summarized in the series
-        if write_snaps and result.snapshots and result.final_psi is not None:
-            snap_dir = out / out_spec.snapshots
-            snap_dir.mkdir(parents=True, exist_ok=True)
-            for i, (t, psi) in enumerate(result.snapshots):
-                if out_spec.format == "binary":
-                    (snap_dir / f"{i:06d}.snap").write_bytes(
-                        snapshot_binary(t, psi, scenario.source_hash))
-                else:
-                    _write(snap_dir / f"{i:06d}.csv",
-                           snapshot_csv(t, psi, scenario.source_hash))
         report_lines = [_header(scenario.source_hash).rstrip()]
         for key, value in zip(PREDICTION_COLUMNS.split(",")[1:],
                               _report_row(summary, result.timeseries.entropy[-1])):

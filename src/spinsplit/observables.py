@@ -89,10 +89,12 @@ def _channels(phi: np.ndarray, weight: float, plus, minus):
     return report, rho
 
 
-def grid_channels(psi: SpinorWavefunction, hbar_k: float):
-    """(ChannelReport, reduced spin density) of a wavefunction from one
-    momentum FFT, with bins |p -+ 2 hbar k| <= hbar k."""
-    phi = psi.momentum_amplitudes()
+def grid_channels(psi: SpinorWavefunction, hbar_k: float, phi: np.ndarray | None = None):
+    """(ChannelReport, reduced spin density) of a wavefunction from its
+    momentum amplitudes phi (one momentum FFT unless given), with bins
+    |p -+ 2 hbar k| <= hbar k."""
+    if phi is None:
+        phi = psi.momentum_amplitudes()
     p = psi.grid.p
     center = 2.0 * hbar_k
     return _channels(phi, psi.grid.momentum_spacing,

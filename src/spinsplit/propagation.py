@@ -48,7 +48,10 @@ its propagator holds (the sigma_y sectors, or the spin-free packet):
 ``advance`` across a snapshot interval with a
 field on, ``drift`` (the free phase) across one without, and ``observe`` at
 each snapshot (channel report and reduced spin density from
-``observables``).  These propagators are the only steppers; the mode
+``observables``, and the leakage shares the run warns about).  The runner
+keeps no snapshot: it hands each one to the config's ``on_snapshot`` sink,
+if any, as ``on_snapshot(index, t, snapshot)``, and holds only the last as
+the final state.  These propagators are the only steppers; the mode
 lattice's one fresh-step path, ``gl2_step``, is also the reference that
 ``advance`` is tested against.
 
@@ -63,6 +66,7 @@ import ctypes
 import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,7 +112,8 @@ class PropagationConfig:
     mode_halfwidth: int = 8
     grid_points: int = DEFAULT_GRID_POINTS
     grid_length: float = DEFAULT_GRID_LENGTH
-    keep_snapshots: bool = False
+    # called as on_snapshot(index, t, snapshot) at each observation
+    on_snapshot: Callable[[int, float, object], None] | None = None
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -188,7 +193,6 @@ class ScenarioResult:
     final_report: ChannelReport
     final_psi: SpinorWavefunction | None = None
     warnings: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +462,12 @@ class _GridPropagator:
     ``advance`` and ``drift`` work in place: they overwrite the complex
     (r, N) array they are given and return it."""
 
+    # what each leakage share of ``observe`` measures, and the remedy
+    monitors = ("density share {:.2e} in the outer 1/32 of the box at t={:.6g} fs; "
+                "increase grid_length",
+                "momentum weight {:.2e} above 0.9 p_Nyquist at t={:.6g} fs; "
+                "increase grid_points")
+
     def __init__(self, grid: SpatialGrid, potential: _GridPotential, hbar_k: float,
                  spin: np.ndarray | None = None):
         self.grid = grid
@@ -465,6 +475,8 @@ class _GridPropagator:
         self.hbar_k = hbar_k
         self.spin = spin
         self._work = _PhaseWork(grid.points, 2 if spin is None else 1)
+        self._edge = np.flatnonzero(np.abs(grid.z) >= (0.5 - 1.0 / 32.0) * grid.length)
+        self._nyquist = np.flatnonzero(np.abs(grid.p) > 0.9 * np.pi / grid.spacing)
         _keep_scratch_on_heap()
 
     def drift(self, psi: np.ndarray, tau: float) -> np.ndarray:
@@ -487,12 +499,19 @@ class _GridPropagator:
         return psi
 
     def observe(self, psi: np.ndarray):
-        """(z-basis wavefunction, channel report, reduced spin density); a
-        spin-free packet phi is first formed into the sectors spin * phi."""
+        """(z-basis wavefunction, channel report, reduced spin density, the
+        ``monitors`` shares of the norm: density at the box edges, momentum
+        weight near Nyquist); a spin-free packet phi is first formed into the
+        sectors spin * phi.  The channels and the Nyquist weight share one
+        momentum FFT."""
         if self.spin is not None:
             psi = self.spin[:, None] * psi
         wf = SpinorWavefunction(self.grid, _z_spinor(psi))
-        return (wf, *grid_channels(wf, self.hbar_k))
+        phi = wf.momentum_amplitudes()
+        report, rho = grid_channels(wf, self.hbar_k, phi)
+        edge = np.sum(np.abs(wf.psi[:, self._edge]) ** 2) * self.grid.spacing
+        high = np.sum(np.abs(phi[:, self._nyquist]) ** 2) * self.grid.momentum_spacing
+        return wf, report, rho, (edge / report.total_norm, high / report.total_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +607,8 @@ class ModeLatticeEngine:
         self._gather = np.where((np.abs(diff) <= 4) & (diff != 0), diff + 4, 9)
         self._kinetic = np.diag(self.energies).astype(complex)
         self._field = _FullFieldModel(self.stages, wavenumber)
+        self.monitors = (f"population {{:.2e}} at |n| = {halfwidth} at t={{:.6g}} fs; "
+                         "increase mode_halfwidth",)
         self._batch = max(1, _BATCH_ELEMENTS // (2 * m * m))
         self._plateau = None    # (stages on their plateau, M) that the cache serves
         self._cache = {}        # lattice phase i mod M -> step propagators
@@ -732,12 +753,10 @@ class ModeLatticeEngine:
 
     def observe(self, amps: np.ndarray):
         """(z-basis amplitudes (2N+1, 2), channel report of the modes n = +-2,
-        reduced spin density)."""
+        reduced spin density, the ``monitors`` share: population at |n| = N)."""
         c = _z_spinor(amps).T
-        return (c, *mode_channels(c))
-
-    def edge_population(self, c: np.ndarray) -> float:
-        return float(np.sum(np.abs(c[0]) ** 2) + np.sum(np.abs(c[-1]) ** 2))
+        report, rho = mode_channels(c)
+        return c, report, rho, (float(np.sum(np.abs(c[[0, -1]]) ** 2)),)
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +768,11 @@ def _analysis_wavenumber(scn: Scenario) -> float:
     if scn.packet.momentum != 0.0:
         return abs(scn.packet.momentum) / 2.0
     return 1.0
+
+
+# A run warns once per leakage monitor whose share of the norm exceeds this
+# at a snapshot: a grid's box edge or Nyquist band, the mode lattice's |n| = N.
+_LEAKAGE_LIMIT = 1e-6
 
 
 def _warn(run_warnings: list, msg: str) -> None:
@@ -811,8 +835,9 @@ def _propagator(scn: Scenario):
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Propagate a scenario with its configured backend and return snapshots,
-    the observable time series, and the final state."""
+    """Propagate a scenario with its configured backend and return the
+    observable time series and the final state; each snapshot goes to the
+    config's ``on_snapshot`` sink as it is observed."""
     scn = scenario.validate()
     cfg = scn.config
     cadence = cfg.snapshot_every or scn.duration / 128.0
@@ -827,9 +852,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     prop, state = _propagator(scn)
     modes = cfg.backend == "mode-lattice"
     collector = _RowCollector()
-    snapshots = []
     norm0 = None
-    edge_warned = False
+    warned = set()
     for i, t in enumerate(times):
         if i:
             ta = times[i - 1]
@@ -837,24 +861,23 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 state = prop.advance(state, ta, t, dt)
             else:
                 state = prop.drift(state, t - ta)
-        snap, report, rho = prop.observe(state)
+        snap, report, rho, leakage = prop.observe(state)
         norm = report.total_norm
         if not np.isfinite(norm):
             raise PropagationError(f"non-finite norm at t={t:.6g}")
         norm0 = norm if norm0 is None else norm0
         collector.add(t, report, _entropy_of_spin_density(rho), norm, norm0,
                       float(2.0 * rho[1, 0].imag / norm))
-        if cfg.keep_snapshots:
-            snapshots.append((t, snap))
-        if modes and not edge_warned and prop.edge_population(snap) > 1e-6:
-            edge_warned = True
-            _warn(run_warnings, f"population {prop.edge_population(snap):.2e} at |n| = {prop.N} "
-                                f"at t={t:.6g}; increase mode_halfwidth")
+        for monitor, share in zip(prop.monitors, leakage):
+            if share > _LEAKAGE_LIMIT and monitor not in warned:
+                warned.add(monitor)
+                _warn(run_warnings, monitor.format(share, natural_to_fs(t)))
+        if cfg.on_snapshot is not None:
+            cfg.on_snapshot(i, t, snap)
 
     return ScenarioResult(
         scenario=scn, backend=cfg.backend, timeseries=collector.series(), final_report=report,
-        final_psi=None if modes else snap,
-        warnings=run_warnings, snapshots=snapshots,
+        final_psi=None if modes else snap, warnings=run_warnings,
     )
 
 

@@ -207,14 +207,16 @@ def test_c5_free_gaussian_spreading():
     from spinsplit.units import um_to_natural
 
     sigma0 = um_to_natural(0.01)
+    snapshots = []
     config = PropagationConfig(backend="full-field", grid_points=1024,
-                               grid_length=um_to_natural(0.3), keep_snapshots=True,
+                               grid_length=um_to_natural(0.3),
+                               on_snapshot=lambda i, t, psi: snapshots.append((t, psi)),
                                snapshot_every=fs_to_natural(50.0))
     scn = Scenario(packet=PacketSpec(0.0, sigma0, 0.0), stages=[],
                    duration=fs_to_natural(500.0), config=config)
-    result = run_scenario(scn)
+    run_scenario(scn)
     worst = 0.0
-    for t, psi in result.snapshots:
+    for t, psi in snapshots:
         expected = sigma0**2 * (1.0 + (t / (2.0 * MC2_EV * sigma0**2)) ** 2)
         worst = max(worst, abs(psi.position_variance() - expected) / expected)
     report(5, worst < 1e-6, f"max relative deviation of sigma(t)^2 over 500 fs: {worst:.2e}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,28 @@ propagation:
   grid_length: 0.75
 """
 # plateau chosen for a pi/2 area: (pi/2)/Omega_m(200 eV) - 0.375 fs of edges
+
+# a free packet on a 1024-point grid
+FREE_1024 = """
+label: free-1024
+electron: {width: 0.01, momentum: 0.0, spin: up}
+duration: 64.0
+propagation: {backend: full-field, grid_points: 1024, grid_length: 0.3}
+"""
+
+# desk-mono's field and packet on the mode lattice with a 0.008 fs pulse
+TINY_MODES = """
+label: tiny-modes
+units: {time: fs, length: um}
+electron: {center: 0.0, width: 0.008, momentum: 2400.0, spin: x+}
+stages:
+  - {kind: monochromatic, label: splitter, a0: 4952.57508777, photon_energy: 1200.0,
+     chi: 0.0, start: 0.002, rise: 0.002, plateau: 0.004, fall: 0.002}
+duration: 0.012
+propagation:
+  {backend: mode-lattice, snapshot_every: 0.004, mode_halfwidth: 8,
+   mono_convention: standing}
+"""
 
 
 @pytest.fixture()
@@ -110,7 +134,39 @@ class TestSimulate:
         for i in range(grid.points):
             lines.append(",".join(_fmt(v) for v in (
                 z_um[i], psi[0, i].real, psi[0, i].imag, psi[1, i].real, psi[1, i].imag)))
-        assert snapshot_csv(0.3, wf, "abc") == "\n".join(lines) + "\n"
+        assert "".join(snapshot_csv(0.3, wf, "abc")) == "\n".join(lines) + "\n"
+
+    def test_snapshot_memory_does_not_grow_with_their_count(self, tmp_path):
+        # snapshots go to their files as they are observed, so a run with
+        # 64 of them peaks less than one snapshot array above one with 8
+        # (numpy reports its buffers to tracemalloc)
+        scenario = tmp_path / "free.scenario"
+        scenario.write_text(FREE_1024)
+
+        def peak(count):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["simulate", "--scenario", str(scenario), "--out",
+                         str(tmp_path / f"run{count}"),
+                         "--snapshot-every", str(64.0 / count)]) == 0
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            peak(8)     # warm-up: imports and per-grid caches
+            few, many = peak(8), peak(64)
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "run64" / "snapshots").glob("*.csv"))) == 65
+        assert many - few < 2 * 1024 * 16
+
+    def test_mode_lattice_writes_no_snapshot_directory(self, tmp_path):
+        scenario = tmp_path / "tiny.scenario"
+        scenario.write_text(TINY_MODES)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert (out / "timeseries.csv").exists()
+        assert not (out / "snapshots").exists()
 
     def test_dt_override_and_ceiling(self, toy_path, capsys):
         # 10^6 as = 1 ps timestep violates the effective-backend bound

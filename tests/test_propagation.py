@@ -83,13 +83,15 @@ class TestFreeSpreading:
         # sigma(t)^2 = sigma0^2 (1 + (t / 2 m sigma0^2)^2) over 500 fs
         grid_len = um_to_natural(0.3)
         sigma0 = um_to_natural(0.01)
+        snapshots = []
         config = PropagationConfig(backend="full-field", grid_points=1024,
-                                   grid_length=grid_len, keep_snapshots=True,
+                                   grid_length=grid_len,
+                                   on_snapshot=lambda i, t, psi: snapshots.append((t, psi)),
                                    snapshot_every=fs_to_natural(100.0))
         scn = Scenario(packet=PacketSpec(0.0, sigma0, 0.0), stages=[],
                        duration=fs_to_natural(500.0), config=config)
-        result = run_scenario(scn)
-        for t, psi in result.snapshots:
+        run_scenario(scn)
+        for t, psi in snapshots:
             expected = sigma0**2 * (1.0 + (t / (2.0 * MC2_EV * sigma0**2)) ** 2)
             assert psi.position_variance() == pytest.approx(expected, rel=1e-6)
 
@@ -433,13 +435,57 @@ def test_mode_lattice_matches_gl2_desk_mono():
 
 @pytest.mark.parametrize("backend", ["effective", "mode-lattice"])
 def test_uneven_snapshot_spacing_warns(backend):
-    # 1 fs in snapshots of 0.3 fs: re-spaced to 3 intervals of 0.333 fs
-    scn = effective_scenario([], tail_fs=1.0, points=256, snapshot_every=fs_to_natural(0.3))
+    # 1 fs in snapshots of 0.3 fs: re-spaced to 3 intervals of 0.333 fs; the
+    # packet is at rest, since 2 hbar k lies beyond this grid's Nyquist momentum
+    scn = effective_scenario([], momentum=0.0, tail_fs=1.0, points=256,
+                             snapshot_every=fs_to_natural(0.3))
     scn.config.backend = backend
     with pytest.warns(UserWarning, match="does not divide"):
         result = run_scenario(scn)
     assert result.timeseries.t.size == 4
     assert any("0.333333 fs apart" in w for w in result.warnings)
+
+
+def _free_run(center, width, momentum, backend, points=1024, length=um_to_natural(0.3)):
+    config = PropagationConfig(backend=backend, grid_points=points, grid_length=length,
+                               snapshot_every=fs_to_natural(0.25))
+    scn = Scenario(packet=PacketSpec(center, width, momentum), stages=[],
+                   duration=fs_to_natural(1.0), config=config)
+    with pytest.warns(UserWarning) as caught:
+        result = run_scenario(scn)
+    assert [str(w.message) for w in caught] == result.warnings
+    return result.warnings
+
+
+@pytest.mark.parametrize("backend", ["full-field", "effective"])
+def test_packet_at_box_edge_warns_once(backend):
+    # as close to the wrap point as gaussian_packet allows (tail below 1e-10
+    # at the wall): about 1 % of the density lies in the outer 1/32 of the box
+    length, width = um_to_natural(0.3), um_to_natural(0.002)
+    found = _free_run(0.5 * length - 7.0 * width, width, 0.0, backend)
+    assert len(found) == 1 and "outer 1/32 of the box" in found[0]
+
+
+@pytest.mark.parametrize("backend", ["full-field", "effective"])
+def test_packet_near_nyquist_warns_once(backend):
+    points, length = 256, um_to_natural(0.3)
+    spacing = length / points
+    found = _free_run(0.0, 8.0 * spacing, 0.95 * np.pi / spacing, backend, points, length)
+    assert len(found) == 1 and "above 0.9 p_Nyquist" in found[0]
+
+
+def test_mode_lattice_edge_population_warns_once():
+    # desk-mono's field on N = 4: the |n| = 4 modes fill during the pulse
+    edge, plateau = fs_to_natural(0.002), fs_to_natural(0.004)
+    scn = effective_scenario([MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.0,
+                                               envelope=Envelope(edge, plateau, edge),
+                                               start=edge)],
+                             width_um=0.008, momentum=2400.0, tail_fs=0.002,
+                             mode_halfwidth=4, snapshot_every=fs_to_natural(0.004))
+    scn.config.backend = "mode-lattice"
+    with pytest.warns(UserWarning, match=r"at \|n\| = 4") as caught:
+        result = run_scenario(scn)
+    assert len(caught) == len(result.warnings) == 1
 
 
 @pytest.mark.parametrize("backend", ["full-field", "effective"])

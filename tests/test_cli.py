@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -139,11 +140,14 @@ class TestSimulate:
     def test_snapshot_memory_does_not_grow_with_their_count(self, tmp_path):
         # snapshots go to their files as they are observed, so a run with
         # 64 of them peaks less than one snapshot array above one with 8
-        # (numpy reports its buffers to tracemalloc)
+        # (numpy reports its buffers to tracemalloc); the collection clears
+        # the last run's garbage cycles, which would otherwise be freed at
+        # a random point of the next run and shift its peak
         scenario = tmp_path / "free.scenario"
         scenario.write_text(FREE_1024)
 
         def peak(count):
+            gc.collect()
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             assert main(["simulate", "--scenario", str(scenario), "--out",

@@ -40,8 +40,12 @@ once per snapshot.
   fractional steps at the ends of an interval are stepped afresh, through
   ``gl2_step``.  Fresh steps depend only on t, not on the state, so a run
   of them is built as one batch: one field-model call on the array of
-  Gauss-node times, one stacked commutator and one stacked exponential.
-  A plateau's step cache is filled in the same batches.
+  Gauss-node times, one stack of Magnus exponents and one stacked
+  exponential.  A plateau's step cache is filled in the same batches.  The
+  exponents are written diagonal by diagonal from the band structure
+  (H = diag(E_n) + Toeplitz, so the commutator needs no matrix product),
+  and each exponential takes the Taylor degree, 4, 6 or 9, that its own
+  1-norm needs.
 
 One runner drives every backend through the same three calls on the state
 its propagator holds (the sigma_y sectors, or the spin-free packet):
@@ -519,10 +523,18 @@ class _GridPropagator:
 
 _GAUSS_C = math.sqrt(3.0) / 6.0          # Gauss nodes at 1/2 -+ sqrt(3)/6 of a step
 _MAGNUS_K = math.sqrt(3.0) / 12.0        # weight of the commutator term
-# Largest 1-norm at which the degree-9 Taylor remainder ||X||^10/10! stays
-# below 2^-53; larger exponents are scaled down by powers of two first.
-_TAYLOR_THETA = 0.11
+# Taylor degrees d of the exponential, each with the largest 1-norm theta_d
+# = (2^-53 (d+1)!)^(1/(d+1)) at which its remainder ||X||^(d+1)/(d+1)! stays
+# below 2^-53 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)):
+# 1.68e-3, 1.78e-2 and 0.115.  Above theta_9 the exponent is scaled down by
+# powers of two first.
+_TAYLOR_DEGREES = (4, 6, 9)
+_TAYLOR_BOUNDS = tuple((2.0**-53 * math.factorial(d + 1)) ** (1.0 / (d + 1))
+                       for d in _TAYLOR_DEGREES)
+_TAYLOR_THETA = _TAYLOR_BOUNDS[-1]
 _TAYLOR_C = [1.0 / math.factorial(n) for n in range(10)]
+# G[r, g] = v_{r+g+1} from v_1..v_4 and four zeros
+_HANKEL = np.add.outer(np.arange(4), np.arange(4))
 # Fresh Magnus steps are built in batches of about this many elements of the
 # (2, m, m) sector propagators, m = 2N + 1.  Small m is bound by numpy's
 # per-call cost, which a batch shares; large m is bound by the matrix
@@ -532,41 +544,69 @@ _BATCH_ELEMENTS = 20_000
 
 
 def _expm_skew(x: np.ndarray) -> np.ndarray:
-    """exp of a stack of small anti-Hermitian matrices (..., m, m): degree-9
-    Taylor series in Paterson-Stockmeyer form, four matrix products, with
-    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)).  Each squaring doubles the rounding error, so each matrix is
-    scaled no further than its own 1-norm requires."""
-    ratio = np.abs(x).sum(axis=-2).max(axis=-1) / _TAYLOR_THETA
-    squarings = np.ceil(np.log2(np.maximum(ratio, 1.0))).astype(int)
-    most = int(squarings.max(initial=0))
-    if most:
+    """exp of a stack of small anti-Hermitian matrices (..., m, m): a Taylor
+    series of degree 4, 6 or 9 in Paterson-Stockmeyer form (2, 3 or 4 matrix
+    products), with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+    26, 1179 (2005)).  Each matrix takes the lowest degree and the fewest
+    squarings that its own 1-norm allows, so its exponential does not depend
+    on the rest of the stack; each squaring doubles the rounding error."""
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    # the lowest degree whose bound holds; len(_TAYLOR_BOUNDS) where none does
+    k = np.searchsorted(_TAYLOR_BOUNDS, norm)
+    most = 0
+    if k.max(initial=0) == len(_TAYLOR_BOUNDS):
+        squarings = np.ceil(np.log2(np.maximum(norm / _TAYLOR_THETA, 1.0))).astype(int)
+        most = int(squarings.max())
         x = x * np.ldexp(1.0, -squarings)[..., None, None]
-    c = _TAYLOR_C
-    x2 = x @ x
-    x3 = x2 @ x
-    # sum_n c_n x^n = (c0 + c1 x + c2 x2) + x3 [(c3 + c4 x + c5 x2) + x3 (c6 + ... + c9 x3)],
-    # summed in place so that few stack-sized temporaries live at once
-    inner = x3 * c[9]
-    inner += x2 * c[8]
-    inner += x * c[7]
-    _add_to_diagonal(inner, c[6])
-    outer = x3 @ inner
-    del inner
-    outer += x2 * c[5]
-    outer += x * c[4]
-    _add_to_diagonal(outer, c[3])
-    u = x3 @ outer
-    del outer
-    u += x2 * c[2]
-    u += x
-    _add_to_diagonal(u, 1.0)
+        k = np.minimum(k, len(_TAYLOR_BOUNDS) - 1)
+    lo, hi = int(k.min(initial=len(_TAYLOR_BOUNDS))), int(k.max(initial=0))
+    if lo == hi:
+        u = _taylor(x, _TAYLOR_DEGREES[lo])
+    else:
+        u = np.empty_like(x)
+        for d in range(lo, hi + 1):
+            sel = k == d
+            if sel.any():
+                u[sel] = _taylor(x[sel], _TAYLOR_DEGREES[d])
     for n in range(most):
         more = squarings > n
         if more.all():
             u = u @ u
         else:
             u[more] = u[more] @ u[more]
+    return u
+
+
+def _taylor(x: np.ndarray, degree: int) -> np.ndarray:
+    """sum_{n <= degree} x^n/n! for degree 4, 6 or 9, summed in place so that
+    few stack-sized temporaries live at once."""
+    c = _TAYLOR_C
+    x2 = x @ x
+    if degree == 4:
+        # (1 + x + c2 x2) + x2 (c3 x + c4 x2)
+        u = x2 * c[4]
+        u += x * c[3]
+        u = x2 @ u
+    else:
+        x3 = x2 @ x
+        # (1 + x + c2 x2) + x3 [(c3 + c4 x + c5 x2) + x3 (c6 + ... + c9 x3)]
+        # at degree 9, + x3 (c3 + ... + c6 x3) at degree 6
+        if degree == 9:
+            inner = x3 * c[9]
+            inner += x2 * c[8]
+            inner += x * c[7]
+            _add_to_diagonal(inner, c[6])
+            inner = x3 @ inner
+        else:
+            inner = x3 * c[6]
+        inner += x2 * c[5]
+        inner += x * c[4]
+        _add_to_diagonal(inner, c[3])
+        u = x3 @ inner
+        del inner
+    u += x2 * c[2]
+    u += x
+    _add_to_diagonal(u, 1.0)
     return u
 
 
@@ -590,8 +630,8 @@ class ModeLatticeEngine:
     """
 
     def __init__(self, wavenumber: float, halfwidth: int, stages=()):
-        if halfwidth < 2:
-            raise ScenarioError("mode-lattice half-width must be >= 2")
+        if halfwidth < 4:
+            raise ScenarioError("mode-lattice half-width N must be >= 4")
         self.k = wavenumber
         self.N = halfwidth
         self.stages = list(stages)
@@ -601,11 +641,10 @@ class ModeLatticeEngine:
         # carrier period of the plateau Hamiltonian; None without a stage
         w = _max_omega(self.stages)
         self.period = 2.0 * np.pi / w if w > 0 else None
-        # H[r, c] = band[4 + r - c] for 0 < |r - c| <= 4, else band[9] = 0:
-        # c_0 multiplies the identity and only adds a global phase
-        diff = n_index[:, None] - n_index[None, :]
-        self._gather = np.where((np.abs(diff) <= 4) & (diff != 0), diff + 4, 9)
-        self._kinetic = np.diag(self.energies).astype(complex)
+        # gaps[d - 1, r] = E_r - E_{r-d} along the d-th subdiagonal, d = 1..4
+        self._gaps = np.zeros((4, m))
+        for d in range(1, 5):
+            self._gaps[d - 1, d:] = self.energies[d:] - self.energies[:-d]
         self._field = _FullFieldModel(self.stages, wavenumber)
         self.monitors = (f"population {{:.2e}} at |n| = {halfwidth} at t={{:.6g}} fs; "
                          "increase mode_halfwidth",)
@@ -631,26 +670,50 @@ class ModeLatticeEngine:
     def _magnus(self, t: np.ndarray, dt: float):
         """Sector propagators of the steps [t, t + dt] for an array of n step
         starts t (Schroedinger picture), shape (n, 2, m, m), each from one
-        4th-order Magnus step: exp(-i dt/2 (H1 + H2) + sqrt(3)/12 dt^2 [H1, H2])
-        with H at the two Gauss nodes; and, per step, whether a field acts at
-        either node."""
+        4th-order Magnus step: exp(Omega) with
+        Omega = -i dt/2 (H1 + H2) + sqrt(3)/12 dt^2 [H1, H2] and H at the two
+        Gauss nodes; and, per step, whether a field acts at either node.
+
+        Omega is written from the band structure, with no (m, m) product.
+        H = K + V with K = diag(E_n) and V Toeplitz, V[r, c] = v_{r-c},
+        v_d = c_d and v_{-d} = conj(c_d) for d = 1..4 (c_0 multiplies the
+        identity and only adds a global phase).  Infinite Toeplitz matrices
+        commute, so [H1, H2] = [K, V2 - V1] + [V1, V2], with
+        [K, W][r, c] = (E_r - E_c) W[r, c], and [V1, V2] is what the cut
+        |n| <= N removes from the two products: the terms through the ghost
+        modes beyond each end, in the 4x4 corner blocks.  So Omega is
+        -i dt E_n on the diagonal and p_d + (E_r - E_c) q_d on the d-th
+        subdiagonal, p = -i dt/2 (v1 + v2) and q = sqrt(3)/12 dt^2 (v2 - v1),
+        minus its conjugate mirrored above, plus the corners."""
+        n, m = len(t), 2 * self.N + 1
         nodes = np.stack([t + (0.5 - _GAUSS_C) * dt, t + (0.5 + _GAUSS_C) * dt], axis=-1)
-        # rows node 1 (y+, y-), node 2 (y+, y-): conj(c_4..c_1), c_0..c_4, 0
-        c = self.harmonics(nodes).reshape(len(t), 4, 5)
-        band = np.concatenate([c[..., :0:-1].conj(), c, np.zeros((len(t), 4, 1))], axis=-1)
-        h = band[..., self._gather]
-        h += self._kinetic
-        # [H1, H2] = H1 H2 - (H1 H2)^dagger for Hermitian H1, H2; in-place
-        # updates and early deletes keep few batch-sized arrays alive at once
-        comm = h[:, :2] @ h[:, 2:]
-        comm -= comm.conj().swapaxes(-1, -2)
-        comm *= _MAGNUS_K * dt * dt
-        omega = h[:, :2] + h[:, 2:]
-        del h
-        omega *= -0.5j * dt
-        omega += comm
-        del comm
-        return _expm_skew(omega), c.any(axis=(-2, -1))
+        # c[step, node, sector, j]
+        c = self.harmonics(nodes)
+        acts = c.any(axis=(-3, -2, -1))
+        v = c[..., 1:]
+        p = (v[:, 0] + v[:, 1]) * (-0.5j * dt)
+        q = (v[:, 1] - v[:, 0]) * (_MAGNUS_K * dt * dt)
+        omega = np.zeros((n, 2, m, m), dtype=complex)
+        flat = omega.reshape(n, 2, m * m)
+        flat[..., ::m + 1] = (-1j * dt) * self.energies
+        # sub[..., d - 1, r] = Omega[r, r - d] and Omega[r - d, r] = -conj(sub)
+        sub = q[..., None] * self._gaps
+        sub += p[..., None]
+        mirror = -sub.conj()
+        for d in range(1, 5):
+            flat[..., d * m::m + 1] = sub[..., d - 1, d:]
+            flat[..., d:(m - d) * (m + 1):m + 1] = mirror[..., d - 1, d:]
+        # top-left corner of [V1, V2]: G2 G1* - G1 G2* = P - P^dagger with
+        # P = G2 G1* and the symmetric Hankel G[r, g] = v_{r+g+1} of each
+        # node; the bottom-right corner is its conjugate, reversed in both
+        # indices
+        g = np.concatenate([v, np.zeros((n, 2, 2, 4), dtype=complex)], axis=-1)[..., _HANKEL]
+        corner = np.einsum("...rg,...gc->...rc", g[:, 1], g[:, 0].conj())
+        corner -= corner.conj().swapaxes(-1, -2)
+        corner *= _MAGNUS_K * dt * dt
+        omega[..., :4, :4] += corner
+        omega[..., -4:, -4:] += corner[..., ::-1, ::-1].conj()
+        return _expm_skew(omega), acts
 
     def _step_class(self, t0: float, t1: float):
         """Indices of the stages overlapping [t0, t1] if every one of them is

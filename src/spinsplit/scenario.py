@@ -8,7 +8,6 @@ entry (or of its enclosing mapping when the entry is missing).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -20,6 +19,13 @@ from .fields import BichromaticWave, Envelope, MonoStandingWave
 from .propagation import BACKENDS, PacketSpec, PropagationConfig, Scenario
 from .states import PacketError, normalize_spin
 from .units import attoseconds_to_natural, fs_to_natural, nm_to_natural, um_to_natural
+
+# CPython's built-in SHA-256, the module hashlib falls back on: hashlib itself
+# loads OpenSSL's _hashlib, about 4 MB of resident memory for one header line
+try:
+    from _sha2 import sha256 as _sha256          # 3.12+
+except ImportError:
+    from _sha256 import sha256 as _sha256        # 3.10, 3.11
 
 CONVENTIONS = ("traveling", "standing")
 
@@ -326,7 +332,7 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
             duration=to_time(duration),
             config=config,
             label=str(raw.get("label", "")),
-            source_hash=hashlib.sha256(text.encode()).hexdigest(),
+            source_hash=_sha256(text.encode()).hexdigest(),
         )
         scenario.validate()
     except ValueError as exc:

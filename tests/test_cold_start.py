@@ -3,7 +3,7 @@
 The package must not load scipy, which is a test dependency only:
 scipy.optimize alone adds about 0.4 s and 49 MB to a CLI run.  ``fit_rabi``
 fits in numpy, and the design calculator reads its constants from
-``units``.
+``units``.  Nor may a scenario load pull in OpenSSL's ``_hashlib``.
 Without scipy's import side effects the stepping loops must still not
 page-fault: numpy.fft's per-transform scratch row and the temporaries of a
 batch of mode-lattice steps must come from the heap, not from fresh mmaps
@@ -125,6 +125,16 @@ assert fit_rabi(ts.t[mask] - lo, ts.pop_minus[mask]).omega > 0
 def test_rabi_trace_loads_no_scipy():
     # a CLI simulate that writes CSV snapshots, then fit_rabi
     assert _fresh(RABI_TRACE + SCIPY_MODULES) == []
+
+
+def test_scenario_load_leaves_openssl_unloaded():
+    # the scenario-sha256 header uses CPython's built-in SHA-256; hashlib
+    # would load OpenSSL's _hashlib, about 4 MB of resident memory
+    code = ("import json, sys\nimport spinsplit, spinsplit.cli\n"
+            "from spinsplit.scenario import load_scenario\n"
+            "assert load_scenario('desk-mono')[0].source_hash\n"
+            "print(json.dumps(sorted(m for m in sys.modules if 'hashlib' in m)))")
+    assert _fresh(code) == []
 
 
 def test_design_loads_no_scipy():

@@ -1,10 +1,15 @@
+import functools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from taylor_expm import taylor_expm
 
+from spinsplit import propagation
 from spinsplit.analytic import EffectivePotential, effective_potential_value
 from spinsplit.fields import (
     BichromaticWave,
@@ -15,6 +20,8 @@ from spinsplit.fields import (
     vector_potential,
 )
 from spinsplit.propagation import (
+    _TAYLOR_BOUNDS,
+    _TAYLOR_DEGREES,
     _TAYLOR_THETA,
     ModeLatticeEngine,
     _EffectiveModel,
@@ -316,6 +323,81 @@ class TestModeLattice:
         assert not any(u is not None for u in products)
 
 
+# A mono stage (rise 2 T, plateau 4 T, fall 2 T) and a bichromatic stage
+# from 7 T, so that the mono fall and the bichromatic rise overlap on
+# [7 T, 8 T]: the regions of t that a fresh Magnus step is drawn from.
+MAGNUS_PERIOD = 2 * np.pi / 1200.0
+MAGNUS_REGIONS = {"rise": (0.0, 2.0), "plateau": (2.0, 6.0), "fall": (6.0, 7.0),
+                  "overlap": (7.0, 8.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _magnus_engine(halfwidth):
+    period = MAGNUS_PERIOD
+    stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.3,
+                               envelope=Envelope(2 * period, 4 * period, 2 * period)),
+              BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0,
+                              envelope=Envelope(2 * period, 3 * period, 2 * period),
+                              start=7 * period)]
+    return ModeLatticeEngine(1200.0, halfwidth, stages=stages)
+
+
+def _dense_omega(engine, t, dt):
+    """The Magnus exponent -i dt/2 (H1 + H2) + sqrt(3)/12 dt^2 [H1, H2] of one
+    step, built densely: H = diag(E_n) + V with V[r, c] gathered from the
+    harmonics c_1..c_4 of each sector (conjugated below the diagonal), and the
+    commutator as a matrix product."""
+    n = np.arange(2 * engine.N + 1) - engine.N
+    diff = n[:, None] - n[None, :]
+    gather = np.where((np.abs(diff) <= 4) & (diff != 0), diff + 4, 9)
+    h = []
+    for node in (t + (0.5 - math.sqrt(3.0) / 6.0) * dt, t + (0.5 + math.sqrt(3.0) / 6.0) * dt):
+        c = engine.harmonics(np.array([node]))[0]
+        band = np.concatenate([c[:, :0:-1].conj(), c, np.zeros((2, 1))], axis=-1)
+        h.append(band[:, gather] + np.diag(engine.energies))
+    return (-0.5j * dt * (h[0] + h[1])
+            + math.sqrt(3.0) / 12.0 * dt * dt * (h[0] @ h[1] - h[1] @ h[0]))
+
+
+magnus_steps = st.tuples(st.sampled_from([4, 8, 24]), st.sampled_from(sorted(MAGNUS_REGIONS)),
+                         st.floats(0.0, 1.0), st.floats(1.0 / 1024, 1.0 / 80))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(magnus_steps, st.integers(0, 2**32 - 1))
+def test_fresh_magnus_step_is_time_reversible(step, seed):
+    # the Gauss nodes of the step back from t + dt are those of the step
+    # forward, swapped, so the exponent changes sign: forward then back is
+    # the identity to rounding
+    halfwidth, region, u, fraction = step
+    engine = _magnus_engine(halfwidth)
+    lo, hi = MAGNUS_REGIONS[region]
+    t, dt = (lo + u * (hi - lo)) * MAGNUS_PERIOD, fraction * MAGNUS_PERIOD
+    rng = np.random.default_rng(seed)
+    c0 = rng.normal(size=(2, 2 * halfwidth + 1)) + 1j * rng.normal(size=(2, 2 * halfwidth + 1))
+    c0 /= np.linalg.norm(c0)
+    c1 = engine.gl2_step(c0, t, dt)
+    assert np.max(np.abs(c1 - c0)) > 1e-6  # the step did something
+    np.testing.assert_allclose(engine.gl2_step(c1, t + dt, -dt), c0, rtol=0, atol=1e-13)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(magnus_steps)
+def test_band_written_magnus_exponent_matches_dense_build(step):
+    # _magnus writes Omega diagonal by diagonal, with [V1, V2] only in the
+    # two 4x4 corners where |n| <= N cuts the Toeplitz products
+    halfwidth, region, u, fraction = step
+    engine = _magnus_engine(halfwidth)
+    lo, hi = MAGNUS_REGIONS[region]
+    t, dt = (lo + u * (hi - lo)) * MAGNUS_PERIOD, fraction * MAGNUS_PERIOD
+    with mock.patch.object(propagation, "_expm_skew", lambda x: x):
+        omega, acts = engine._magnus(np.array([t]), dt)
+    dense = _dense_omega(engine, t, dt)
+    assert acts[0]
+    norm = np.abs(dense).sum(axis=-2).max()
+    assert np.max(np.abs(omega[0] - dense)) <= 1e-15 * norm
+
+
 class TestScenarioValidation:
     def test_same_kind_overlap_rejected(self):
         s1 = mono_stage(np.pi / 2, start_fs=1.0)
@@ -347,6 +429,13 @@ class TestScenarioValidation:
         scn.config.backend = backend
         with pytest.raises(ScenarioError, match="one common photon energy"):
             scn.validate()
+
+    def test_mode_lattice_halfwidth_below_four_rejected(self):
+        # the 4x4 corner blocks of the Magnus exponent need 2N + 1 >= 9
+        # modes; the parser and PropagationConfig set the same floor
+        with pytest.raises(ScenarioError, match=">= 4"):
+            ModeLatticeEngine(1200.0, 3)
+        assert ModeLatticeEngine(1200.0, 4).N == 4
 
     def test_off_lattice_momentum_rejected_for_modes(self):
         scn = effective_scenario([mono_stage(np.pi / 2)], momentum=2 * K + 17.0)
@@ -665,6 +754,26 @@ def test_expm_skew_matches_taylor_oracle(scale):
     x = g - g.conj().swapaxes(-1, -2)
     x *= scale * _TAYLOR_THETA / np.abs(x).sum(axis=-2).max()
     u = _expm_skew(x)
+    np.testing.assert_allclose(u, [taylor_expm(m) for m in x], rtol=0, atol=1e-13)
+    unitarity = u.conj().swapaxes(-1, -2) @ u - np.eye(17)
+    assert np.max(np.abs(unitarity)) < 1e-13
+
+
+@pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
+@pytest.mark.parametrize("bound", range(len(_TAYLOR_BOUNDS)), ids=["theta4", "theta6", "theta9"])
+def test_expm_skew_degree_follows_each_bound(monkeypatch, bound, side):
+    # just below theta_d the series stops at degree d; just above it takes the
+    # next degree, or above theta_9 degree 9 after one squaring.  Each degree
+    # is exercised at the largest norm it serves.
+    degrees = []
+    taylor = propagation._taylor
+    monkeypatch.setattr(propagation, "_taylor", lambda x, d: degrees.append(d) or taylor(x, d))
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(2, 17, 17)) + 1j * rng.normal(size=(2, 17, 17))
+    x = g - g.conj().swapaxes(-1, -2)
+    x *= side * _TAYLOR_BOUNDS[bound] / np.abs(x).sum(axis=-2).max(axis=-1)[:, None, None]
+    u = _expm_skew(x)
+    assert degrees == [_TAYLOR_DEGREES[min(bound + (side > 1), len(_TAYLOR_DEGREES) - 1)]]
     np.testing.assert_allclose(u, [taylor_expm(m) for m in x], rtol=0, atol=1e-13)
     unitarity = u.conj().swapaxes(-1, -2) @ u - np.eye(17)
     assert np.max(np.abs(unitarity)) < 1e-13

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -312,6 +314,10 @@ class TestParsing:
         scn, _ = load_scenario(str(p))
         assert scn.label == "toy"
         assert scn.source_hash != ""
+
+    def test_source_hash_is_the_sha256_of_the_text(self):
+        scn, _ = parse_scenario_text(MINIMAL)
+        assert scn.source_hash == hashlib.sha256(MINIMAL.encode()).hexdigest()
 
     def test_parse_is_deterministic(self):
         a, _ = parse_scenario_text(MINIMAL)

@@ -45,7 +45,13 @@ once per snapshot.
   exponents are written diagonal by diagonal from the band structure
   (H = diag(E_n) + Toeplitz, so the commutator needs no matrix product),
   and each exponential takes the Taylor degree, 4, 6 or 9, that its own
-  1-norm needs.
+  1-norm needs.  A standing wave acts on both spins alike: alone it gives
+  c-_j = conj(c+_j) e^{ij chi/2}, so H- = D Pi H+ Pi D* with Pi: n -> -n
+  and D = diag(exp(i n chi/2)), and every propagator inherits this,
+  U- = D Pi U+ Pi D*.  Where only a standing wave acts, fresh steps and
+  the plateau cache build sector + alone, and sector - is stepped by the
+  same U+ in the mirrored frame Pi D* a- (reversed in n, times a phase),
+  entered and left around each run of such steps.
 
 One runner drives every backend through the same three calls on the state
 its propagator holds (the sigma_y sectors, or the spin-free packet):
@@ -479,6 +485,7 @@ class _GridPropagator:
         self.hbar_k = hbar_k
         self.spin = spin
         self._work = _PhaseWork(grid.points, 2 if spin is None else 1)
+        self._kinetic = (None, None, None)  # (h, half-step phase, full-step phase)
         self._edge = np.flatnonzero(np.abs(grid.z) >= (0.5 - 1.0 / 32.0) * grid.length)
         self._nyquist = np.flatnonzero(np.abs(grid.p) > 0.9 * np.pi / grid.spacing)
         _keep_scratch_on_heap()
@@ -489,10 +496,13 @@ class _GridPropagator:
 
     def advance(self, psi: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
         """Sectors at ta -> at tb, in equal steps no longer than dt, with the
-        field model called once on the array of the step midpoints."""
+        field model called once on the array of the step midpoints.  The
+        kinetic phases of the last step size are kept for the next call."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
-        half, full = _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h)
+        if self._kinetic[0] != h:
+            self._kinetic = (h, _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h))
+        _, half, full = self._kinetic
         coefficients = self.potential.model(ta + (np.arange(n) + 0.5) * h)
         acts = coefficients.any(axis=(-2, -1))
         _apply_kinetic(psi, half)
@@ -616,8 +626,17 @@ def _add_to_diagonal(x: np.ndarray, value) -> None:
 
 
 def _apply(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Sector propagators (2, m, m) applied to sector amplitudes (2, m)."""
-    return (u @ amps[:, :, None])[:, :, 0]
+    """Sector propagators (2, m, m), or one (1, m, m) that both sectors
+    share, applied to sector amplitudes (2, m)."""
+    return np.matvec(u, amps)
+
+
+def _flip(amps: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """(a+, a-) -> (a+, phase * a- reversed in n): into a standing wave's
+    mirrored frame, and, since the map is its own inverse, back out."""
+    out = amps.copy()
+    out[1] = phase * amps[1, ::-1]
+    return out
 
 
 class ModeLatticeEngine:
@@ -636,8 +655,8 @@ class ModeLatticeEngine:
         self.N = halfwidth
         self.stages = list(stages)
         m = 2 * halfwidth + 1
-        n_index = np.arange(m) - halfwidth
-        self.energies = (n_index * wavenumber) ** 2 / (2.0 * MC2_EV)
+        self._n = np.arange(m) - halfwidth
+        self.energies = (self._n * wavenumber) ** 2 / (2.0 * MC2_EV)
         # carrier period of the plateau Hamiltonian; None without a stage
         w = _max_omega(self.stages)
         self.period = 2.0 * np.pi / w if w > 0 else None
@@ -667,9 +686,10 @@ class ModeLatticeEngine:
         no stage is on (``_FullFieldModel``)."""
         return self._field(t)
 
-    def _magnus(self, t: np.ndarray, dt: float):
+    def _magnus(self, t: np.ndarray, dt: float, sectors: int = 2):
         """Sector propagators of the steps [t, t + dt] for an array of n step
-        starts t (Schroedinger picture), shape (n, 2, m, m), each from one
+        starts t (Schroedinger picture), shape (n, 2, m, m), or (n, 1, m, m)
+        for sector + alone with ``sectors=1``; each from one
         4th-order Magnus step: exp(Omega) with
         Omega = -i dt/2 (H1 + H2) + sqrt(3)/12 dt^2 [H1, H2] and H at the two
         Gauss nodes; and, per step, whether a field acts at either node.
@@ -690,11 +710,11 @@ class ModeLatticeEngine:
         # c[step, node, sector, j]
         c = self.harmonics(nodes)
         acts = c.any(axis=(-3, -2, -1))
-        v = c[..., 1:]
+        v = c[..., :sectors, 1:]
         p = (v[:, 0] + v[:, 1]) * (-0.5j * dt)
         q = (v[:, 1] - v[:, 0]) * (_MAGNUS_K * dt * dt)
-        omega = np.zeros((n, 2, m, m), dtype=complex)
-        flat = omega.reshape(n, 2, m * m)
+        omega = np.zeros((n, sectors, m, m), dtype=complex)
+        flat = omega.reshape(n, sectors, m * m)
         flat[..., ::m + 1] = (-1j * dt) * self.energies
         # sub[..., d - 1, r] = Omega[r, r - d] and Omega[r - d, r] = -conj(sub)
         sub = q[..., None] * self._gaps
@@ -707,13 +727,32 @@ class ModeLatticeEngine:
         # P = G2 G1* and the symmetric Hankel G[r, g] = v_{r+g+1} of each
         # node; the bottom-right corner is its conjugate, reversed in both
         # indices
-        g = np.concatenate([v, np.zeros((n, 2, 2, 4), dtype=complex)], axis=-1)[..., _HANKEL]
+        g = np.concatenate([v, np.zeros((n, 2, sectors, 4), dtype=complex)], axis=-1)[..., _HANKEL]
         corner = np.einsum("...rg,...gc->...rc", g[:, 1], g[:, 0].conj())
         corner -= corner.conj().swapaxes(-1, -2)
         corner *= _MAGNUS_K * dt * dt
         omega[..., :4, :4] += corner
         omega[..., -4:, -4:] += corner[..., ::-1, ::-1].conj()
         return _expm_skew(omega), acts
+
+    def _overlapping(self, t0: float, t1: float) -> list:
+        """The stages that are on somewhere in (t0, t1)."""
+        return [s for s in self.stages if s.start < t1 and s.end > t0]
+
+    def _mirror(self, stages):
+        """The phase exp(i n chi/2) of the mirrored frame when every stage
+        given is a standing wave of one chi (or none is given), else None.
+        Under such a field U- = D Pi U+ Pi D* (module docstring), so in the
+        frame that ``_flip`` by this phase enters, sector - evolves under U+
+        as well."""
+        if any(s.kind != KIND_MONO for s in stages) or len({s.chi for s in stages}) > 1:
+            return None
+        return np.exp(0.5j * (stages[0].chi if stages else 0.0) * self._n)
+
+    def _batch_for(self, phase) -> int:
+        """Fresh steps per batch: twice as many where sector + alone is
+        built (a mirrored frame's phase), for stacks of the same size."""
+        return self._batch if phase is None else 2 * self._batch
 
     def _step_class(self, t0: float, t1: float):
         """Indices of the stages overlapping [t0, t1] if every one of them is
@@ -746,11 +785,17 @@ class ModeLatticeEngine:
         cache, no lattice.  The free phase when no field acts at either
         Gauss node.  For an array of step starts t, one such step from each
         in turn, with the propagators built as one batch.  ``advance`` takes
-        every edge and fractional step here."""
-        us, acts = self._magnus(np.atleast_1d(np.asarray(t, dtype=float)), dt)
+        every edge and fractional step here.  Where only a standing wave
+        acts across the steps, sector + alone is built and applied to both
+        sectors in its mirrored frame (``_mirror``)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        phase = self._mirror(self._overlapping(t.min() + min(dt, 0.0), t.max() + max(dt, 0.0)))
+        if phase is not None:
+            amps = _flip(amps, phase)
+        us, acts = self._magnus(t, dt, 2 if phase is None else 1)
         for u, act in zip(us, acts):
             amps = _apply(u, amps) if act else self.drift(amps, dt)
-        return amps
+        return amps if phase is None else _flip(amps, phase)
 
     def advance(self, amps: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
         """Sector amplitudes at ta -> at tb.
@@ -761,13 +806,13 @@ class ModeLatticeEngine:
         step has one class: a free run is one ``drift``, an edge run is
         stepped afresh in batches, and a plateau run takes its steps from
         the cache keyed by (stages on their plateau, M) and i mod M, filled
-        in batches, whole periods as one product U_T each.
+        in batches, whole periods as one product U_T each.  A standing wave's
+        plateau caches sector + alone and runs in its mirrored frame.
         """
         if self.period is None:
             raise ScenarioError("advance needs a stage")
         steps = max(1, math.ceil(self.period / dt - 1e-9))
         h = self.period / steps
-        batch = min(self._batch, steps)
         i = math.ceil(ta / h)
         j = math.floor(tb / h)
         if i > j:
@@ -786,12 +831,17 @@ class ModeLatticeEngine:
                 amps = self.drift(amps, (end - i) * h)
                 i = end
             elif key is None:
+                batch = self._batch_for(self._mirror(self._overlapping(i * h, end * h)))
                 for lo in range(i, end, batch):
                     amps = self.gl2_step(amps, np.arange(lo, min(lo + batch, end)) * h, h)
                 i = end
             else:
                 if self._plateau != (key, steps):
                     self._plateau, self._cache, self._period_u = (key, steps), {}, None
+                phase = self._mirror([self.stages[idx] for idx in key])
+                batch = min(self._batch_for(phase), steps)
+                if phase is not None:
+                    amps = _flip(amps, phase)
                 while i < end:
                     period = self._period_propagator(key, steps) if i % steps == 0 else None
                     if period is not None and end - i >= steps:
@@ -802,10 +852,12 @@ class ModeLatticeEngine:
                     if i % steps not in self._cache:
                         fill = [p for p in range(i, min(i + batch, end))
                                 if p % steps not in self._cache]
-                        us, _ = self._magnus(np.array(fill) * h, h)
+                        us, _ = self._magnus(np.array(fill) * h, h, 2 if phase is None else 1)
                         self._cache.update((p % steps, u) for p, u in zip(fill, us))
                     amps = _apply(self._cache[i % steps], amps)
                     i += 1
+                if phase is not None:
+                    amps = _flip(amps, phase)
         if tb > j * h:
             amps = self.gl2_step(amps, j * h, tb - j * h)
         return amps

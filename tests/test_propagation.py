@@ -497,6 +497,68 @@ class TestStagePulseAreas:
         assert areas["bichromatic"] == pytest.approx(np.pi / 2, rel=1e-12)
 
 
+mirror_steps = st.tuples(st.sampled_from([4, 8, 24]), st.sampled_from(["rise", "plateau", "fall"]),
+                         st.floats(0.0, 1.0), st.floats(1.0 / 1024, 1.0 / 80),
+                         st.floats(0.2, 2.9), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(mirror_steps)
+def test_standing_wave_sector_propagators_are_mirror_images(step):
+    # with only a standing wave on, c-_j = conj(c+_j) e^{ij chi/2}, so
+    # U- = D Pi U+ Pi D^dagger with Pi: n -> -n and D = diag(e^{in chi/2}),
+    # which lets such steps build sector + alone; the frame of the opposite
+    # phase misses the entries two modes off the diagonal by 2 |sin chi|
+    halfwidth, region, u, fraction, chi, sign = step
+    chi *= sign
+    stage = replace(_magnus_engine(halfwidth).stages[0], chi=chi)
+    engine = ModeLatticeEngine(1200.0, halfwidth, stages=[stage])
+    lo, hi = MAGNUS_REGIONS[region]
+    t, dt = (lo + u * (hi - lo)) * MAGNUS_PERIOD, fraction * MAGNUS_PERIOD
+    (us,), (acts,) = engine._magnus(np.array([t]), dt)
+    n = np.arange(-halfwidth, halfwidth + 1)
+
+    def mirrored(theta):
+        d = np.exp(0.5j * theta * n)
+        return d[:, None] * us[0, ::-1, ::-1] * d.conj()
+    band = np.max(np.abs(np.diagonal(us[0], offset=2)))
+    assert acts and band > 0
+    assert np.max(np.abs(us[1] - mirrored(chi))) <= 1e-14
+    assert np.max(np.abs(us[1] - mirrored(-chi))) > 0.3 * band
+
+
+def test_advance_with_standing_waves_and_a_splitter_matches_two_sector_steps():
+    # standing waves of three chi (A overlapping the bichromatic stage on
+    # its fall; B and C touching at 13.47 T, off the lattice, so that one
+    # step sees both) against a chain of two-sector _magnus steps on the
+    # same lattice points: the mirrored frame must be used only where one
+    # standing wave acts alone
+    period = 2 * np.pi / 1200.0
+
+    def mono(chi, start, env):
+        return MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=chi,
+                                envelope=Envelope(*(x * period for x in env)),
+                                start=start * period)
+    stages = [mono(0.9, 0.0, (2, 3, 2)),
+              BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0,
+                              envelope=Envelope(period, 2 * period, period), start=6 * period),
+              mono(-0.4, 10.5, (1, 0.97, 1)), mono(2.0, 13.47, (1, 1, 1))]
+    h = period / 32
+    engine = ModeLatticeEngine(1200.0, 8, stages=stages)
+    reference = ModeLatticeEngine(1200.0, 8, stages=stages)
+    c = c_ref = engine.initial_state(+2, "x+")
+    times = period * np.array([0.0, 1.3, 4.55, 6.5, 9.2, 11.1, 13.4, 14.2, 16.5, 17.0])
+    for ta, tb in zip(times, times[1:]):
+        c = engine.advance(c, ta, tb, h)
+        points = [ta, *(i * h for i in range(math.ceil(ta / h), math.floor(tb / h) + 1)
+                        if ta < i * h < tb), tb]
+        for t0, t1 in zip(points, points[1:]):
+            (u,), (act,) = reference._magnus(np.array([t0]), t1 - t0)
+            c_ref = np.matvec(u, c_ref) if act else reference.drift(c_ref, t1 - t0)
+    np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
+    assert np.sum(np.abs(c[:, 2 + 8]) ** 2) < 0.99  # the stages did act
+
+
 # desk-mono on the mode lattice as integrated by the implicit Gauss-Legendre
 # (GL2) stepper this package used before the Magnus stepper, at its default
 # dt = pi/(128 omega) and at dt/2: (pop_plus, pop_minus, pop_plus*sy_plus,
@@ -575,6 +637,17 @@ def test_mode_lattice_edge_population_warns_once():
     with pytest.warns(UserWarning, match=r"at \|n\| = 4") as caught:
         result = run_scenario(scn)
     assert len(caught) == len(result.warnings) == 1
+
+
+@pytest.mark.slow
+def test_fig2_ideal_mode_lattice_keeps_its_edge_modes_empty():
+    # fig2-ideal's splitter dresses the electron across about +-15 hbar k;
+    # at its N = 24 the population at |n| = N stays below the warning limit
+    from spinsplit.scenario import load_scenario
+
+    scn, _ = load_scenario("fig2-ideal", backend="mode-lattice")
+    assert scn.config.mode_halfwidth == 24
+    assert run_scenario(scn).warnings == []
 
 
 @pytest.mark.parametrize("backend", ["full-field", "effective"])

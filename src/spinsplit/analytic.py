@@ -96,11 +96,6 @@ class StageUnitary:
     theta: float
     chi: float = 0.0
 
-    def __matmul__(self, other):
-        if isinstance(other, StageUnitary):
-            return self.matrix @ other.matrix
-        return self.matrix @ other
-
 
 def stage_unitary(kind: str, theta: float, chi: float = 0.0) -> StageUnitary:
     """exp(-i theta M / 2) for a pulse of area theta = Omega*T.
@@ -127,14 +122,3 @@ def evolve_density(u: StageUnitary, rho: np.ndarray) -> np.ndarray:
     rho = validate_density(rho)
     m = u.matrix if isinstance(u, StageUnitary) else np.asarray(u)
     return m @ rho @ m.conj().T
-
-
-def block_spin_expectations(rho: np.ndarray) -> dict:
-    """Per-momentum-block population and <sigma_y> of a 4x4 density matrix."""
-    out = {}
-    for name, sl in (("minus", slice(0, 2)), ("plus", slice(2, 4))):
-        block = rho[sl, sl]
-        pop = float(np.trace(block).real)
-        sy = float(np.trace(SIGMA_Y @ block).real / pop) if pop > 1e-12 else 0.0
-        out[name] = (pop, sy)
-    return out

@@ -8,6 +8,7 @@ every file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -16,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import ID4, block_spin_expectations, stage_unitary
+from .analytic import ID4, stage_unitary
 from .design import LaserSpec, ToleranceBudget, full_design_report
-from .observables import spin_momentum_entanglement
+from .observables import REPORT_COLUMNS, bragg_channel_report
 from .propagation import run_scenario, stage_pulse_areas, with_backend
 from .scenario import OutputSpec, ScenarioFileError, load_scenario
-from .states import BraggState, SpatialGrid, unpolarized_density
+from .states import MINUS_BLOCK, PLUS_BLOCK, BraggState, SpatialGrid
 from .units import natural_to_fs, natural_to_um
 
 
@@ -50,21 +51,16 @@ def _write(path: Path, content):
         fh.writelines([content] if isinstance(content, str) else content)
 
 
-TIMESERIES_COLUMNS = (
-    "t_fs,pop_plus,pop_minus,sy_plus,sy_minus,poldeg_plus,poldeg_minus,entropy,norm_drift"
-)
+TIMESERIES_COLUMNS = ",".join(("t_fs",) + REPORT_COLUMNS + ("norm_drift",))
+PREDICTION_COLUMNS = ",".join(("input",) + REPORT_COLUMNS)
 
 
 def timeseries_csv(result, scenario_hash) -> str:
     ts = result.timeseries
+    columns = ([natural_to_fs(ts.t)] + [getattr(ts, name) for name in REPORT_COLUMNS]
+               + [ts.norm_drift])
     lines = [_header(scenario_hash) + TIMESERIES_COLUMNS]
-    for i in range(ts.t.size):
-        row = (
-            natural_to_fs(ts.t[i]), ts.pop_plus[i], ts.pop_minus[i],
-            ts.sy_plus[i], ts.sy_minus[i], ts.poldeg_plus[i], ts.poldeg_minus[i],
-            ts.entropy[i], ts.norm_drift[i],
-        )
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(",".join(_fmt(x) for x in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -143,13 +139,11 @@ def _snapshot_writer(snap_dir: Path, fmt: str, scenario_hash):
     return write
 
 
-def _report_row(report, entropy) -> list:
-    return [report.pop_plus, report.pop_minus, report.sy_plus, report.sy_minus,
-            report.poldeg_plus, report.poldeg_minus, entropy]
-
-
 def analytic_prediction(scenario):
-    """Compose the closed-form stage unitaries for a scenario's pulse areas."""
+    """Compose the closed-form stage unitaries for a scenario's pulse areas:
+    (U, stage table, channel reports of the scenario's spin and of the
+    unpolarized ensemble in the same mode).  The entropy column is the
+    entanglement made from a pure input, so the ensemble's reads 0."""
     u = ID4.copy()
     table = []
     for s, om, teff, theta in stage_pulse_areas(scenario.stages):
@@ -158,24 +152,15 @@ def analytic_prediction(scenario):
         table.append((s.label or s.kind, s.kind, om, teff, theta, chi))
     mode = +2 if scenario.packet.momentum >= 0 else -2
     vec = BraggState.from_spin(scenario.packet.spin, mode=mode)
-    out_vec = BraggState(u @ vec.amplitudes)
-
-    def row(rho, entropy):
-        blocks = block_spin_expectations(rho)
-        (pop_plus, sy_plus), (pop_minus, sy_minus) = blocks["plus"], blocks["minus"]
-        return [pop_plus, pop_minus, sy_plus, sy_minus, abs(sy_plus), abs(sy_minus), entropy]
-
-    pure_row = row(out_vec.density(),
-                   spin_momentum_entanglement(out_vec) if out_vec.norm() > 0 else 0.0)
-    unpol_row = row(u @ unpolarized_density(mode) @ u.conj().T, 0.0)
-    return u, table, pure_row, unpol_row
-
-
-PREDICTION_COLUMNS = "input,pop_plus,pop_minus,sy_plus,sy_minus,poldeg_plus,poldeg_minus,entropy"
+    pure = bragg_channel_report(u @ vec.amplitudes)
+    # the ensemble's members are the two spin states of the mode, weight 1/2
+    members = u[:, PLUS_BLOCK if mode == +2 else MINUS_BLOCK] / np.sqrt(2.0)
+    unpolarized = dataclasses.replace(bragg_channel_report(members), entropy=0.0)
+    return u, table, pure, unpolarized
 
 
 def analytic_csv(scenario) -> str:
-    _, table, pure_row, unpol_row = analytic_prediction(scenario)
+    _, table, pure, unpolarized = analytic_prediction(scenario)
     lines = [_header(scenario.source_hash)
              + "stage,kind,hbar_rabi_eV,effective_duration_fs,pulse_area_rad,chi_rad"]
     for label, kind, om, teff, theta, chi in table:
@@ -183,8 +168,8 @@ def analytic_csv(scenario) -> str:
                                                (om, natural_to_fs(teff), theta, chi)]))
     lines.append("")
     lines.append(PREDICTION_COLUMNS)
-    lines.append(",".join(["scenario-spin"] + [_fmt(x) for x in pure_row]))
-    lines.append(",".join(["unpolarized"] + [_fmt(x) for x in unpol_row]))
+    lines.append(",".join(["scenario-spin"] + [_fmt(x) for x in pure.row()]))
+    lines.append(",".join(["unpolarized"] + [_fmt(x) for x in unpolarized.row()]))
     return "\n".join(lines) + "\n"
 
 
@@ -208,18 +193,15 @@ def design_csv(report) -> str:
 
 
 def compare_csv(scenario, backends) -> str:
-    _, _, pure_row, _ = analytic_prediction(scenario)
-    rows = [("analytic", pure_row)]
+    _, _, ref, _ = analytic_prediction(scenario)
+    reports = [("analytic", ref)]
     for backend in backends:
-        result = run_scenario(with_backend(scenario, backend))
-        r = result.final_report
-        rows.append((backend, _report_row(r, result.timeseries.entropy[-1])))
+        reports.append((backend, run_scenario(with_backend(scenario, backend)).final_report))
     lines = [_header(scenario.source_hash) + PREDICTION_COLUMNS.replace("input", "backend")
              + ",dev_pop_plus,dev_pop_minus"]
-    ref = rows[0][1]
-    for name, row in rows:
-        devs = [row[0] - ref[0], row[1] - ref[1]]
-        lines.append(",".join([name] + [_fmt(x) for x in row] + [_fmt(d) for d in devs]))
+    for name, r in reports:
+        devs = [r.pop_plus - ref.pop_plus, r.pop_minus - ref.pop_minus]
+        lines.append(",".join([name] + [_fmt(x) for x in r.row() + tuple(devs)]))
     return "\n".join(lines) + "\n"
 
 
@@ -272,8 +254,7 @@ def cmd_simulate(args) -> int:
         out = Path(args.out)
         _write(out / out_spec.timeseries, timeseries_csv(result, scenario.source_hash))
         report_lines = [_header(scenario.source_hash).rstrip()]
-        for key, value in zip(PREDICTION_COLUMNS.split(",")[1:],
-                              _report_row(summary, result.timeseries.entropy[-1])):
+        for key, value in zip(REPORT_COLUMNS, summary.row()):
             report_lines.append(f"{key} = {_fmt(value)}")
         report_lines.append(f"norm_drift = {_fmt(result.timeseries.norm_drift[-1])}")
         for w in result.warnings:

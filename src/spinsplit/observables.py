@@ -8,11 +8,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SIGMA_Y, BraggState, SpinorWavefunction
+from .states import BraggState, SpinorWavefunction, _bloch_from_spinors
 
 
 class AnalysisError(ValueError):
     pass
+
+
+# The report columns of a state, as ChannelReport attributes: every time
+# series, prediction and final report lists these values in this order.
+REPORT_COLUMNS = ("pop_plus", "pop_minus", "sy_plus", "sy_minus",
+                  "poldeg_plus", "poldeg_minus", "entropy")
 
 
 @dataclass
@@ -21,7 +27,9 @@ class ChannelReport:
 
     Populations are fractions of the total norm, so
     pop_plus + pop_minus + unassigned == 1 up to rounding.
-    Bloch vectors are (sx, sy, sz) of the normalized channel spinor.
+    Bloch vectors are (sx, sy, sz) of the normalized channel spinor, and
+    (0, 0, 0) for a channel with no population.  ``entropy`` (base 2) and ``sy_total`` (<sigma_y> over all momenta) are
+    those of the reduced spin density.
     """
 
     pop_plus: float
@@ -30,6 +38,8 @@ class ChannelReport:
     bloch_plus: tuple[float, float, float]
     bloch_minus: tuple[float, float, float]
     total_norm: float
+    entropy: float = 0.0
+    sy_total: float = 0.0
 
     @property
     def sy_plus(self) -> float:
@@ -47,52 +57,39 @@ class ChannelReport:
     def poldeg_minus(self) -> float:
         return abs(self.bloch_minus[1])
 
-
-def _bloch_from_spinors(up, dn):
-    """(population, Bloch vector) of the mixed spin state sum_i |chi_i><chi_i|."""
-    pu = np.sum(np.abs(up) ** 2).real
-    pd = np.sum(np.abs(dn) ** 2).real
-    cross = np.sum(np.conj(up) * dn)
-    pop = pu + pd
-    if pop <= 0.0:
-        return 0.0, (0.0, 0.0, 0.0)
-    return pop, (
-        float(2.0 * cross.real / pop),
-        float(2.0 * cross.imag / pop),
-        float((pu - pd) / pop),
-    )
+    def row(self) -> tuple:
+        """The values of REPORT_COLUMNS."""
+        return tuple(getattr(self, name) for name in REPORT_COLUMNS)
 
 
-def _spin_density(phi: np.ndarray, weight: float) -> np.ndarray:
-    """Reduced spin density sum_p phi(p) phi(p)^dagger weight of
-    spin-resolved momentum amplitudes phi (2, M) whose columns each carry the
-    measure ``weight``; its trace is the total norm."""
-    return phi @ phi.conj().T * weight
-
-
-def _channels(phi: np.ndarray, weight: float, plus, minus):
-    """(ChannelReport, ``_spin_density(phi, weight)``) of spin-resolved
-    momentum amplitudes phi (2, M); ``plus`` and ``minus`` select the columns
-    of the two channels."""
-    rho = _spin_density(phi, weight)
+def _channels(phi: np.ndarray, weight: float, plus, minus) -> ChannelReport:
+    """Channel report of spin-resolved momentum amplitudes phi (2, M) whose
+    columns each carry the measure ``weight``; ``plus`` and ``minus`` select
+    the columns of the two channels.  Every ChannelReport is built here.  The
+    reduced spin density sum_p phi(p) phi(p)^dagger weight has the total norm
+    as its trace and gives the entropy and <sigma_y>."""
+    rho = phi @ phi.conj().T * weight
     norm = float(rho.trace().real)
+    if norm <= 0.0 or not np.isfinite(norm):
+        raise AnalysisError("channel report of a state with zero or non-finite norm")
     pops = []
     blochs = []
     for mask in (plus, minus):
         pop, bloch = _bloch_from_spinors(phi[0, mask], phi[1, mask])
         pops.append(pop * weight / norm)
         blochs.append(bloch)
-    report = ChannelReport(
+    return ChannelReport(
         pop_plus=pops[0], pop_minus=pops[1], unassigned=1.0 - pops[0] - pops[1],
         bloch_plus=blochs[0], bloch_minus=blochs[1], total_norm=norm,
+        entropy=_entropy_of_spin_density(rho), sy_total=float(2.0 * rho[1, 0].imag / norm),
     )
-    return report, rho
 
 
-def grid_channels(psi: SpinorWavefunction, hbar_k: float, phi: np.ndarray | None = None):
-    """(ChannelReport, reduced spin density) of a wavefunction from its
-    momentum amplitudes phi (one momentum FFT unless given), with bins
-    |p -+ 2 hbar k| <= hbar k."""
+def channel_report(psi: SpinorWavefunction, hbar_k: float,
+                   phi: np.ndarray | None = None) -> ChannelReport:
+    """Integrate the momentum density over the bins [hk, 3hk] and
+    [-3hk, -hk]; anything outside is reported as unassigned.  ``phi`` is
+    the wavefunction's momentum amplitudes, if already at hand."""
     if phi is None:
         phi = psi.momentum_amplitudes()
     p = psi.grid.p
@@ -101,30 +98,21 @@ def grid_channels(psi: SpinorWavefunction, hbar_k: float, phi: np.ndarray | None
                      np.abs(p - center) <= hbar_k, np.abs(p + center) <= hbar_k)
 
 
-def mode_channels(amplitudes: np.ndarray):
-    """(ChannelReport, reduced spin density) of mode-lattice amplitudes of
-    shape (2N+1, 2); mode n carries momentum n*hbar k, the channels are the
-    modes n = +-2."""
+def mode_channel_report(amplitudes: np.ndarray) -> ChannelReport:
+    """Channel report for mode-lattice amplitudes of shape (2N+1, 2); mode n
+    carries momentum n*hbar k, the channels are n = +-2."""
     c = np.asarray(amplitudes, dtype=complex)
     n_index = np.arange(c.shape[0]) - c.shape[0] // 2
     return _channels(c.T, 1.0, n_index == 2, n_index == -2)
 
 
-def channel_report(psi: SpinorWavefunction, hbar_k: float) -> ChannelReport:
-    """Integrate the momentum density over the bins [hk, 3hk] and
-    [-3hk, -hk]; anything outside is reported as unassigned."""
-    norm = psi.norm()
-    if norm <= 0.0 or not np.isfinite(norm):
-        raise AnalysisError("channel report of a zero-norm state")
-    return grid_channels(psi, hbar_k)[0]
-
-
-def mode_channel_report(amplitudes: np.ndarray) -> ChannelReport:
-    """Channel report for mode-lattice amplitudes of shape (2N+1, 2); mode n
-    carries momentum n*hbar k, the channels are n = +-2."""
-    if float(np.sum(np.abs(amplitudes) ** 2)) <= 0.0:
-        raise AnalysisError("channel report of a zero-norm state")
-    return mode_channels(amplitudes)[0]
+def bragg_channel_report(amplitudes: np.ndarray) -> ChannelReport:
+    """Channel report of Bragg-subspace amplitudes (4,), ordered as in
+    BraggState, or of an ensemble given as its members' amplitudes (4, m),
+    each scaled by the square root of its weight."""
+    a = np.asarray(amplitudes, dtype=complex).reshape(2, 2, -1)   # (mode, spin, member)
+    plus = np.repeat([False, True], a.shape[2])
+    return _channels(a.transpose(1, 0, 2).reshape(2, -1), 1.0, plus, ~plus)
 
 
 def polarization_degree(report: ChannelReport, channel: str = "both"):
@@ -262,26 +250,25 @@ def _entropy_of_spin_density(rho: np.ndarray) -> float:
         raise AnalysisError("entanglement of a zero-norm state")
     evals = evals / tr
     nz = evals[evals > 1e-15]
-    return float(-np.sum(nz * np.log2(nz)))
+    # + 0.0 turns the -0.0 of a pure state (-1 * log2(1)) into 0
+    return float(-np.sum(nz * np.log2(nz))) + 0.0
 
 
 def spin_momentum_entanglement(state) -> float:
     """Base-2 von Neumann entropy of the reduced spin state of a pure state.
 
-    Accepts a SpinorWavefunction (momentum is traced out exactly) or a pure
-    BraggState.  0 for product states, 1 for maximal spin-momentum
-    entanglement.
+    Accepts a SpinorWavefunction (momentum is traced out exactly), a pure
+    BraggState or mode-lattice amplitudes (2N+1, 2).  0 for product states,
+    1 for maximal spin-momentum entanglement.
     """
     if isinstance(state, SpinorWavefunction):
-        rho = _spin_density(state.momentum_amplitudes(), state.grid.momentum_spacing)
-    elif isinstance(state, BraggState):
+        # the entropy reads the whole spin density, not the channel bins
+        return _channels(state.momentum_amplitudes(), state.grid.momentum_spacing,
+                         slice(0), slice(0)).entropy
+    if isinstance(state, BraggState):
         if abs(state.norm() - 1.0) > 1e-6:
             raise AnalysisError("BraggState must be normalized and pure")
-        a = state.amplitudes
-        rho = np.outer(a[0:2], np.conj(a[0:2])) + np.outer(a[2:4], np.conj(a[2:4]))
-    elif isinstance(state, np.ndarray) and state.ndim == 2 and state.shape[1] == 2:
-        # mode-lattice amplitudes (2N+1, 2): rho = sum_n c_n c_n^dagger
-        rho = _spin_density(state.T, 1.0)
-    else:
-        raise AnalysisError("unsupported state type for entanglement")
-    return _entropy_of_spin_density(rho)
+        return bragg_channel_report(state.amplitudes).entropy
+    if isinstance(state, np.ndarray) and state.ndim == 2 and state.shape[1] == 2:
+        return mode_channel_report(state).entropy
+    raise AnalysisError("unsupported state type for entanglement")

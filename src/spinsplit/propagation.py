@@ -57,8 +57,9 @@ One runner drives every backend through the same three calls on the state
 its propagator holds (the sigma_y sectors, or the spin-free packet):
 ``advance`` across a snapshot interval with a
 field on, ``drift`` (the free phase) across one without, and ``observe`` at
-each snapshot (channel report and reduced spin density from
-``observables``, and the leakage shares the run warns about).  The runner
+each snapshot (the channel report from ``observables``, which carries
+the populations, Bloch vectors, entropy and total <sigma_y> of the time
+series, and the leakage shares the run warns about).  The runner
 keeps no snapshot: it hands each one to the config's ``on_snapshot`` sink,
 if any, as ``on_snapshot(index, t, snapshot)``, and holds only the last as
 the final state.  These propagators are the only steppers; the mode
@@ -83,7 +84,8 @@ import numpy as np
 
 from . import fields as F
 from .analytic import KIND_MONO, EffectivePotential
-from .observables import ChannelReport, _entropy_of_spin_density, grid_channels, mode_channels
+from .observables import (REPORT_COLUMNS, AnalysisError, ChannelReport, channel_report,
+                          mode_channel_report)
 from .states import SpatialGrid, SpinorWavefunction, gaussian_packet, normalize_spin
 from .units import MC2_EV, natural_to_fs, um_to_natural
 
@@ -513,19 +515,18 @@ class _GridPropagator:
         return psi
 
     def observe(self, psi: np.ndarray):
-        """(z-basis wavefunction, channel report, reduced spin density, the
-        ``monitors`` shares of the norm: density at the box edges, momentum
-        weight near Nyquist); a spin-free packet phi is first formed into the
-        sectors spin * phi.  The channels and the Nyquist weight share one
-        momentum FFT."""
+        """(z-basis wavefunction, channel report, the ``monitors`` shares of
+        the norm: density at the box edges, momentum weight near Nyquist); a
+        spin-free packet phi is first formed into the sectors spin * phi.
+        The channels and the Nyquist weight share one momentum FFT."""
         if self.spin is not None:
             psi = self.spin[:, None] * psi
         wf = SpinorWavefunction(self.grid, _z_spinor(psi))
         phi = wf.momentum_amplitudes()
-        report, rho = grid_channels(wf, self.hbar_k, phi)
+        report = channel_report(wf, self.hbar_k, phi)
         edge = np.sum(np.abs(wf.psi[:, self._edge]) ** 2) * self.grid.spacing
         high = np.sum(np.abs(phi[:, self._nyquist]) ** 2) * self.grid.momentum_spacing
-        return wf, report, rho, (edge / report.total_norm, high / report.total_norm)
+        return wf, report, (edge / report.total_norm, high / report.total_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -868,10 +869,9 @@ class ModeLatticeEngine:
 
     def observe(self, amps: np.ndarray):
         """(z-basis amplitudes (2N+1, 2), channel report of the modes n = +-2,
-        reduced spin density, the ``monitors`` share: population at |n| = N)."""
+        the ``monitors`` share: population at |n| = N)."""
         c = _z_spinor(amps).T
-        report, rho = mode_channels(c)
-        return c, report, rho, (float(np.sum(np.abs(c[[0, -1]]) ** 2)),)
+        return c, mode_channel_report(c), (float(np.sum(np.abs(c[[0, -1]]) ** 2)),)
 
 
 # ---------------------------------------------------------------------------
@@ -906,19 +906,20 @@ def _snapshot_times(duration: float, cadence: float, run_warnings: list) -> np.n
 
 class _RowCollector:
     """The time series of a run with a known number of observations, one
-    float64 row each, so that a row costs 11 floats and no Python objects."""
+    float64 row of ``fields`` each, so that a row costs 11 floats and no
+    Python objects."""
+
+    fields = ("t",) + REPORT_COLUMNS + ("norm_drift", "sy_total", "norm")
 
     def __init__(self, count: int):
-        self.rows = np.empty((count, 11))
+        self.rows = np.empty((count, len(self.fields)))
 
-    def add(self, i, t, report: ChannelReport, entropy, norm, norm0, sy_total):
-        self.rows[i] = (
-            t, report.pop_plus, report.pop_minus, report.sy_plus, report.sy_minus,
-            report.poldeg_plus, report.poldeg_minus, entropy, norm - norm0, sy_total, norm,
-        )
+    def add(self, i, t, report: ChannelReport, norm0):
+        norm = report.total_norm
+        self.rows[i] = (t, *report.row(), norm - norm0, report.sy_total, norm)
 
     def series(self) -> TimeSeries:
-        return TimeSeries(*self.rows.T.copy())
+        return TimeSeries(**dict(zip(self.fields, self.rows.T.copy())))
 
 
 def _propagator(scn: Scenario):
@@ -977,13 +978,12 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 state = prop.advance(state, ta, t, dt)
             else:
                 state = prop.drift(state, t - ta)
-        snap, report, rho, leakage = prop.observe(state)
-        norm = report.total_norm
-        if not np.isfinite(norm):
-            raise PropagationError(f"non-finite norm at t={t:.6g}")
-        norm0 = norm if norm0 is None else norm0
-        collector.add(i, t, report, _entropy_of_spin_density(rho), norm, norm0,
-                      float(2.0 * rho[1, 0].imag / norm))
+        try:
+            snap, report, leakage = prop.observe(state)
+        except AnalysisError as exc:
+            raise PropagationError(f"zero or non-finite norm at t={t:.6g}") from exc
+        norm0 = report.total_norm if norm0 is None else norm0
+        collector.add(i, t, report, norm0)
         for monitor, share in zip(prop.monitors, leakage):
             if share > _LEAKAGE_LIMIT and monitor not in warned:
                 warned.add(monitor)

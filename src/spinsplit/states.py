@@ -186,17 +186,29 @@ def gaussian_packet(
     return SpinorWavefunction(grid, psi).normalized()
 
 
+def _bloch_from_spinors(up, dn):
+    """(population, Bloch vector) of the mixed spin state sum_i |chi_i><chi_i|
+    with chi_i = (up_i, dn_i); the Bloch vector is (0, 0, 0) where the
+    population is not positive."""
+    pu = np.sum(np.abs(up) ** 2).real
+    pd = np.sum(np.abs(dn) ** 2).real
+    cross = np.sum(np.conj(up) * dn)
+    pop = pu + pd
+    if pop <= 0.0:
+        return 0.0, (0.0, 0.0, 0.0)
+    return pop, (
+        float(2.0 * cross.real / pop),
+        float(2.0 * cross.imag / pop),
+        float((pu - pd) / pop),
+    )
+
+
 def spin_expectations(psi: SpinorWavefunction) -> tuple[float, float, float]:
     """(<sigma_x>, <sigma_y>, <sigma_z>) of a wavefunction, unit-normalized."""
-    up, dn = psi.psi[0], psi.psi[1]
-    norm = np.sum(np.abs(up) ** 2 + np.abs(dn) ** 2).real
+    norm, bloch = _bloch_from_spinors(psi.psi[0], psi.psi[1])
     if norm <= 0.0 or not np.isfinite(norm):
         raise PacketError("spin expectations of a zero-norm state")
-    cross = np.sum(np.conj(up) * dn)
-    sx = 2.0 * cross.real / norm
-    sy = 2.0 * cross.imag / norm
-    sz = float(np.sum(np.abs(up) ** 2 - np.abs(dn) ** 2).real) / norm
-    return (float(sx), float(sy), float(sz))
+    return bloch
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +270,3 @@ def unpolarized_density(mode: int = +2) -> np.ndarray:
     block = PLUS_BLOCK if mode == +2 else MINUS_BLOCK
     rho[block, block] = 0.5 * ID2
     return rho
-
-
-def bragg_momentum(hbar_k: float) -> float:
-    """Resonant longitudinal momentum 2 hbar k for a fundamental wavenumber k."""
-    return 2.0 * hbar_k

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from spinsplit.analytic import (
     ID4,
+    KIND_BI,
+    KIND_MONO,
     SIGMA_Y_TOTAL,
     EffectivePotential,
-    block_spin_expectations,
     coupling_matrix,
     effective_potential_value,
     evolve_density,
@@ -16,7 +17,15 @@ from spinsplit.analytic import (
     stage_unitary,
     total_evolution,
 )
-from spinsplit.states import ID2, SIGMA_Y, BraggState, unpolarized_density
+from spinsplit.observables import bragg_channel_report
+from spinsplit.states import (
+    ID2,
+    MINUS_BLOCK,
+    PLUS_BLOCK,
+    SIGMA_Y,
+    BraggState,
+    unpolarized_density,
+)
 from spinsplit.units import MC2_EV, TIME_UNIT_FS
 
 from taylor_expm import taylor_expm
@@ -190,6 +199,17 @@ class TestTotalEvolution:
         assert np.max(np.abs(comm)) < 1e-12
 
 
+def block_traces(rho):
+    """{"minus" | "plus": (tr(block), tr(sigma_y block) / tr(block))} of a
+    4x4 density matrix, with <sigma_y> = 0 for an empty block."""
+    out = {}
+    for name, sl in (("minus", MINUS_BLOCK), ("plus", PLUS_BLOCK)):
+        block = rho[sl, sl]
+        pop = float(np.trace(block).real)
+        out[name] = (pop, float(np.trace(SIGMA_Y @ block).real / pop) if pop > 0 else 0.0)
+    return out
+
+
 class TestDensityEvolution:
     def test_identity_leaves_density(self):
         rho = unpolarized_density(+2)
@@ -200,11 +220,30 @@ class TestDensityEvolution:
         rho_out = evolve_density(total_evolution(np.pi / 2), unpolarized_density(+2))
         expected = 0.25 * np.block([[ID2 - SIGMA_Y, ZERO2], [ZERO2, ID2 + SIGMA_Y]])
         np.testing.assert_allclose(rho_out, expected, atol=1e-12)
-        blocks = block_spin_expectations(rho_out)
+        blocks = block_traces(rho_out)
         assert blocks["minus"][0] == pytest.approx(0.5, abs=1e-12)
         assert blocks["plus"][0] == pytest.approx(0.5, abs=1e-12)
         assert blocks["minus"][1] == pytest.approx(-1.0, abs=1e-12)
         assert blocks["plus"][1] == pytest.approx(+1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stages=st.lists(st.tuples(st.sampled_from([KIND_MONO, KIND_BI]),
+                                     st.floats(0.0, 2.0 * np.pi),
+                                     st.floats(-np.pi, np.pi)), min_size=1, max_size=4),
+           mode=st.sampled_from([-2, 2]))
+    def test_unpolarized_channel_report_filters_the_density(self, stages, mode):
+        # the analytic unpolarized row is the channel report of the ensemble's
+        # two pure members; it must equal the block traces of U rho U^dagger
+        u = ID4
+        for kind, theta, chi in stages:
+            u = stage_unitary(kind, theta, chi).matrix @ u
+        members = u[:, PLUS_BLOCK if mode == 2 else MINUS_BLOCK] / np.sqrt(2.0)
+        report = bragg_channel_report(members)
+        blocks = block_traces(evolve_density(u, unpolarized_density(mode)))
+        assert report.pop_plus == pytest.approx(blocks["plus"][0], abs=1e-12)
+        assert report.pop_minus == pytest.approx(blocks["minus"][0], abs=1e-12)
+        assert report.sy_plus == pytest.approx(blocks["plus"][1], abs=1e-12)
+        assert report.sy_minus == pytest.approx(blocks["minus"][1], abs=1e-12)
 
     def test_pure_state_consistency(self, rng):
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -197,6 +197,12 @@ class TestAnalytic:
         assert float(vals[3]) == pytest.approx(1.0, abs=1e-9)
         assert float(vals[4]) == pytest.approx(-1.0, abs=1e-9)
 
+    def test_pure_input_prints_entropy_zero(self, capsys):
+        # desk-mono's output is a product state; its entropy used to print as -0
+        assert main(["analytic", "--scenario", "desk-mono"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert rows and all("-0" not in l.split(",") for l in rows)
+
     def test_stage_table_lists_areas(self, tmp_path):
         out = tmp_path / "an"
         main(["analytic", "--scenario", "fig2", "--out", str(out)])

@@ -1,14 +1,16 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from spinsplit.observables import (
     AnalysisError,
     _entropy_of_spin_density,
+    bragg_channel_report,
     channel_report,
     fit_rabi,
-    grid_channels,
     mode_channel_report,
-    mode_channels,
     polarization_degree,
     spin_momentum_entanglement,
 )
@@ -103,6 +105,20 @@ class TestModeChannelReport:
         rep = mode_channel_report(c)
         assert rep.pop_plus == pytest.approx(0.9, abs=1e-12)
         assert rep.unassigned == pytest.approx(0.1, abs=1e-12)
+
+    def test_bragg_state_matches_its_two_modes(self, rng):
+        # a BraggState is the modes n = -2, +2 of a lattice: the same state
+        # on an N = 4 lattice gives the same report
+        for _ in range(20):
+            a = rng.normal(size=4) + 1j * rng.normal(size=4)
+            state = BraggState(a / np.linalg.norm(a))
+            c = np.zeros((9, 2), dtype=complex)
+            c[4 - 2], c[4 + 2] = state.amplitudes[0:2], state.amplitudes[2:4]
+            bragg = bragg_channel_report(state.amplitudes)
+            modes = mode_channel_report(c)
+            for f in dataclasses.fields(bragg):
+                np.testing.assert_allclose(getattr(bragg, f.name), getattr(modes, f.name),
+                                           rtol=0, atol=1e-15, err_msg=f.name)
 
 
 class TestPolarizationDegree:
@@ -209,11 +225,15 @@ class TestEntanglement:
         assert spin_momentum_entanglement(state) == pytest.approx(expected, abs=1e-9)
 
     def test_channel_density_gives_the_same_entropy(self, rng):
-        # the runner takes the entropy of the channel report's spin density;
-        # spin_momentum_entanglement builds that density from the same
-        # amplitudes, so the two agree bit for bit on a grid and on modes
+        # the runner takes the channel report's entropy; spin_momentum_entanglement
+        # reads the spin density of the same amplitudes, so the two agree bit
+        # for bit on a grid and on modes
         psi = np.sqrt(0.6) * packet(2 * K, "x+").psi + np.sqrt(0.4) * packet(-2 * K, "down").psi
         wf = SpinorWavefunction(grid(), psi)
         modes = rng.normal(size=(17, 2)) + 1j * rng.normal(size=(17, 2))
-        for state, (_, rho) in ((wf, grid_channels(wf, K)), (modes, mode_channels(modes))):
-            assert spin_momentum_entanglement(state) == _entropy_of_spin_density(rho)
+        for state, report in ((wf, channel_report(wf, K)), (modes, mode_channel_report(modes))):
+            assert spin_momentum_entanglement(state) == report.entropy
+
+    def test_pure_spin_density_has_entropy_plus_zero(self):
+        # -log2(1) * 1 is -0.0, which the reports printed as "-0"
+        assert math.copysign(1.0, _entropy_of_spin_density(np.diag([1.0, 0.0]))) == 1.0

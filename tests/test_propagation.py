@@ -642,12 +642,16 @@ def test_mode_lattice_edge_population_warns_once():
 @pytest.mark.slow
 def test_fig2_ideal_mode_lattice_keeps_its_edge_modes_empty():
     # fig2-ideal's splitter dresses the electron across about +-15 hbar k;
-    # at its N = 24 the population at |n| = N stays below the warning limit
+    # at its N = 32 the population at |n| = N stays below the warning limit,
+    # and the final poldeg is converged (0.3717 at N = 32 and 40, 0.450 at 24)
     from spinsplit.scenario import load_scenario
 
     scn, _ = load_scenario("fig2-ideal", backend="mode-lattice")
-    assert scn.config.mode_halfwidth == 24
-    assert run_scenario(scn).warnings == []
+    assert scn.config.mode_halfwidth == 32
+    result = run_scenario(scn)
+    assert result.warnings == []
+    assert result.final_report.poldeg_plus == pytest.approx(0.3717, abs=1e-3)
+    assert result.final_report.poldeg_minus == pytest.approx(0.3717, abs=1e-3)
 
 
 @pytest.mark.parametrize("backend", ["full-field", "effective"])

@@ -6,7 +6,8 @@ potential step through ``propagation._apply_potential``, and on the mode
 lattice every fresh step through ``ModeLatticeEngine.gl2_step``, or the
 per-layer metrics silently read 0.  ``gl2_step`` takes a batch of fresh steps
 per call, so the traced ``propagation.gl2_steps`` counts batches; a guard
-checks that the batches stay many steps long."""
+checks that the batches stay many steps long.  One traced compare guards the
+analytic prediction that the ``modes-mono`` workload runs."""
 
 import json
 import os
@@ -37,25 +38,39 @@ propagation:
 """
 
 
-@pytest.mark.parametrize("backend", ["full-field", "effective", "mode-lattice"])
-def test_traced_run_succeeds(backend, tmp_path):
+def traced(tmp_path, *cli_args) -> dict:
+    """The stats record of TINY run traced with the spinsplit arguments
+    cli_args; fails unless the run exits 0."""
     scenario = tmp_path / "tiny.scenario"
     scenario.write_text(TINY)
     stats = tmp_path / "stats.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), str(stats), "1", "0", "--",
-           "simulate", "--scenario", str(scenario), "--backend", backend,
-           "--out", str(tmp_path / "out"), "--format", "binary"]
+           cli_args[0], "--scenario", str(scenario), *cli_args[1:]]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(stats.read_text())
     assert "error" not in record
     assert record["spans"] and len(record["results"]) == 1
+    return record
+
+
+@pytest.mark.parametrize("backend", ["full-field", "effective", "mode-lattice"])
+def test_traced_run_succeeds(backend, tmp_path):
+    record = traced(tmp_path, "simulate", "--backend", backend,
+                    "--out", str(tmp_path / "out"), "--format", "binary")
     if backend == "mode-lattice":
         assert any(name == "propagation.gl2" for name, *_ in record["spans"])
     else:
         assert any(name == "propagation.kinetic_fft" for name, *_ in record["spans"])
         assert record["counts"].get("potential_applies", 0) > 0
+
+
+def test_traced_compare_succeeds(tmp_path):
+    # the modes-mono workload runs compare, whose analytic row comes from
+    # the traced cli.analytic_prediction
+    record = traced(tmp_path, "compare", "--backends", "mode-lattice")
+    assert any(name == "analytic.predict" for name, *_ in record["spans"])
 
 
 def test_mode_lattice_batches_its_fresh_steps(monkeypatch):

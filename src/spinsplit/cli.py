@@ -20,8 +20,8 @@ from . import __version__
 from .analytic import ID4, stage_unitary
 from .design import LaserSpec, ToleranceBudget, full_design_report
 from .observables import REPORT_COLUMNS, bragg_channel_report
-from .propagation import run_scenario, stage_pulse_areas, with_backend
-from .scenario import OutputSpec, ScenarioFileError, load_scenario
+from .propagation import BACKENDS, run_scenario, stage_pulse_areas, with_backend
+from .scenario import CONVENTIONS, FORMATS, ScenarioFileError, load_scenario, standing_amplitude
 from .states import MINUS_BLOCK, PLUS_BLOCK, BraggState, SpatialGrid
 from .units import natural_to_fs, natural_to_um
 
@@ -208,17 +208,17 @@ def compare_csv(scenario, backends) -> str:
 def _add_common(p):
     p.add_argument("--scenario", required=True,
                    help="scenario file path or bundled name (fig2, fig2-ideal, ...)")
-    p.add_argument("--backend", choices=("full-field", "effective", "mode-lattice"),
+    p.add_argument("--backend", choices=BACKENDS,
                    help="override the scenario's backend")
     p.add_argument("--out", help="output directory (default: print a summary)")
     p.add_argument("--snapshot-every", type=float, metavar="FS",
                    help="snapshot cadence in femtoseconds")
     p.add_argument("--grid-points", type=int)
     p.add_argument("--dt", type=float, metavar="AS", help="timestep in attoseconds")
-    p.add_argument("--convention", choices=("standing", "traveling"),
+    p.add_argument("--convention", choices=sorted(CONVENTIONS),
                    help="monochromatic amplitude convention override")
     p.add_argument("--mode-halfwidth", type=int)
-    p.add_argument("--format", choices=("csv", "binary"), dest="fmt",
+    p.add_argument("--format", choices=FORMATS, dest="fmt",
                    help="snapshot format override")
 
 
@@ -241,8 +241,7 @@ def _load(args):
 def cmd_simulate(args) -> int:
     scenario, out_spec = _load(args)
     if args.fmt:
-        out_spec = OutputSpec(format=args.fmt, timeseries=out_spec.timeseries,
-                              snapshots=out_spec.snapshots)
+        out_spec = dataclasses.replace(out_spec, format=args.fmt)
     # wavefunction dumps exist only for the grid backends; mode-lattice
     # snapshots are amplitude vectors already summarized in the series
     if args.out and not args.no_snapshots and scenario.config.backend != "mode-lattice":
@@ -296,7 +295,7 @@ def cmd_design(args) -> int:
         spec1 = LaserSpec(photon_energy=args.photon_energy, xi=args.xi1)
         spec2 = LaserSpec(photon_energy=args.photon_energy,
                           xi=args.xi2 if args.xi2 is not None else args.xi1)
-    mono = args.mono_a0 * (2.0 if args.convention != "standing" else 1.0)
+    mono = standing_amplitude(args.mono_a0, args.convention)
     tol = ToleranceBudget(dp_z_rel=args.dpz_rel, dp_y_rel=args.dpy_rel,
                           dp_x=args.dpx, dL_rel=args.dl_rel)
     report = full_design_report((spec1, spec2), mono_amplitude=mono,
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ea2", type=float, default=None)
     p.add_argument("--photon-energy", type=float, default=200.0)
     p.add_argument("--mono-a0", type=float, default=100.0)
-    p.add_argument("--convention", choices=("standing", "traveling"), default="traveling")
+    p.add_argument("--convention", choices=sorted(CONVENTIONS), default=CONVENTIONS[0])
     p.add_argument("--electron-energy", type=float, default=30.0)
     p.add_argument("--dpz-rel", type=float, default=0.0)
     p.add_argument("--dpy-rel", type=float, default=0.0)

@@ -34,24 +34,25 @@ once per snapshot.
   4th-order Magnus expansion (Blanes, Casas, Oteo and Ros, Phys. Rep. 470,
   151 (2009)) in the Schroedinger picture, so it is unitary to rounding at
   any step size.  Steps lie on the carrier lattice t_i = i T/M,
-  T = 2 pi/omega.  On a pulse plateau H(t + T) = H(t), so a plateau's M step
-  propagators are computed once and whole periods advance by their product
-  U_T (Shirley, Phys. Rev. 138, B979 (1965)); only the sin^2 edges and the
-  fractional steps at the ends of an interval are stepped afresh, through
-  ``gl2_step``.  Fresh steps depend only on t, not on the state, so a run
-  of them is built as one batch: one field-model call on the array of
-  Gauss-node times, one stack of Magnus exponents and one stacked
-  exponential.  A plateau's step cache is filled in the same batches.  The
-  exponents are written diagonal by diagonal from the band structure
-  (H = diag(E_n) + Toeplitz, so the commutator needs no matrix product),
-  and each exponential takes the Taylor degree, 4, 6 or 9, that its own
-  1-norm needs.  A standing wave acts on both spins alike: alone it gives
+  T = 2 pi/omega.  On a pulse plateau H(t + T) = H(t), so a plateau's
+  record, its M step propagators by lattice phase and their product U_T
+  (Shirley, Phys. Rev. 138, B979 (1965)) that whole periods advance by, is
+  built once on entry, after the previous one is freed.  Only the sin^2
+  edges and the fractional steps at the ends of an interval are stepped
+  afresh, one ``gl2_step`` call per run.  Fresh steps depend only on t, not
+  on the state, so ``_fresh`` builds them, and a record, in batches: one
+  field-model call on the array of Gauss-node times, one stack of Magnus
+  exponents and one stacked exponential each.  The exponents are written
+  diagonal by diagonal from the band structure (H = diag(E_n) + Toeplitz,
+  so the commutator needs no matrix product), and each exponential takes
+  the Taylor degree, 4, 6 or 9, that its own 1-norm needs.  A standing wave
+  acts on both spins alike: alone it gives
   c-_j = conj(c+_j) e^{ij chi/2}, so H- = D Pi H+ Pi D* with Pi: n -> -n
   and D = diag(exp(i n chi/2)), and every propagator inherits this,
   U- = D Pi U+ Pi D*.  Where only a standing wave acts, fresh steps and
-  the plateau cache build sector + alone, and sector - is stepped by the
+  the plateau record build sector + alone, and sector - is stepped by the
   same U+ in the mirrored frame Pi D* a- (reversed in n, times a phase),
-  entered and left around each run of such steps.
+  entered and left once around each run of such steps.
 
 One runner drives every backend through the same three calls on the state
 its propagator holds (the sigma_y sectors, or the spin-free packet):
@@ -161,11 +162,15 @@ class Scenario:
                 )
         # Superposed fields of the same kind are almost certainly a mistake;
         # mixed-kind overlap is legitimate (the amplitudes add).
-        for a, b in zip(self.stages, self.stages[1:]):
-            if a.kind == b.kind and b.start < a.end - 1e-12:
+        latest = {}     # kind -> the latest-ending stage of that kind so far
+        for b in self.stages:
+            a = latest.get(b.kind)
+            if a is not None and b.start < a.end - 1e-12:
                 raise ScenarioError(
                     f"stages {a.label!r} and {b.label!r} of kind {a.kind} overlap in time"
                 )
+            if a is None or b.end > a.end:
+                latest[b.kind] = b
         if self.stages:
             # the field model's harmonics e^{ijkz} share one k
             k0 = self.stages[0].wavenumber
@@ -394,66 +399,60 @@ def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.fft.ifft(psi, axis=1, out=psi)
 
 
-class _PhaseWork:
-    """Buffers of ``_apply_potential`` for a state of shape (rows, N): the
-    half angles -h V/2 (then their tangents tau), the weights 2/(1 + tau^2),
-    the factor exp(-i h V) of the last potential step, and the (c bytes, h)
-    that factor was made from."""
-
-    def __init__(self, points: int, rows: int = 2):
-        self.angle = np.empty((rows, points))
-        self.weight = np.empty((rows, points))
-        self.factor = np.empty((rows, points), dtype=complex)
-        self.made_from = None
-
-
-def _phase_from_half_angles(work: _PhaseWork) -> None:
-    """work.factor = exp(2i phi) for the half angles phi in work.angle, from
-    one tangent per point: with tau = tan(phi), exp(2i phi) =
-    (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2).  numpy's float64 tan is
-    vectorised where the CPU has AVX-512, while sin and cos run as scalar
-    loops; elsewhere one libm call per point replaces two.  Within 4.0e-16 of
-    np.exp(2i phi) for |2 phi| <= 50, |factor| within 4.4e-16 of 1, and
-    finite at 2 phi = +-pi, where tan(pi/2) is 1.6e16 in float64.  Overwrites
-    work.angle with the tangents."""
-    tau, weight = work.angle, work.weight
+def _phase_from_half_angles(potential: _GridPotential) -> None:
+    """potential.factor = exp(2i phi) for the half angles phi in
+    potential.angle, from one tangent per point: with tau = tan(phi),
+    exp(2i phi) = (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2).  numpy's float64
+    tan is vectorised where the CPU has AVX-512, while sin and cos run as
+    scalar loops; elsewhere one libm call per point replaces two.  Within
+    4.0e-16 of np.exp(2i phi) for |2 phi| <= 50, |factor| within 4.4e-16 of
+    1, and finite at 2 phi = +-pi, where tan(pi/2) is 1.6e16 in float64.
+    Overwrites potential.angle with the tangents."""
+    tau, weight = potential.angle, potential.weight
     np.tan(tau, out=tau)
     np.multiply(tau, tau, out=weight)
     np.add(weight, 1.0, out=weight)
     np.divide(2.0, weight, out=weight)
-    np.multiply(tau, weight, out=work.factor.imag)
-    np.subtract(weight, 1.0, out=work.factor.real)
+    np.multiply(tau, weight, out=potential.factor.imag)
+    np.subtract(weight, 1.0, out=potential.factor.real)
 
 
-def _apply_potential(psi: np.ndarray, potential: _GridPotential, c: np.ndarray, h: float,
-                     work: _PhaseWork) -> None:
+def _apply_potential(psi: np.ndarray, potential: _GridPotential, c: np.ndarray,
+                     h: float) -> None:
     """In-place exp(-i V h) on psi of shape (r, N), with V summed on the grid
     from the first r rows of the coefficients c[s, j]: the sigma_y sectors
     under V = (a + b, a - b) for r = 2, the spin-free packet under V = a
     for r = 1 (where b = 0, so c+ = c-).
 
-    The half angles -h V/2 are written straight into ``work`` and turned into
-    the factor by ``_phase_from_half_angles``; the factor is reused while c
-    (bit for bit) and h repeat (a plateau of the effective model)."""
+    The half angles -h V/2 are written straight into the potential's buffers
+    and turned into the factor by ``_phase_from_half_angles``; the factor is
+    reused while c (bit for bit) and h repeat (a plateau of the effective
+    model)."""
     c = c[:len(psi)]
     key = (c.tobytes(), h)
-    if work.made_from != key:
-        work.made_from = key
-        potential(c, -0.5 * h, out=work.angle)
-        _phase_from_half_angles(work)
-    psi *= work.factor
+    if potential.made_from != key:
+        potential.made_from = key
+        potential(c, -0.5 * h, out=potential.angle)
+        _phase_from_half_angles(potential)
+    psi *= potential.factor
 
 
 class _GridPotential:
     """V+- = a +- b on the grid from the coefficients c[s, j] of one time,
     one row per row of c: V = R(c) @ P with R(c) = [Re c_0, Re c_j, Im c_j]
     and the profiles P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built
-    once."""
+    once.  It keeps the buffers of ``_apply_potential``, one row per row of
+    the state: the half angles -h V/2 (then their tangents tau), the weights
+    2/(1 + tau^2), the factor exp(-i h V) of the last potential step, and
+    the (c bytes, h) that factor was made from."""
 
-    def __init__(self, model, wavenumber: float, z: np.ndarray):
+    def __init__(self, model, wavenumber: float, z: np.ndarray, rows: int = 2):
         self.model = model
         jkz = (np.arange(1, 5) * wavenumber)[:, None] * z
         self._profiles = np.vstack([np.ones_like(z), 2.0 * np.cos(jkz), -2.0 * np.sin(jkz)])
+        self.angle, self.weight = np.empty((2, rows, z.size))
+        self.factor = np.empty((rows, z.size), dtype=complex)
+        self.made_from = None
 
     def __call__(self, c: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None):
         """scale * V, as (scale R(c)) @ P so that the scale costs no pass over
@@ -486,7 +485,6 @@ class _GridPropagator:
         self.potential = potential
         self.hbar_k = hbar_k
         self.spin = spin
-        self._work = _PhaseWork(grid.points, 2 if spin is None else 1)
         self._kinetic = (None, None, None)  # (h, half-step phase, full-step phase)
         self._edge = np.flatnonzero(np.abs(grid.z) >= (0.5 - 1.0 / 32.0) * grid.length)
         self._nyquist = np.flatnonzero(np.abs(grid.p) > 0.9 * np.pi / grid.spacing)
@@ -510,7 +508,7 @@ class _GridPropagator:
         _apply_kinetic(psi, half)
         for i in range(n):
             if acts[i]:
-                _apply_potential(psi, self.potential, coefficients[i], h, self._work)
+                _apply_potential(psi, self.potential, coefficients[i], h)
             _apply_kinetic(psi, full if i < n - 1 else half)
         return psi
 
@@ -668,10 +666,8 @@ class ModeLatticeEngine:
         self._field = _FullFieldModel(self.stages, wavenumber)
         self.monitors = (f"population {{:.2e}} at |n| = {halfwidth} at t={{:.6g}} fs; "
                          "increase mode_halfwidth",)
-        self._batch = max(1, _BATCH_ELEMENTS // (2 * m * m))
-        self._plateau = None    # (stages on their plateau, M) that the cache serves
-        self._cache = {}        # lattice phase i mod M -> step propagators
-        self._period_u = None   # product of the cached steps over one period
+        # ((stages on their plateau, M), steps by lattice phase, U_T)
+        self._plateau = (None, None, None)
         _keep_scratch_on_heap()
 
     def initial_state(self, mode: int, spin) -> np.ndarray:
@@ -736,10 +732,6 @@ class ModeLatticeEngine:
         omega[..., -4:, -4:] += corner[..., ::-1, ::-1].conj()
         return _expm_skew(omega), acts
 
-    def _overlapping(self, t0: float, t1: float) -> list:
-        """The stages that are on somewhere in (t0, t1)."""
-        return [s for s in self.stages if s.start < t1 and s.end > t0]
-
     def _mirror(self, stages):
         """The phase exp(i n chi/2) of the mirrored frame when every stage
         given is a standing wave of one chi (or none is given), else None.
@@ -750,10 +742,13 @@ class ModeLatticeEngine:
             return None
         return np.exp(0.5j * (stages[0].chi if stages else 0.0) * self._n)
 
-    def _batch_for(self, phase) -> int:
-        """Fresh steps per batch: twice as many where sector + alone is
-        built (a mirrored frame's phase), for stacks of the same size."""
-        return self._batch if phase is None else 2 * self._batch
+    def _fresh(self, t: np.ndarray, dt: float, sectors: int):
+        """(offset into t, propagators, acts) of the fresh steps [t, t + dt]
+        (``_magnus``) in batches of about ``_BATCH_ELEMENTS`` elements: twice
+        as many steps where sector + alone is built, for stacks of one size."""
+        batch = max(1, _BATCH_ELEMENTS // (2 * self._n.size ** 2)) * (2 // sectors)
+        for lo in range(0, len(t), batch):
+            yield lo, *self._magnus(t[lo:lo + batch], dt, sectors)
 
     def _step_class(self, t0: float, t1: float):
         """Indices of the stages overlapping [t0, t1] if every one of them is
@@ -768,34 +763,24 @@ class ModeLatticeEngine:
             on.append(idx)
         return tuple(on)
 
-    def _period_propagator(self, key: tuple, steps: int):
-        """U_T from lattice phase 0 once the cache of plateau ``key`` holds
-        every step of the period, else None."""
-        if self._plateau != (key, steps) or len(self._cache) < steps:
-            return None
-        if self._period_u is None:
-            u = self._cache[0]
-            for p in range(1, steps):
-                u = self._cache[p] @ u
-            self._period_u = u
-        return self._period_u
-
     def gl2_step(self, amps: np.ndarray, t, dt: float) -> np.ndarray:
         """Sector amplitudes at t -> at t + dt by one exact-exponential
         4th-order Magnus step (unitary to rounding), computed afresh: no
         cache, no lattice.  The free phase when no field acts at either
         Gauss node.  For an array of step starts t, one such step from each
-        in turn, with the propagators built as one batch.  ``advance`` takes
-        every edge and fractional step here.  Where only a standing wave
-        acts across the steps, sector + alone is built and applied to both
-        sectors in its mirrored frame (``_mirror``)."""
+        in turn, with the propagators built in batches (``_fresh``).
+        ``advance`` takes every edge run and fractional step here, one call
+        each.  Where only a standing wave acts across the steps, sector +
+        alone is built and applied to both sectors in its mirrored frame
+        (``_mirror``), entered once per call."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        phase = self._mirror(self._overlapping(t.min() + min(dt, 0.0), t.max() + max(dt, 0.0)))
+        t0, t1 = t.min() + min(dt, 0.0), t.max() + max(dt, 0.0)
+        phase = self._mirror([s for s in self.stages if s.start < t1 and s.end > t0])
         if phase is not None:
             amps = _flip(amps, phase)
-        us, acts = self._magnus(t, dt, 2 if phase is None else 1)
-        for u, act in zip(us, acts):
-            amps = _apply(u, amps) if act else self.drift(amps, dt)
+        for _, us, acts in self._fresh(t, dt, 2 if phase is None else 1):
+            for u, act in zip(us, acts):
+                amps = _apply(u, amps) if act else self.drift(amps, dt)
         return amps if phase is None else _flip(amps, phase)
 
     def advance(self, amps: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
@@ -804,11 +789,11 @@ class ModeLatticeEngine:
         Steps lie on the carrier lattice t_i = i T/M, with M the smallest
         integer that makes them no longer than dt; fresh fractional steps
         join ta and tb to it.  Between two stage boundaries every lattice
-        step has one class: a free run is one ``drift``, an edge run is
-        stepped afresh in batches, and a plateau run takes its steps from
-        the cache keyed by (stages on their plateau, M) and i mod M, filled
-        in batches, whole periods as one product U_T each.  A standing wave's
-        plateau caches sector + alone and runs in its mirrored frame.
+        step has one class: a free run is one ``drift``, an edge run is one
+        ``gl2_step`` call, and a plateau run is one ``_plateau_run``, whole
+        periods as one U_T each.  Where a plateau's record would be built
+        with less than a period of it left, its run is an edge run, so that
+        every step of a record lies on its plateau.
         """
         if self.period is None:
             raise ScenarioError("advance needs a stage")
@@ -828,40 +813,46 @@ class ModeLatticeEngine:
         while i < j:
             end = min([b for b in breaks if b > i] + [j])
             key = self._step_class(i * h, (i + 1) * h)
+            if (key and self._plateau[0] != (key, steps)
+                    and self._step_class(i * h, (i + steps) * h) != key):
+                key = None
             if key == ():
                 amps = self.drift(amps, (end - i) * h)
-                i = end
             elif key is None:
-                batch = self._batch_for(self._mirror(self._overlapping(i * h, end * h)))
-                for lo in range(i, end, batch):
-                    amps = self.gl2_step(amps, np.arange(lo, min(lo + batch, end)) * h, h)
-                i = end
+                amps = self.gl2_step(amps, np.arange(i, end) * h, h)
             else:
-                if self._plateau != (key, steps):
-                    self._plateau, self._cache, self._period_u = (key, steps), {}, None
-                phase = self._mirror([self.stages[idx] for idx in key])
-                batch = min(self._batch_for(phase), steps)
-                if phase is not None:
-                    amps = _flip(amps, phase)
-                while i < end:
-                    period = self._period_propagator(key, steps) if i % steps == 0 else None
-                    if period is not None and end - i >= steps:
-                        for _ in range((end - i) // steps):
-                            amps = _apply(period, amps)
-                        i += (end - i) // steps * steps
-                        continue
-                    if i % steps not in self._cache:
-                        fill = [p for p in range(i, min(i + batch, end))
-                                if p % steps not in self._cache]
-                        us, _ = self._magnus(np.array(fill) * h, h, 2 if phase is None else 1)
-                        self._cache.update((p % steps, u) for p, u in zip(fill, us))
-                    amps = _apply(self._cache[i % steps], amps)
-                    i += 1
-                if phase is not None:
-                    amps = _flip(amps, phase)
+                amps = self._plateau_run(amps, key, i, end, steps, h)
+            i = end
         if tb > j * h:
             amps = self.gl2_step(amps, j * h, tb - j * h)
         return amps
+
+    def _plateau_run(self, amps: np.ndarray, key: tuple, i: int, end: int, steps: int,
+                     h: float) -> np.ndarray:
+        """Sector amplitudes across the lattice steps i..end of the plateau
+        of the stages ``key``.  On entry the previous record is freed and this
+        plateau's ((key, M), steps, U_T) built: the M step propagators by
+        lattice phase p mod M, from step i on, and their product from phase
+        0.  A standing wave's record holds sector + alone, and its run is
+        stepped in the mirrored frame."""
+        phase = self._mirror([self.stages[idx] for idx in key])
+        if self._plateau[0] != (key, steps):
+            self._plateau = (None, None, None)
+            sectors = 2 if phase is None else 1
+            lattice = np.arange(i, i + steps)
+            cached = np.empty((steps, sectors) + self._n.shape * 2, dtype=complex)
+            for lo, us, _ in self._fresh(lattice * h, h, sectors):
+                cached[lattice[lo:lo + len(us)] % steps] = us
+            period = functools.reduce(lambda u, step: step @ u, cached)
+            self._plateau = ((key, steps), cached, period)
+        _, cached, period = self._plateau
+        if phase is not None:
+            amps = _flip(amps, phase)
+        while i < end:
+            whole = i % steps == 0 and end - i >= steps
+            amps = _apply(period if whole else cached[i % steps], amps)
+            i += steps if whole else 1
+        return amps if phase is None else _flip(amps, phase)
 
     def drift(self, amps: np.ndarray, tau: float) -> np.ndarray:
         """Free evolution over tau: the phase exp(-i tau E_n) on each mode."""
@@ -941,9 +932,9 @@ def _propagator(scn: Scenario):
         model = _FullFieldModel(scn.stages, k)
     else:
         model = _EffectiveModel(scn.stages)
-    potential = _GridPotential(model, k, grid.z)
     spin_blind = not scn.stages or (cfg.backend == "effective"
                                     and all(s.kind == KIND_MONO for s in scn.stages))
+    potential = _GridPotential(model, k, grid.z, 1 if spin_blind else 2)
     if spin_blind:
         phi = gaussian_packet(grid, packet.center, packet.width, packet.momentum, "up")
         return _GridPropagator(grid, potential, k, _y_sectors(packet.spin)), phi.psi[:1]

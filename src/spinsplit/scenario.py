@@ -27,7 +27,9 @@ try:
 except ImportError:
     from _sha256 import sha256 as _sha256        # 3.10, 3.11
 
+# the monochromatic amplitude conventions, the default first
 CONVENTIONS = ("traveling", "standing")
+FORMATS = ("csv", "binary")
 
 _TIME_UNITS = {"fs": fs_to_natural, "natural": lambda x: x}
 _LENGTH_UNITS = {"um": um_to_natural, "nm": nm_to_natural, "natural": lambda x: x}
@@ -54,9 +56,14 @@ class ScenarioFileError(ValueError):
 
 @dataclass
 class OutputSpec:
-    format: str = "csv"
+    format: str = FORMATS[0]
     timeseries: str = "timeseries.csv"
     snapshots: str = "snapshots"
+
+
+def standing_amplitude(a0: float, convention: str) -> float:
+    """Per-traveling-wave quotes mean the standing wave has amplitude 2 a0."""
+    return 2.0 * a0 if convention == "traveling" else a0
 
 
 def _node_lines(node, path: str, lines: dict) -> dict:
@@ -194,10 +201,8 @@ def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator)
             chi = np.pi * chi_pi if chi_pi is not None else 0.0
         if a0 is None:
             return None
-        # Per-traveling-wave quotes mean the standing wave has amplitude 2 a0.
-        standing = 2.0 * a0 if convention == "traveling" else a0
-        return MonoStandingWave(ea0=standing, photon_energy=photon, chi=chi,
-                                envelope=env, start=to_time(start), label=label)
+        return MonoStandingWave(ea0=standing_amplitude(a0, convention), photon_energy=photon,
+                                chi=chi, envelope=env, start=to_time(start), label=label)
     a1 = val.number(raw, "a1", path, required=True, minimum=0.0)
     a2 = val.number(raw, "a2", path, required=True, minimum=0.0)
     if a1 is None or a2 is None:
@@ -255,30 +260,32 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
         val.error("propagation", "must be a mapping")
         prop = {}
     val.check_keys(prop, _PROP_KEYS, "propagation")
-    backend_name = backend or prop.get("backend", "full-field")
+    default = PropagationConfig()
+    backend_name = backend or prop.get("backend", default.backend)
     if backend_name not in BACKENDS:
         val.error("propagation.backend", f"must be one of {BACKENDS}")
-        backend_name = "full-field"
-    convention_name = convention or prop.get("mono_convention", "traveling")
+        backend_name = default.backend
+    convention_name = convention or prop.get("mono_convention", CONVENTIONS[0])
     if convention_name not in CONVENTIONS:
         val.error("propagation.mono_convention",
                   f"must be one of {CONVENTIONS}")
-        convention_name = "traveling"
+        convention_name = CONVENTIONS[0]
     dt_file = val.number(prop, "dt", "propagation", default=None, positive=True)
     snap_file = val.number(prop, "snapshot_every", "propagation", default=None, positive=True)
-    points = grid_points if grid_points is not None else prop.get("grid_points", 16384)
+    points = prop.get("grid_points", default.grid_points) if grid_points is None else grid_points
     if not isinstance(points, int) or isinstance(points, bool) or points <= 0:
         val.error("propagation.grid_points", f"bad value {points!r}")
-        points = 16384
+        points = default.grid_points
     elif points & (points - 1):
         val.error("propagation.grid_points", f"must be a power of two, got {points}")
-        points = 16384
+        points = default.grid_points
     glen = val.number(prop, "grid_length", "propagation", default=None, positive=True)
-    halfwidth = mode_halfwidth if mode_halfwidth is not None else prop.get("mode_halfwidth", 8)
+    halfwidth = mode_halfwidth if mode_halfwidth is not None else prop.get(
+        "mode_halfwidth", default.mode_halfwidth)
     if not isinstance(halfwidth, int) or halfwidth < 4:
         val.error("propagation.mode_halfwidth",
                   f"must be an integer >= 4, got {halfwidth!r}")
-        halfwidth = 8
+        halfwidth = default.mode_halfwidth
 
     duration = val.number(raw, "duration", "scenario", required=True, positive=True)
 
@@ -299,14 +306,14 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
         val.error("outputs", "must be a mapping")
         outputs_raw = {}
     val.check_keys(outputs_raw, _OUTPUT_KEYS, "outputs")
-    fmt = outputs_raw.get("format", "csv")
-    if fmt not in ("csv", "binary"):
-        val.error("outputs.format", f"must be csv or binary, got {fmt!r}")
-        fmt = "csv"
+    fmt = outputs_raw.get("format", OutputSpec.format)
+    if fmt not in FORMATS:
+        val.error("outputs.format", f"must be {' or '.join(FORMATS)}, got {fmt!r}")
+        fmt = OutputSpec.format
     out_spec = OutputSpec(
         format=fmt,
-        timeseries=str(outputs_raw.get("timeseries", "timeseries.csv")),
-        snapshots=str(outputs_raw.get("snapshots", "snapshots")),
+        timeseries=str(outputs_raw.get("timeseries", OutputSpec.timeseries)),
+        snapshots=str(outputs_raw.get("snapshots", OutputSpec.snapshots)),
     )
 
     if val.errors:
@@ -323,7 +330,7 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
             snapshot_every=snap,
             mode_halfwidth=halfwidth,
             grid_points=points,
-            grid_length=to_length(glen) if glen is not None else PropagationConfig.grid_length,
+            grid_length=to_length(glen) if glen is not None else default.grid_length,
         )
         scenario = Scenario(
             packet=PacketSpec(center=to_length(center), width=to_length(width),

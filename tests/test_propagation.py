@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -30,7 +33,6 @@ from spinsplit.propagation import (
     _GridPotential,
     _GridPropagator,
     _phase_from_half_angles,
-    _PhaseWork,
     _propagator,
     _y_sectors,
     _z_spinor,
@@ -255,13 +257,13 @@ class TestModeLattice:
         assert not rows[-1].any()  # after the stages no field acts
 
     def test_advance_matches_chain_of_fresh_steps(self):
-        # advance serves plateau steps from its cache (keyed by the active
-        # stages and the lattice phase i mod M) and whole periods as one U_T;
-        # gl2_step computes every step anew.  Uneven snapshot intervals cut
-        # the lattice with fractional steps on the rise, the plateau, the
-        # fall and between the stages; the chain of gl2_steps takes the same
-        # lattice points.  The second stage, with another chi, shows that a
-        # plateau's cache ends with it.
+        # advance serves plateau steps from the plateau's record (built on
+        # entry for the active stages, indexed by the lattice phase i mod M)
+        # and whole periods as its one U_T; gl2_step computes every step
+        # anew.  Uneven snapshot intervals cut the lattice with fractional
+        # steps on the rise, the plateau, the fall and between the stages;
+        # the chain of gl2_steps takes the same lattice points.  The second
+        # stage, with another chi, shows that a plateau's record ends with it.
         period = 2 * np.pi / 1200.0
         stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=chi,
                                    envelope=Envelope(*(x * period for x in env)),
@@ -273,31 +275,30 @@ class TestModeLattice:
         calls = []  # Gauss-node times, one per node of a fresh step
         harmonics = engine.harmonics
         engine.harmonics = lambda t: calls.extend(np.ravel(t)) or harmonics(t)
-        products = []
-        period_propagator = engine._period_propagator
-        engine._period_propagator = lambda *a: products.append(period_propagator(*a)) or products[-1]
         c = c_ref = engine.initial_state(+2, "up")
         times = period * np.array([0.0, 0.9, 2.45, 3.5, 6.2, 7.07, 8.4, 9.9, 11.75, 14.3])
-        for ta, tb in zip(times, times[1:]):
-            c = engine.advance(c, ta, tb, h)
-            lattice = [i * h for i in range(math.ceil(ta / h), math.floor(tb / h) + 1)
-                       if ta < i * h < tb]
-            points = [ta, *lattice, tb]
-            for t0, t1 in zip(points, points[1:]):
-                c_ref = reference.gl2_step(c_ref, t0, t1 - t0)
+        with _period_applies(engine) as products:
+            for ta, tb in zip(times, times[1:]):
+                c = engine.advance(c, ta, tb, h)
+                lattice = [i * h for i in range(math.ceil(ta / h), math.floor(tb / h) + 1)
+                           if ta < i * h < tb]
+                points = [ta, *lattice, tb]
+                for t0, t1 in zip(points, points[1:]):
+                    c_ref = reference.gl2_step(c_ref, t0, t1 - t0)
         np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
         assert np.sum(np.abs(c[:, 2 + 8]) ** 2) < 0.999  # the stages did act
-        assert any(u is not None for u in products)
-        # after the first plateau's first period (3.3 T to 4.3 T) only the
-        # fractional steps at the cuts 6.2 T and 7.07 T are fresh
+        assert any(products)
+        # after the first plateau's first period (3.3 T to 4.3 T), which its
+        # record is built from, only the fractional steps at the cuts 6.2 T
+        # and 7.07 T are fresh
         late_plateau = [t for t in calls if 4.4 * period < t < 7.2 * period]
         assert len(late_plateau) == 2 * 2 * 2
 
     def test_batched_runs_match_chain_of_single_steps(self):
-        # advance builds fresh steps and a plateau's cache in batches; one
+        # advance builds fresh steps and a plateau's record in batches; one
         # scalar gl2_step per lattice step is the reference.  A rise run of
-        # 115 steps spans several batches; a plateau run of 0.7 T fills part
-        # of the cache and never completes a period, so no U_T applies.
+        # 115 steps spans several batches; a plateau run of 0.7 T builds the
+        # record's one period but never completes one, so no U_T applies.
         period = 2 * np.pi / 1200.0
         stage = MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.4,
                                  envelope=Envelope(2 * period, 4 * period, 2 * period),
@@ -305,14 +306,15 @@ class TestModeLattice:
         h = period / 64
         engine = ModeLatticeEngine(1200.0, 8, stages=[stage])
         reference = ModeLatticeEngine(1200.0, 8, stages=[stage])
-        assert 3 * engine._batch < 115
-        products = []
-        period_propagator = engine._period_propagator
-        engine._period_propagator = lambda *a: products.append(period_propagator(*a)) or products[-1]
+        batches = []  # per advance, the steps of each batch it builds
+        fresh = engine._fresh
+        engine._fresh = lambda t, *a: (batches[-1].append(len(b[1])) or b for b in fresh(t, *a))
         c0 = engine.initial_state(+2, "x+")
         for ta, tb in ((1.4, 3.2), (3.5, 4.2)):
             ta, tb = ta * period, tb * period
-            c = engine.advance(c0, ta, tb, h)
+            batches.append([])
+            with _period_applies(engine) as products:
+                c = engine.advance(c0, ta, tb, h)
             points = [ta, *(i * h for i in range(math.ceil(ta / h), math.floor(tb / h) + 1)
                             if ta < i * h < tb), tb]
             c_ref = c0
@@ -320,7 +322,73 @@ class TestModeLattice:
                 c_ref = reference.gl2_step(c_ref, t0, t1 - t0)
             np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
             assert np.max(np.abs(c - c0)) > 0.01  # the stage did act
-        assert not any(u is not None for u in products)
+            assert not any(products)
+        # the rise run's 115 steps span several batches
+        assert sum(batches[0]) >= 115 and max(batches[0]) < 115
+
+    def test_plateau_record_is_built_from_a_whole_period_of_its_plateau(self):
+        # a standing wave's plateau from 1 T is cut after 0.5 T by a
+        # bichromatic pulse with no plateau (on from 1.5 T to 3.5 T) and
+        # resumes after it.  A record built at 1 T would take half its
+        # steps from the bichromatic rise and serve them after 3.5 T; the
+        # first 0.5 T is stepped afresh instead, and the record is built
+        # at 3.5 T
+        period = 2 * np.pi / 1200.0
+        stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.4,
+                                   envelope=Envelope(period, 6 * period, period)),
+                  BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0,
+                                  envelope=Envelope(period, 0.0, period), start=1.5 * period)]
+        h = period / 32
+        engine = ModeLatticeEngine(1200.0, 8, stages=stages)
+        reference = ModeLatticeEngine(1200.0, 8, stages=stages)
+        c = c_ref = engine.initial_state(+2, "x+")
+        with _period_applies(engine) as products:
+            c = engine.advance(c, 0.0, 8 * period, h)
+        for i in range(8 * 32):
+            c_ref = reference.gl2_step(c_ref, i * h, h)
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
+        assert any(products)
+
+    def test_one_plateau_record_at_a_time(self):
+        # a bichromatic plateau's record (M steps of both sectors and U_T)
+        # is freed before the next plateau, a standing wave's, builds its
+        # own (sector + alone): traced from just before the first plateau,
+        # the peak stays below the two records together (numpy reports its
+        # buffers to tracemalloc)
+        period = 2 * np.pi / 1200.0
+        env = Envelope(period, 2 * period, period)
+        stages = [BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0, envelope=env),
+                  MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.4,
+                                   envelope=env, start=4 * period)]
+        engine = ModeLatticeEngine(1200.0, 16, stages=stages)
+        h = period / 256
+        m = 2 * 16 + 1
+        records = (256 + 1) * (2 + 1) * m * m * 16
+        c = engine.advance(engine.initial_state(+2, "x+"), 0.0, period, h)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            c = engine.advance(c, period, 8 * period, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(c - engine.initial_state(+2, "x+"))) > 0.01  # the stages acted
+        assert peak < records
+
+
+@contextlib.contextmanager
+def _period_applies(engine):
+    """Per ``propagation._apply`` call while the block runs: whether it
+    applied the period product U_T of the engine's plateau record."""
+    applies = []
+    apply = propagation._apply
+
+    def spy(u, amps):
+        applies.append(u is engine._plateau[2])
+        return apply(u, amps)
+
+    with mock.patch.object(propagation, "_apply", spy):
+        yield applies
 
 
 # A mono stage (rise 2 T, plateau 4 T, fall 2 T) and a bichromatic stage
@@ -776,12 +844,12 @@ def test_potential_factor_matches_exp(theta):
     # the factor of _apply_potential from the half angles -theta/2 (exact
     # in binary): exp(-i theta) to rounding, unimodular, and finite at
     # theta = +-pi, where the tangent is 1.6e16
-    work = _PhaseWork(theta.size)
-    work.angle[:] = -0.5 * theta
-    _phase_from_half_angles(work)
-    assert np.isfinite(work.factor).all()
-    np.testing.assert_allclose(work.factor, [np.exp(-1j * theta)] * 2, rtol=0, atol=5e-16)
-    np.testing.assert_allclose(np.abs(work.factor), 1.0, rtol=0, atol=5e-16)
+    potential = _GridPotential(None, K, np.zeros(theta.size))
+    potential.angle[:] = -0.5 * theta
+    _phase_from_half_angles(potential)
+    assert np.isfinite(potential.factor).all()
+    np.testing.assert_allclose(potential.factor, [np.exp(-1j * theta)] * 2, rtol=0, atol=5e-16)
+    np.testing.assert_allclose(np.abs(potential.factor), 1.0, rtol=0, atol=5e-16)
 
 
 def test_in_place_full_field_step_is_bit_identical():

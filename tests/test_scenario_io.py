@@ -304,6 +304,20 @@ class TestParsing:
             parse_scenario_text(text)
         assert "overlap" in str(err.value)
 
+    def test_same_kind_overlap_across_another_stage_reported(self):
+        # the two standing waves overlap on [50, 60] fs although a
+        # bichromatic stage lies between them in the list
+        text = MINIMAL.replace("stages: []", """stages:
+  - {kind: monochromatic, label: first, a0: 100.0, photon_energy: 200.0, plateau: 100.0}
+  - {kind: bichromatic, label: middle, a1: 2.35e4, a2: 2.35e4, photon_energy: 200.0,
+     start: 10.0, plateau: 10.0}
+  - {kind: monochromatic, label: last, a0: 100.0, photon_energy: 200.0, start: 50.0,
+     plateau: 10.0}
+""")
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text)
+        assert "stages 'first' and 'last' of kind monochromatic overlap in time" in str(err.value)
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_scenario("no-such-scenario")

@@ -4,9 +4,9 @@ them fails every traced run, so one tiny traced simulate runs per backend.  On
 the grid backends the kinetic step must go through ``numpy.fft`` and every
 potential step through ``propagation._apply_potential``, and on the mode
 lattice every fresh step through ``ModeLatticeEngine.gl2_step``, or the
-per-layer metrics silently read 0.  ``gl2_step`` takes a batch of fresh steps
-per call, so the traced ``propagation.gl2_steps`` counts batches; a guard
-checks that the batches stay many steps long.  One traced compare guards the
+per-layer metrics silently read 0.  ``gl2_step`` takes a run of fresh steps
+per call, so the traced ``propagation.gl2_steps`` counts runs; a guard
+checks that the runs stay many steps long.  One traced compare guards the
 analytic prediction that the ``modes-mono`` workload runs."""
 
 import json

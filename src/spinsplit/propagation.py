@@ -19,10 +19,14 @@ once per snapshot.
 
 * ``full-field``   - Strang splitting on the spatial grid with the exact
   time-dependent fields, whose coefficients come from each stage's spatial
-  harmonics.  ``advance`` evaluates them once on its step midpoints and sums
-  V+- on the grid one step at a time.  The potential factor is the phase
-  exp(-i V+- dt) in each sector, built from one tangent tan(-V+- dt/2) per
-  grid point without sin or cos, within 4e-16 of the exact phase.
+  harmonics.  ``advance`` evaluates them once on its step midpoints.  The
+  potential factor is the phase exp(-i V+- dt) in each sector, built from
+  one tangent tan(-V+- dt/2) per grid point without sin or cos, within
+  4e-16 of the exact phase.  Factors depend only on t, not on the state, so
+  a helper thread sums V+- on the grid and builds the factors of the next
+  few steps while the main thread applies the current ones and runs the
+  kinetic FFTs; numpy releases the GIL in both, so the two halves of a
+  step run on two cores, and the result is bit for bit that of one thread.
 * ``effective``    - same splitting with the cycle-averaged lattices (j = 4);
   inside pulse edges the monochromatic lattice scales as f(t)^2 and the
   bichromatic one as f(t)^3 (two resp. three field factors drive them).
@@ -77,6 +81,7 @@ import cmath
 import ctypes
 import functools
 import math
+import threading
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -399,66 +404,141 @@ def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.fft.ifft(psi, axis=1, out=psi)
 
 
-def _phase_from_half_angles(potential: _GridPotential) -> None:
-    """potential.factor = exp(2i phi) for the half angles phi in
-    potential.angle, from one tangent per point: with tau = tan(phi),
+def _phase_from_half_angles(potential: _GridPotential, out: np.ndarray | None = None) -> None:
+    """exp(2i phi) for the half angles phi in potential.angle, written into
+    out if given (for the leading len(out) rows of the angles), else into
+    potential.factor, from one tangent per point: with tau = tan(phi),
     exp(2i phi) = (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2).  numpy's float64
-    tan is vectorised where the CPU has AVX-512, while sin and cos run as
-    scalar loops; elsewhere one libm call per point replaces two.  Within
-    4.0e-16 of np.exp(2i phi) for |2 phi| <= 50, |factor| within 4.4e-16 of
-    1, and finite at 2 phi = +-pi, where tan(pi/2) is 1.6e16 in float64.
-    Overwrites potential.angle with the tangents."""
-    tau, weight = potential.angle, potential.weight
+    tan is vectorised on contiguous arrays where the CPU has AVX-512, while
+    sin and cos run as scalar loops; elsewhere one libm call per point
+    replaces two.  Within 4.0e-16 of np.exp(2i phi) for |2 phi| <= 50,
+    |factor| within 4.4e-16 of 1, and finite at 2 phi = +-pi, where tan(pi/2)
+    is 1.6e16 in float64.  Overwrites those angles with their tangents; the
+    weights 2/(1 + tau^2) pass through the factor's real part."""
+    factor = potential.factor if out is None else out
+    tau, weight = potential.angle[:len(factor)], factor.real
     np.tan(tau, out=tau)
     np.multiply(tau, tau, out=weight)
     np.add(weight, 1.0, out=weight)
     np.divide(2.0, weight, out=weight)
-    np.multiply(tau, weight, out=potential.factor.imag)
-    np.subtract(weight, 1.0, out=potential.factor.real)
+    np.multiply(tau, weight, out=factor.imag)
+    np.subtract(weight, 1.0, out=weight)
 
 
-def _apply_potential(psi: np.ndarray, potential: _GridPotential, c: np.ndarray,
-                     h: float) -> None:
-    """In-place exp(-i V h) on psi of shape (r, N), with V summed on the grid
-    from the first r rows of the coefficients c[s, j]: the sigma_y sectors
-    under V = (a + b, a - b) for r = 2, the spin-free packet under V = a
-    for r = 1 (where b = 0, so c+ = c-).
+def _apply_potential(psi: np.ndarray, factor: np.ndarray) -> None:
+    """In place: psi *= factor, the phase exp(-i V h) of one step on each of
+    the r rows of psi (see ``_GridPotential``)."""
+    psi *= factor
 
-    The half angles -h V/2 are written straight into the potential's buffers
-    and turned into the factor by ``_phase_from_half_angles``; the factor is
-    reused while c (bit for bit) and h repeat (a plateau of the effective
-    model)."""
-    c = c[:len(psi)]
-    key = (c.tobytes(), h)
-    if potential.made_from != key:
-        potential.made_from = key
-        potential(c, -0.5 * h, out=potential.angle)
-        _phase_from_half_angles(potential)
-    psi *= potential.factor
+
+# The two halves of a grid potential's factor double buffer hold about this
+# many bytes, so a chunk of steps holds a fixed amount of work whatever the
+# grid: 4 steps at (2, 8192), 2 at (2, 16384) and 8 at (1, 8192).
+_FACTOR_BYTES = 2 << 20
 
 
 class _GridPotential:
     """V+- = a +- b on the grid from the coefficients c[s, j] of one time,
     one row per row of c: V = R(c) @ P with R(c) = [Re c_0, Re c_j, Im c_j]
     and the profiles P = [1, 2 cos(jkz), -2 sin(jkz)], j = 1..4, built
-    once.  It keeps the buffers of ``_apply_potential``, one row per row of
-    the state: the half angles -h V/2 (then their tangents tau), the weights
-    2/(1 + tau^2), the factor exp(-i h V) of the last potential step, and
-    the (c bytes, h) that factor was made from."""
+    once.  It keeps the buffers of a chunk of K steps (K from
+    ``_FACTOR_BYTES``), r rows per step for the r rows of the state, stacked
+    step by step into K r rows: the half angles -h V/2 (then their
+    tangents), and the two halves ``factors[0]`` and ``factors[1]`` of a
+    double buffer of the factors exp(-i h V).  ``factor``, the first step's
+    rows of ``factors[0]``, is where ``_phase_from_half_angles`` writes by
+    default."""
 
     def __init__(self, model, wavenumber: float, z: np.ndarray, rows: int = 2):
         self.model = model
         jkz = (np.arange(1, 5) * wavenumber)[:, None] * z
         self._profiles = np.vstack([np.ones_like(z), 2.0 * np.cos(jkz), -2.0 * np.sin(jkz)])
-        self.angle, self.weight = np.empty((2, rows, z.size))
-        self.factor = np.empty((rows, z.size), dtype=complex)
-        self.made_from = None
+        steps = max(1, _FACTOR_BYTES // (2 * rows * z.size * np.dtype(complex).itemsize))
+        self.angle = np.empty((steps * rows, z.size))
+        self.factors = np.empty((2, steps * rows, z.size), dtype=complex)
+        self.factor = self.factors[0, :rows]
 
     def __call__(self, c: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None):
-        """scale * V, as (scale R(c)) @ P so that the scale costs no pass over
-        the grid; written into out if given."""
-        rows = np.hstack([c.real, c.imag[:, 1:]]) * scale
+        """scale * V for the coefficients c[..., s, j] of one time or of a
+        stack of times, as (scale R(c)) @ P so that the scale costs no pass
+        over the grid; written into out if given."""
+        rows = np.concatenate([c.real, c.imag[..., 1:]], axis=-1) * scale
         return np.matmul(rows, self._profiles, out=out)
+
+
+class _FactorPipeline:
+    """The factors exp(-i h V) of a run of steps, built a chunk of K at a time
+    into the halves of the potential's double buffer, chunk q into half
+    q mod 2.  Each chunk is one matmul, one tan and the arithmetic of
+    ``_phase_from_half_angles``, all of which release the GIL.  Entering
+    builds chunk 0 on the calling thread and starts a helper thread for the
+    rest, if any, so the helper builds chunk q + 1 while the caller applies
+    chunk q with the kinetic FFTs.  A half is rebuilt only after the caller
+    has moved past the chunk it held.
+
+    ``pipeline[g]`` (calling thread) is the factor of build g, g in order;
+    it waits for g's chunk and re-raises the helper's exception, if any.
+    Leaving stops and joins the helper."""
+
+    def __init__(self, potential: _GridPotential, coefficients: np.ndarray, scale: float):
+        self._potential = potential
+        self._coefficients = coefficients       # (builds, r, 5)
+        self._scale = scale
+        self._rows = coefficients.shape[1]
+        self._size = len(potential.angle) // self._rows       # K
+        self._chunks = -(-len(coefficients) // self._size)
+        self._built = threading.Semaphore(0)    # chunks built and not yet taken
+        self._free = threading.Semaphore(1)     # halves the helper may write
+        self._stop = False
+        self._error = None
+        self._chunk = -1                        # the chunk the caller applies
+        self._helper = None
+
+    def __enter__(self):
+        if self._chunks:
+            self._build(0)
+            self._built.release()
+        if self._chunks > 1:
+            self._helper = threading.Thread(target=self._build_rest, name="spinsplit-factors",
+                                            daemon=True)
+            self._helper.start()
+        return self
+
+    def __exit__(self, *exc):
+        if self._helper is not None:
+            self._stop = True
+            self._free.release()
+            self._helper.join()
+
+    def _build(self, q: int) -> None:
+        potential = self._potential
+        c = self._coefficients[q * self._size:(q + 1) * self._size]
+        flat = len(c) * self._rows
+        potential(c, self._scale, out=potential.angle[:flat].reshape(c.shape[:2] + (-1,)))
+        _phase_from_half_angles(potential, potential.factors[q % 2][:flat])
+
+    def _build_rest(self) -> None:
+        try:
+            for q in range(1, self._chunks):
+                self._free.acquire()
+                if self._stop:
+                    return
+                self._build(q)
+                self._built.release()
+        except BaseException as exc:     # re-raised on the calling thread
+            self._error = exc
+            self._built.release()
+
+    def __getitem__(self, g: int) -> np.ndarray:
+        q, k = divmod(g, self._size)
+        if q != self._chunk:
+            if self._chunk >= 0:
+                self._free.release()
+            self._built.acquire()
+            if self._error is not None:
+                raise self._error
+            self._chunk = q
+        return self._potential.factors[q % 2][k * self._rows:(k + 1) * self._rows]
 
 
 class _GridPropagator:
@@ -496,7 +576,12 @@ class _GridPropagator:
 
     def advance(self, psi: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
         """Sectors at ta -> at tb, in equal steps no longer than dt, with the
-        field model called once on the array of the step midpoints.  The
+        field model called once on the array of the step midpoints.  A factor
+        is built for each acting step whose coefficients differ bit for bit
+        from the previous acting step's, and reused until then (a plateau of
+        the effective model).  The builds after the first chunk run on a
+        helper thread (``_FactorPipeline``); every factor is applied on this
+        one.  The
         kinetic phases of the last step size are kept for the next call."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
@@ -504,12 +589,19 @@ class _GridPropagator:
             self._kinetic = (h, _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h))
         _, half, full = self._kinetic
         coefficients = self.potential.model(ta + (np.arange(n) + 0.5) * h)
-        acts = coefficients.any(axis=(-2, -1))
-        _apply_kinetic(psi, half)
-        for i in range(n):
-            if acts[i]:
-                _apply_potential(psi, self.potential, coefficients[i], h)
-            _apply_kinetic(psi, full if i < n - 1 else half)
+        acting = np.flatnonzero(coefficients.any(axis=(-2, -1)))
+        rows = coefficients[acting, :len(psi)]
+        bits = rows.view(np.uint64)
+        fresh = np.ones(len(acting), dtype=bool)
+        fresh[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
+        build = np.full(n, -1)      # per step, the index of its factor's build
+        build[acting] = np.cumsum(fresh) - 1
+        with _FactorPipeline(self.potential, rows[fresh], -0.5 * h) as factors:
+            _apply_kinetic(psi, half)
+            for i, g in enumerate(build.tolist()):
+                if g >= 0:
+                    _apply_potential(psi, factors[g])
+                _apply_kinetic(psi, full if i < n - 1 else half)
         return psi
 
     def observe(self, psi: np.ndarray):

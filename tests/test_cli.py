@@ -1,5 +1,9 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +264,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "spinsplit" in capsys.readouterr().out
+
+
+def test_runs_as_a_module():
+    # python -m spinsplit runs the CLI
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "spinsplit", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "spinsplit 0.1.0"

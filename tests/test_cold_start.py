@@ -7,7 +7,9 @@ fits in numpy, and the design calculator reads its constants from
 Without scipy's import side effects the stepping loops must still not
 page-fault: numpy.fft's per-transform scratch row and the temporaries of a
 batch of mode-lattice steps must come from the heap, not from fresh mmaps
-(``propagation._keep_scratch_on_heap``)."""
+(``propagation._keep_scratch_on_heap``).  The grid backends' helper thread
+comes from ``threading``, which the import loads anyway; ``concurrent.futures``
+would add 5 to 8 ms to every run's start."""
 
 import json
 import os
@@ -82,6 +84,12 @@ SCIPY_MODULES = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[
 
 def test_import_loads_no_scipy():
     assert _fresh("import json, sys\nimport spinsplit, spinsplit.cli\n" + SCIPY_MODULES) == []
+
+
+def test_import_loads_no_concurrent_futures():
+    code = ("import json, sys\nimport spinsplit, spinsplit.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('concurrent'))))")
+    assert _fresh(code) == []
 
 
 # the rabi-trace benchmark workload at an eighth of its grid: mono-rabi's

@@ -2,6 +2,8 @@ import contextlib
 import functools
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -874,6 +876,136 @@ def test_in_place_effective_step_is_bit_identical():
     times = scn.duration * np.array([0.0, 0.13, 0.29, 0.41, 0.58, 0.66, 0.83, 1.0])
     dt = timestep_ceiling("effective", stages) / 2.0
     _assert_in_place_steps_match_reference(scn, times, dt)
+
+
+def _pipeline_case(name):
+    """(scenario, snapshot times, dt, plateau interval) of a grid run: the
+    intervals between the times cross free flight, the rise and the start
+    of the plateau, and the plateau interval lies inside the plateau."""
+    if name == "full-field-bichromatic":
+        scn = _grid_case("desk-bichrom-head-full-field")
+        scn.packet = replace(scn.packet, spin="x+")
+        dt = default_timestep("full-field", scn.stages, 1.0)
+    else:
+        make = mono_stage if name == "effective-monochromatic" else bi_stage
+        scn = effective_scenario([make(np.pi / 2, rise_fs=5.0)], spin=(1, 1))
+        dt = timestep_ceiling("effective", scn.stages) / 2.0
+    stage = scn.stages[0]
+    lo = stage.start + stage.envelope.rise
+    times = np.array([0.5 * stage.start, stage.start + 0.3 * stage.envelope.rise,
+                      lo + 0.2 * stage.envelope.plateau])
+    plateau = (lo + 0.3 * stage.envelope.plateau, lo + 0.6 * stage.envelope.plateau)
+    return scn, times, dt, plateau
+
+
+@pytest.mark.parametrize("name, rows", [("full-field-bichromatic", 2),
+                                        ("effective-bichromatic", 2),
+                                        ("effective-monochromatic", 1)])
+def test_every_potential_step_is_applied_on_the_main_thread(monkeypatch, name, rows):
+    # the helper thread only builds factors: each acting step is applied
+    # once, by the thread that called advance, through the module's
+    # _apply_potential (which the traced benchmark counts)
+    scn, times, dt, plateau = _pipeline_case(name)
+    prop, state = _propagator(scn)
+    assert state.shape[0] == rows
+    applied = []
+    apply = propagation._apply_potential
+    monkeypatch.setattr(propagation, "_apply_potential",
+                        lambda psi, factor: applied.append(threading.get_ident())
+                        or apply(psi, factor))
+    built = []    # the rows of each factor build
+    phase = propagation._phase_from_half_angles
+    monkeypatch.setattr(propagation, "_phase_from_half_angles",
+                        lambda potential, out=None: built.append(len(out))
+                        or phase(potential, out))
+    model = prop.potential.model
+    intervals = list(zip(times, times[1:])) + [plateau]
+    for ta, tb in intervals:
+        acting = int(model(_midpoints(ta, tb, dt)[0]).any(axis=(-2, -1)).sum())
+        applied.clear()
+        built.clear()
+        prop.advance(state, ta, tb, dt)
+        assert applied == [threading.get_ident()] * acting, (ta, tb)
+    assert acting > 1
+    if name.startswith("effective"):
+        # on a plateau of the effective model the coefficients repeat bit
+        # for bit: one factor is built for the whole interval
+        assert built == [rows]
+    else:
+        assert sum(built) == acting * rows
+
+
+@pytest.mark.parametrize("failing", ["helper", "main"])
+def test_a_failed_step_stops_the_helper(monkeypatch, failing):
+    # a build that fails on the third chunk (the helper's second) is
+    # re-raised by advance; so is a failure of the main thread's third
+    # potential step, while the helper waits for a free half.  Either way no helper thread is left behind,
+    # and the same propagator then steps a fresh state bit for bit
+    scn, _, dt, _ = _pipeline_case("full-field-bichromatic")
+    prop, state = _propagator(scn)
+    fresh = state.copy()
+    start = scn.stages[0].start
+    ta, tb = start, start + fs_to_natural(0.01)
+    chunk = len(prop.potential.angle) // len(state)
+    assert len(_midpoints(ta, tb, dt)[0]) > 4 * chunk
+    calls = []
+
+    def fail_third(original):
+        def wrapped(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("failed step")
+            return original(*args)
+        return wrapped
+
+    errors = []
+
+    def run():
+        try:
+            prop.advance(state, ta, tb, dt)
+        except FloatingPointError as exc:
+            errors.append(str(exc))
+
+    name = "_phase_from_half_angles" if failing == "helper" else "_apply_potential"
+    before = set(threading.enumerate())
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, name, fail_third(getattr(propagation, name)))
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    assert not caller.is_alive() and errors == ["failed step"]
+    assert set(threading.enumerate()) == before
+    ref = _reference_advance(prop, fresh.copy(), ta, tb, dt)
+    assert np.array_equal(prop.advance(fresh, ta, tb, dt), ref)
+
+
+def test_concurrent_grid_runs_keep_their_factors_apart():
+    # three runs, each with its helper, on threads switching every 10 us:
+    # a half rebuilt before its chunk was applied would change the result
+    scn, times, dt, _ = _pipeline_case("full-field-bichromatic")
+    ta, tb = times[1], times[1] + fs_to_natural(0.004)
+    prop, state = _propagator(scn)
+    ref = _reference_advance(prop, state.copy(), ta, tb, dt)
+    runs = [_propagator(scn) for _ in range(3)]
+    results = [None] * len(runs)
+
+    def run(i):
+        prop, state = runs[i]
+        results[i] = prop.advance(state, ta, tb, dt)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(runs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert np.array_equal(result, ref)
 
 
 def test_expm_skew_squares_each_matrix_as_far_as_its_norm_needs():

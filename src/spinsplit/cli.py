@@ -232,6 +232,7 @@ def _load(args):
             snapshot_every_fs=args.snapshot_every,
             grid_points=args.grid_points,
             mode_halfwidth=args.mode_halfwidth,
+            fmt=args.fmt,
         )
     except (ScenarioFileError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)
@@ -240,8 +241,6 @@ def _load(args):
 
 def cmd_simulate(args) -> int:
     scenario, out_spec = _load(args)
-    if args.fmt:
-        out_spec = dataclasses.replace(out_spec, format=args.fmt)
     # wavefunction dumps exist only for the grid backends; mode-lattice
     # snapshots are amplitude vectors already summarized in the series
     if args.out and not args.no_snapshots and scenario.config.backend != "mode-lattice":
@@ -287,14 +286,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_design(args) -> int:
-    if args.ea1 is not None:
-        spec1 = LaserSpec.from_amplitude(args.ea1, args.photon_energy)
-        spec2 = LaserSpec.from_amplitude(args.ea2 if args.ea2 is not None else args.ea1,
-                                         args.photon_energy)
-    else:
-        spec1 = LaserSpec(photon_energy=args.photon_energy, xi=args.xi1)
-        spec2 = LaserSpec(photon_energy=args.photon_energy,
-                          xi=args.xi2 if args.xi2 is not None else args.xi1)
+    def wave(ea, xi):   # one wave from its own flags: --eaN over --xiN
+        return (LaserSpec(photon_energy=args.photon_energy, xi=xi) if ea is None
+                else LaserSpec.from_amplitude(ea, args.photon_energy))
+
+    spec1 = wave(args.ea1, args.xi1)
+    # wave 2 is wave 1 unless one of its own flags is given
+    spec2 = spec1 if args.ea2 is None and args.xi2 is None else wave(args.ea2, args.xi2)
     mono = standing_amplitude(args.mono_a0, args.convention)
     tol = ToleranceBudget(dp_z_rel=args.dpz_rel, dp_y_rel=args.dpy_rel,
                           dp_x=args.dpx, dL_rel=args.dl_rel)
@@ -336,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="feasibility numbers for a parameter point")
     p.add_argument("--xi1", type=float, default=2.35e4 / 5.110e5)
     p.add_argument("--xi2", type=float, default=None)
-    p.add_argument("--ea1", type=float, default=None, help="e*a1 in eV (overrides xi)")
-    p.add_argument("--ea2", type=float, default=None)
+    p.add_argument("--ea1", type=float, default=None, help="e*a1 in eV (overrides --xi1)")
+    p.add_argument("--ea2", type=float, default=None, help="e*a2 in eV (overrides --xi2)")
     p.add_argument("--photon-energy", type=float, default=200.0)
     p.add_argument("--mono-a0", type=float, default=100.0)
     p.add_argument("--convention", choices=sorted(CONVENTIONS), default=CONVENTIONS[0])

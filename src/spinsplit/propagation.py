@@ -58,10 +58,10 @@ once per snapshot.
   same U+ in the mirrored frame Pi D* a- (reversed in n, times a phase),
   entered and left once around each run of such steps.
 
-One runner drives every backend through the same three calls on the state
+One runner drives every backend through the same two calls on the state
 its propagator holds (the sigma_y sectors, or the spin-free packet):
-``advance`` across a snapshot interval with a
-field on, ``drift`` (the free phase) across one without, and ``observe`` at
+``advance`` across each snapshot interval, which takes one ``drift`` (the
+free phase) across an interval where no field acts, and ``observe`` at
 each snapshot (the channel report from ``observables``, which carries
 the populations, Bloch vectors, entropy and total <sigma_y> of the time
 series, and the leakage shares the run warns about).  The runner
@@ -404,24 +404,22 @@ def _apply_kinetic(psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.fft.ifft(psi, axis=1, out=psi)
 
 
-def _phase_from_half_angles(potential: _GridPotential, out: np.ndarray | None = None) -> None:
-    """exp(2i phi) for the half angles phi in potential.angle, written into
-    out if given (for the leading len(out) rows of the angles), else into
-    potential.factor, from one tangent per point: with tau = tan(phi),
-    exp(2i phi) = (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2).  numpy's float64
-    tan is vectorised on contiguous arrays where the CPU has AVX-512, while
-    sin and cos run as scalar loops; elsewhere one libm call per point
-    replaces two.  Within 4.0e-16 of np.exp(2i phi) for |2 phi| <= 50,
-    |factor| within 4.4e-16 of 1, and finite at 2 phi = +-pi, where tan(pi/2)
-    is 1.6e16 in float64.  Overwrites those angles with their tangents; the
-    weights 2/(1 + tau^2) pass through the factor's real part."""
-    factor = potential.factor if out is None else out
-    tau, weight = potential.angle[:len(factor)], factor.real
+def _phase_from_half_angles(potential: _GridPotential, out: np.ndarray) -> None:
+    """exp(2i phi) for the half angles phi in the leading len(out) rows of
+    potential.angle, written into out, from one tangent per point: with
+    tau = tan(phi), exp(2i phi) = (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2).
+    numpy's float64 tan is vectorised on contiguous arrays where the CPU has
+    AVX-512, while sin and cos run as scalar loops; elsewhere one libm call
+    per point replaces two.  Within 4.0e-16 of np.exp(2i phi) for
+    |2 phi| <= 50, |out| within 4.4e-16 of 1, and finite at 2 phi = +-pi,
+    where tan(pi/2) is 1.6e16 in float64.  Overwrites those angles with
+    their tangents; the weights 2/(1 + tau^2) pass through out's real part."""
+    tau, weight = potential.angle[:len(out)], out.real
     np.tan(tau, out=tau)
     np.multiply(tau, tau, out=weight)
     np.add(weight, 1.0, out=weight)
     np.divide(2.0, weight, out=weight)
-    np.multiply(tau, weight, out=factor.imag)
+    np.multiply(tau, weight, out=out.imag)
     np.subtract(weight, 1.0, out=weight)
 
 
@@ -445,9 +443,7 @@ class _GridPotential:
     ``_FACTOR_BYTES``), r rows per step for the r rows of the state, stacked
     step by step into K r rows: the half angles -h V/2 (then their
     tangents), and the two halves ``factors[0]`` and ``factors[1]`` of a
-    double buffer of the factors exp(-i h V).  ``factor``, the first step's
-    rows of ``factors[0]``, is where ``_phase_from_half_angles`` writes by
-    default."""
+    double buffer of the factors exp(-i h V)."""
 
     def __init__(self, model, wavenumber: float, z: np.ndarray, rows: int = 2):
         self.model = model
@@ -456,7 +452,6 @@ class _GridPotential:
         steps = max(1, _FACTOR_BYTES // (2 * rows * z.size * np.dtype(complex).itemsize))
         self.angle = np.empty((steps * rows, z.size))
         self.factors = np.empty((2, steps * rows, z.size), dtype=complex)
-        self.factor = self.factors[0, :rows]
 
     def __call__(self, c: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None):
         """scale * V for the coefficients c[..., s, j] of one time or of a
@@ -581,15 +576,17 @@ class _GridPropagator:
         from the previous acting step's, and reused until then (a plateau of
         the effective model).  The builds after the first chunk run on a
         helper thread (``_FactorPipeline``); every factor is applied on this
-        one.  The
+        one.  Where no step acts, the interval is one ``drift``.  The
         kinetic phases of the last step size are kept for the next call."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
+        coefficients = self.potential.model(ta + (np.arange(n) + 0.5) * h)
+        acting = np.flatnonzero(coefficients.any(axis=(-2, -1)))
+        if not acting.size:
+            return self.drift(psi, tb - ta)
         if self._kinetic[0] != h:
             self._kinetic = (h, _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h))
         _, half, full = self._kinetic
-        coefficients = self.potential.model(ta + (np.arange(n) + 0.5) * h)
-        acting = np.flatnonzero(coefficients.any(axis=(-2, -1)))
         rows = coefficients[acting, :len(psi)]
         bits = rows.view(np.uint64)
         fresh = np.ones(len(acting), dtype=bool)
@@ -876,9 +873,10 @@ class ModeLatticeEngine:
         return amps if phase is None else _flip(amps, phase)
 
     def advance(self, amps: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
-        """Sector amplitudes at ta -> at tb.
+        """Sector amplitudes at ta -> at tb: one ``drift`` where no stage
+        overlaps [ta, tb].
 
-        Steps lie on the carrier lattice t_i = i T/M, with M the smallest
+        Otherwise steps lie on the carrier lattice t_i = i T/M, with M the smallest
         integer that makes them no longer than dt; fresh fractional steps
         join ta and tb to it.  Between two stage boundaries every lattice
         step has one class: a free run is one ``drift``, an edge run is one
@@ -887,8 +885,8 @@ class ModeLatticeEngine:
         with less than a period of it left, its run is an edge run, so that
         every step of a record lies on its plateau.
         """
-        if self.period is None:
-            raise ScenarioError("advance needs a stage")
+        if self._step_class(ta, tb) == ():
+            return self.drift(amps, tb - ta)
         steps = max(1, math.ceil(self.period / dt - 1e-9))
         h = self.period / steps
         i = math.ceil(ta / h)
@@ -1056,11 +1054,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     warned = set()
     for i, t in enumerate(times):
         if i:
-            ta = times[i - 1]
-            if any(s.start < t - 1e-15 and s.end > ta + 1e-15 for s in scn.stages):
-                state = prop.advance(state, ta, t, dt)
-            else:
-                state = prop.drift(state, t - ta)
+            state = prop.advance(state, times[i - 1], t, dt)
         try:
             snap, report, leakage = prop.observe(state)
         except AnalysisError as exc:

@@ -1,7 +1,8 @@
 """Scenario files: a small YAML schema covering the electron packet, the
 ordered laser stages, propagation settings and output choices.
 
-Unknown keys are rejected.  Validation failures raise ScenarioFileError
+Unknown keys and values of the wrong kind are rejected, each kind of value
+by one reader of ``_Validator``.  Validation failures raise ScenarioFileError
 carrying the full list of problems, each with the line of the offending
 entry (or of its enclosing mapping when the entry is missing).
 """
@@ -27,9 +28,10 @@ try:
 except ImportError:
     from _sha256 import sha256 as _sha256        # 3.10, 3.11
 
-# the monochromatic amplitude conventions, the default first
-CONVENTIONS = ("traveling", "standing")
+# the choices of the file, each with its default first
+CONVENTIONS = ("traveling", "standing")     # the monochromatic amplitude conventions
 FORMATS = ("csv", "binary")
+_STAGE_KINDS = (MonoStandingWave.kind, BichromaticWave.kind)
 
 _TIME_UNITS = {"fs": fs_to_natural, "natural": lambda x: x}
 _LENGTH_UNITS = {"um": um_to_natural, "nm": nm_to_natural, "natural": lambda x: x}
@@ -119,6 +121,39 @@ class _Validator:
             if key not in allowed:
                 self.error(f"{path}.{key}", "unknown key")
 
+    def mapping(self, parent: dict, key: str, allowed: set, **overrides) -> dict:
+        """The section parent[key] with its keys checked ({} if absent or
+        null, {} and one error if not a mapping), then each override that is
+        not None in place of the file's value, so that it is read, and
+        reported at the file's line, as that value would be."""
+        section = parent.get(key)
+        if section is not None and not isinstance(section, dict):
+            self.error(key, "must be a mapping")
+        section = section if isinstance(section, dict) else {}
+        self.check_keys(section, allowed, key)
+        return section | {name: value for name, value in overrides.items() if value is not None}
+
+    def choice(self, mapping: dict, key: str, path: str, options: tuple, *, required=False):
+        """One of options, options[0] if absent or null (None and an error if
+        required).  A tuple compares, so a value of any kind is safe here."""
+        value = mapping.get(key)
+        if value in options:
+            return value
+        if value is not None or required:
+            self.error(f"{path}.{key}", "missing required field" if value is None else
+                       f"must be one of {', '.join(options)}, got {value!r}")
+        return None if required else options[0]
+
+    def text(self, mapping: dict, key: str, path: str, default: str) -> str:
+        """A label or file name: a string, or a number as str() writes it;
+        default if absent or null."""
+        value = mapping.get(key)
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            return str(value)
+        if value is not None:
+            self.error(f"{path}.{key}", f"expected a string or number, got {value!r}")
+        return default
+
     def number(self, mapping: dict, key: str, path: str, *, required=False,
                default=None, minimum=None, positive=False):
         if key not in mapping or mapping[key] is None:
@@ -174,11 +209,10 @@ def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator)
     if not isinstance(raw, dict):
         val.error(path, "each stage must be a mapping")
         return None
-    kind = raw.get("kind")
-    if kind not in ("monochromatic", "bichromatic"):
-        val.error(f"{path}.kind", f"must be monochromatic or bichromatic, got {kind!r}")
+    kind = val.choice(raw, "kind", path, _STAGE_KINDS, required=True)
+    if kind is None:
         return None
-    allowed = _STAGE_KEYS_MONO if kind == "monochromatic" else _STAGE_KEYS_BI
+    allowed = _STAGE_KEYS_MONO if kind == MonoStandingWave.kind else _STAGE_KEYS_BI
     val.check_keys(raw, allowed, path)
 
     photon = val.number(raw, "photon_energy", path, required=True, positive=True)
@@ -186,12 +220,12 @@ def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator)
     rise = val.number(raw, "rise", path, default=0.0, minimum=0.0)
     plateau = val.number(raw, "plateau", path, required=True, minimum=0.0)
     fall = val.number(raw, "fall", path, default=0.0, minimum=0.0)
-    label = str(raw.get("label", f"stage-{idx}"))
+    label = val.text(raw, "label", path, f"stage-{idx}")
     if photon is None or plateau is None:
         return None
     env = Envelope(rise=to_time(rise), plateau=to_time(plateau), fall=to_time(fall))
 
-    if kind == "monochromatic":
+    if kind == MonoStandingWave.kind:
         a0 = val.number(raw, "a0", path, required=True, minimum=0.0)
         if "chi" in raw and "chi_pi" in raw:
             val.error(f"{path}.chi", "give chi or chi_pi, not both")
@@ -214,8 +248,8 @@ def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator)
 def parse_scenario_text(text: str, path: str = "<string>", *,
                         convention: str | None = None, backend: str | None = None,
                         dt_as: float | None = None, snapshot_every_fs: float | None = None,
-                        grid_points: int | None = None,
-                        mode_halfwidth: int | None = None) -> tuple[Scenario, OutputSpec]:
+                        grid_points: int | None = None, mode_halfwidth: int | None = None,
+                        fmt: str | None = None) -> tuple[Scenario, OutputSpec]:
     loader = yaml.SafeLoader(text)
     try:
         node = loader.get_single_node()
@@ -229,50 +263,25 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
         raise ScenarioFileError(path, ["scenario must be a mapping"])
 
     val.check_keys(raw, _TOP_KEYS, "scenario")
-    units = raw.get("units") or {}
-    if not isinstance(units, dict):
-        val.error("units", "must be a mapping")
-        units = {}
-    val.check_keys(units, _UNIT_KEYS, "units")
-    time_unit = units.get("time", "fs")
-    length_unit = units.get("length", "um")
-    if time_unit not in _TIME_UNITS:
-        val.error("units.time", f"unknown time unit {time_unit!r}")
-        time_unit = "fs"
-    if length_unit not in _LENGTH_UNITS:
-        val.error("units.length", f"unknown length unit {length_unit!r}")
-        length_unit = "um"
-    to_time = _TIME_UNITS[time_unit]
-    to_length = _LENGTH_UNITS[length_unit]
+    units = val.mapping(raw, "units", _UNIT_KEYS)
+    to_time = _TIME_UNITS[val.choice(units, "time", "units", tuple(_TIME_UNITS))]
+    to_length = _LENGTH_UNITS[val.choice(units, "length", "units", tuple(_LENGTH_UNITS))]
 
-    electron = raw.get("electron")
-    if not isinstance(electron, dict):
-        val.error("electron", "missing or not a mapping")
-        electron = {}
-    val.check_keys(electron, _ELECTRON_KEYS, "electron")
+    electron = val.mapping(raw, "electron", _ELECTRON_KEYS)
     center = val.number(electron, "center", "electron", default=0.0)
     width = val.number(electron, "width", "electron", required=True, positive=True)
     momentum = val.number(electron, "momentum", "electron", default=0.0)
     spin = _parse_spin(electron.get("spin"), val)
 
-    prop = raw.get("propagation") or {}
-    if not isinstance(prop, dict):
-        val.error("propagation", "must be a mapping")
-        prop = {}
-    val.check_keys(prop, _PROP_KEYS, "propagation")
+    prop = val.mapping(raw, "propagation", _PROP_KEYS, backend=backend,
+                       mono_convention=convention, grid_points=grid_points,
+                       mode_halfwidth=mode_halfwidth)
     default = PropagationConfig()
-    backend_name = backend or prop.get("backend", default.backend)
-    if backend_name not in BACKENDS:
-        val.error("propagation.backend", f"must be one of {BACKENDS}")
-        backend_name = default.backend
-    convention_name = convention or prop.get("mono_convention", CONVENTIONS[0])
-    if convention_name not in CONVENTIONS:
-        val.error("propagation.mono_convention",
-                  f"must be one of {CONVENTIONS}")
-        convention_name = CONVENTIONS[0]
+    backend_name = val.choice(prop, "backend", "propagation", BACKENDS)
+    convention_name = val.choice(prop, "mono_convention", "propagation", CONVENTIONS)
     dt_file = val.number(prop, "dt", "propagation", default=None, positive=True)
     snap_file = val.number(prop, "snapshot_every", "propagation", default=None, positive=True)
-    points = prop.get("grid_points", default.grid_points) if grid_points is None else grid_points
+    points = prop.get("grid_points", default.grid_points)
     if not isinstance(points, int) or isinstance(points, bool) or points <= 0:
         val.error("propagation.grid_points", f"bad value {points!r}")
         points = default.grid_points
@@ -280,8 +289,7 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
         val.error("propagation.grid_points", f"must be a power of two, got {points}")
         points = default.grid_points
     glen = val.number(prop, "grid_length", "propagation", default=None, positive=True)
-    halfwidth = mode_halfwidth if mode_halfwidth is not None else prop.get(
-        "mode_halfwidth", default.mode_halfwidth)
+    halfwidth = prop.get("mode_halfwidth", default.mode_halfwidth)
     if not isinstance(halfwidth, int) or halfwidth < 4:
         val.error("propagation.mode_halfwidth",
                   f"must be an integer >= 4, got {halfwidth!r}")
@@ -289,32 +297,20 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
 
     duration = val.number(raw, "duration", "scenario", required=True, positive=True)
 
-    stages_raw = raw.get("stages", [])
-    if stages_raw is None:
-        stages_raw = []
-    if not isinstance(stages_raw, list):
+    stages_raw = raw.get("stages")
+    if stages_raw is not None and not isinstance(stages_raw, list):
         val.error("stages", "must be a list")
-        stages_raw = []
-    stages = []
-    for i, item in enumerate(stages_raw):
-        st = _build_stage(item, i, to_time, convention_name, val)
-        if st is not None:
-            stages.append(st)
+    built = [_build_stage(item, i, to_time, convention_name, val)
+             for i, item in enumerate(stages_raw if isinstance(stages_raw, list) else [])]
+    stages = [st for st in built if st is not None]
 
-    outputs_raw = raw.get("outputs") or {}
-    if not isinstance(outputs_raw, dict):
-        val.error("outputs", "must be a mapping")
-        outputs_raw = {}
-    val.check_keys(outputs_raw, _OUTPUT_KEYS, "outputs")
-    fmt = outputs_raw.get("format", OutputSpec.format)
-    if fmt not in FORMATS:
-        val.error("outputs.format", f"must be {' or '.join(FORMATS)}, got {fmt!r}")
-        fmt = OutputSpec.format
+    outputs = val.mapping(raw, "outputs", _OUTPUT_KEYS, format=fmt)
     out_spec = OutputSpec(
-        format=fmt,
-        timeseries=str(outputs_raw.get("timeseries", OutputSpec.timeseries)),
-        snapshots=str(outputs_raw.get("snapshots", OutputSpec.snapshots)),
+        format=val.choice(outputs, "format", "outputs", FORMATS),
+        timeseries=val.text(outputs, "timeseries", "outputs", OutputSpec.timeseries),
+        snapshots=val.text(outputs, "snapshots", "outputs", OutputSpec.snapshots),
     )
+    label = val.text(raw, "label", "scenario", "")
 
     if val.errors:
         raise ScenarioFileError(path, val.errors)
@@ -338,7 +334,7 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
             stages=stages,
             duration=to_time(duration),
             config=config,
-            label=str(raw.get("label", "")),
+            label=label,
             source_hash=_sha256(text.encode()).hexdigest(),
         )
         scenario.validate()

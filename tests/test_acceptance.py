@@ -4,8 +4,6 @@ Paper-scale full-field and mode-lattice runs take minutes to an hour and are
 marked slow; run them with  pytest -m slow tests/test_acceptance.py.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -81,13 +79,11 @@ def test_c2_oracle_equivalence():
 
 # -- 3 -----------------------------------------------------------------------
 
-@functools.cache
-def _plateau_trace(name):
+def _plateau_trace(bundled_run, name):
     """(t from the plateau start, pop_minus) over a bundled scenario's first
-    stage plateau; each scenario runs once per pytest process."""
-    scn, _ = load_scenario(name)
-    result = run_scenario(scn)
-    stage = scn.stages[0]
+    stage plateau, on its own backend (effective)."""
+    result = bundled_run(name, "effective")
+    stage = result.scenario.stages[0]
     ts = result.timeseries
     lo = stage.start + stage.envelope.rise
     hi = lo + stage.envelope.plateau
@@ -95,8 +91,8 @@ def _plateau_trace(name):
     return ts.t[mask] - lo, ts.pop_minus[mask]
 
 
-def _plateau_fit(name):
-    return fit_rabi(*_plateau_trace(name))
+def _plateau_fit(bundled_run, name):
+    return fit_rabi(*_plateau_trace(bundled_run, name))
 
 
 def _curve_fit_omega(t, pop):
@@ -115,12 +111,12 @@ def _curve_fit_omega(t, pop):
     return popt[0]
 
 
-def test_c3_rabi_frequency_regression():
+def test_c3_rabi_frequency_regression(bundled_run):
     mono_expected = 200.0**2 / (8.0 * MC2_EV)
     bi_expected = 2.35e4**2 * 2.35e4 * 200.0 / (2.0 * MC2_EV**3)
 
-    fit_m = _plateau_fit("mono-rabi")
-    fit_b = _plateau_fit("bichrom-rabi")
+    fit_m = _plateau_fit(bundled_run, "mono-rabi")
+    fit_b = _plateau_fit(bundled_run, "bichrom-rabi")
     dev_m = abs(fit_m.omega - mono_expected) / mono_expected
     dev_b = abs(fit_b.omega - bi_expected) / bi_expected
 
@@ -135,10 +131,10 @@ def test_c3_rabi_frequency_regression():
 
 
 @pytest.mark.parametrize("name", ["mono-rabi", "bichrom-rabi"])
-def test_c3_fit_matches_curve_fit(name):
+def test_c3_fit_matches_curve_fit(bundled_run, name):
     # fit_rabi's numpy least squares reaches the minimum that scipy's
     # curve_fit finds on C3's plateau traces
-    t, pop = _plateau_trace(name)
+    t, pop = _plateau_trace(bundled_run, name)
     assert fit_rabi(t, pop).omega == pytest.approx(_curve_fit_omega(t, pop), rel=1e-6)
 
 
@@ -169,10 +165,8 @@ CONSERVATION_CASES = [pytest.param(s, b, id=f"{s}-{b}") for s, b in FAST_CONSERV
 
 
 @pytest.mark.parametrize("name,backend", CONSERVATION_CASES)
-def test_c4_conservation_suite(name, backend):
-    scn, _ = load_scenario(name, backend=backend)
-    result = run_scenario(scn)
-    ts = result.timeseries
+def test_c4_conservation_suite(bundled_run, name, backend):
+    ts = bundled_run(name, backend).timeseries
     norm_drift = float(np.max(np.abs(ts.norm_drift)))
     sy_drift = float(np.max(np.abs(ts.sy_total - ts.sy_total[0])))
     ok = norm_drift < 1e-8 and sy_drift < 1e-8
@@ -224,14 +218,13 @@ def test_c5_free_gaussian_spreading():
 
 # -- 6 -----------------------------------------------------------------------
 
-def test_c6_backend_cross_validation_desk_scale():
+def test_c6_backend_cross_validation_desk_scale(bundled_run):
     import time
 
     t0 = time.time()
     pops = {}
     for backend in ("effective", "mode-lattice", "full-field"):
-        scn, _ = load_scenario("desk-mono", backend=backend)
-        rep = run_scenario(scn).final_report
+        rep = bundled_run("desk-mono", backend).final_report
         pops[backend] = (rep.pop_plus, rep.pop_minus)
     elapsed = time.time() - t0
 
@@ -252,15 +245,15 @@ def test_c6_backend_cross_validation_desk_scale():
 
 # -- 7 -----------------------------------------------------------------------
 
-def test_c7_ideal_spin_splitter():
+def test_c7_ideal_spin_splitter(bundled_run):
     from dataclasses import replace
 
     sums = {"plus": [0.0, 0.0], "minus": [0.0, 0.0]}  # [population, pop*sy]
-    for spin in ("up", "down"):
-        scn, _ = load_scenario("fig2-ideal")
-        scn.packet = replace(scn.packet, spin=np.array(
-            [1, 0] if spin == "up" else [0, 1], dtype=complex))
-        rep = run_scenario(scn).final_report
+    down, _ = load_scenario("fig2-ideal")
+    down.packet = replace(down.packet, spin=np.array([0, 1], dtype=complex))
+    # the bundled file's spin is up, on its own backend (effective)
+    for rep in (bundled_run("fig2-ideal", "effective").final_report,
+                run_scenario(down).final_report):
         sums["plus"][0] += 0.5 * rep.pop_plus
         sums["plus"][1] += 0.5 * rep.pop_plus * rep.sy_plus
         sums["minus"][0] += 0.5 * rep.pop_minus

@@ -176,3 +176,19 @@ def test_xi_amplitude_round_trip():
     assert xi_from_amplitude(2.35e4) == pytest.approx(0.046, abs=2e-4)
     spec = LaserSpec.from_amplitude(2.35e4, 200.0)
     assert spec.ea == pytest.approx(2.35e4, rel=1e-12)
+
+
+@pytest.mark.parametrize("flags, xi1, xi2", [
+    (["--ea2", "3e4"], 2.35e4 / 5.110e5, 3e4 / MC2_EV),
+    (["--ea1", "2.35e4", "--xi2", "0.01"], XI_PAPER, 0.01),
+], ids=["ea2-alone", "ea1-with-xi2"])
+def test_design_reads_each_wave_from_its_own_flags(capsys, flags, xi1, xi2):
+    # --ea1 alone used to choose between amplitudes and xi for both waves,
+    # so both cases printed wave 1's xi for wave 2
+    from spinsplit.cli import main
+
+    assert main(["design", *flags]) == 0
+    table = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                 if " = " in line)
+    assert float(table["xi1"]) == pytest.approx(xi1, rel=1e-11)
+    assert float(table["xi2"]) == pytest.approx(xi2, rel=1e-11)

@@ -639,15 +639,12 @@ DESK_MONO_GL2_DT_HALF = (0.5039293781718541, 0.49195915927209116,
                          0.5039293781718543, 0.4919591592720913)
 
 
-def test_mode_lattice_matches_gl2_desk_mono():
+def test_mode_lattice_matches_gl2_desk_mono(bundled_run):
     # The stage ends at 0.2173 fs, between the snapshots at 0.215 and
     # 0.220 fs, so one snapshot interval holds fresh edge steps and free
     # steps; the plateau before runs on cached steps and period products.
     # Allowed error: the GL2 timestep-convergence error, floored at 1e-12.
-    from spinsplit.scenario import load_scenario
-
-    scn, _ = load_scenario("desk-mono", backend="mode-lattice")
-    rep = run_scenario(scn).final_report
+    rep = bundled_run("desk-mono", "mode-lattice").final_report
     got = (rep.pop_plus, rep.pop_minus, rep.pop_plus * rep.sy_plus,
            rep.pop_minus * rep.sy_minus)
     tol = max(max(abs(a - b) for a, b in zip(DESK_MONO_GL2_DT, DESK_MONO_GL2_DT_HALF)), 1e-12)
@@ -725,13 +722,12 @@ def test_fig2_ideal_mode_lattice_keeps_its_edge_modes_empty():
 
 
 @pytest.mark.parametrize("backend", ["full-field", "effective"])
-def test_timestep_convergence_desk_scale(backend):
+def test_timestep_convergence_desk_scale(bundled_run, backend):
     # halving dt moves the final channel populations by < 1e-4
     from spinsplit.scenario import load_scenario
 
-    scn, _ = load_scenario("desk-mono", backend=backend)
-    r1 = run_scenario(scn)
-    dt = default_timestep(backend, scn.stages, 1.0)
+    r1 = bundled_run("desk-mono", backend)
+    dt = default_timestep(backend, r1.scenario.stages, 1.0)
     scn2, _ = load_scenario("desk-mono", backend=backend)
     scn2.config.dt = dt / 2.0
     r2 = run_scenario(scn2)
@@ -760,13 +756,11 @@ GRID_2X2 = {
 }
 
 
-def _grid_case(name):
+def _desk_bichrom_head():
+    """desk-bichrom's stage cut to 0.064 fs; spin up weights both sectors,
+    so their relative phase shows in the Bloch vectors."""
     from spinsplit.scenario import load_scenario
 
-    if name.startswith("desk-mono-"):
-        return load_scenario("desk-mono", backend=name[len("desk-mono-"):])[0]
-    # desk-bichrom's stage cut to 0.064 fs; spin up weights both sectors, so
-    # their relative phase shows in the Bloch vectors
     scn, _ = load_scenario("desk-bichrom", snapshot_every_fs=0.01)
     env = Envelope(fs_to_natural(0.008), fs_to_natural(0.048), fs_to_natural(0.008))
     scn.stages = [replace(scn.stages[0], start=fs_to_natural(0.02), envelope=env)]
@@ -775,8 +769,11 @@ def _grid_case(name):
 
 
 @pytest.mark.parametrize("name", sorted(GRID_2X2))
-def test_sector_stepper_matches_2x2_stepper(name):
-    result = run_scenario(_grid_case(name))
+def test_sector_stepper_matches_2x2_stepper(bundled_run, name):
+    if name.startswith("desk-mono-"):
+        result = bundled_run("desk-mono", name[len("desk-mono-"):])
+    else:
+        result = run_scenario(_desk_bichrom_head())
     rep = result.final_report
     got = (rep.pop_plus, rep.pop_minus, *rep.bloch_plus, *rep.bloch_minus,
            result.timeseries.sy_total[-1])
@@ -848,16 +845,17 @@ def test_potential_factor_matches_exp(theta):
     # theta = +-pi, where the tangent is 1.6e16
     potential = _GridPotential(None, K, np.zeros(theta.size))
     potential.angle[:] = -0.5 * theta
-    _phase_from_half_angles(potential)
-    assert np.isfinite(potential.factor).all()
-    np.testing.assert_allclose(potential.factor, [np.exp(-1j * theta)] * 2, rtol=0, atol=5e-16)
-    np.testing.assert_allclose(np.abs(potential.factor), 1.0, rtol=0, atol=5e-16)
+    factor = np.empty((2, theta.size), dtype=complex)
+    _phase_from_half_angles(potential, factor)
+    assert np.isfinite(factor).all()
+    np.testing.assert_allclose(factor, [np.exp(-1j * theta)] * 2, rtol=0, atol=5e-16)
+    np.testing.assert_allclose(np.abs(factor), 1.0, rtol=0, atol=5e-16)
 
 
 def test_in_place_full_field_step_is_bit_identical():
     # desk-bichrom head, spin x+: free flight to the stage, its rise and the
     # start of its plateau
-    scn = _grid_case("desk-bichrom-head-full-field")
+    scn = _desk_bichrom_head()
     scn.packet = replace(scn.packet, spin="x+")
     start = scn.stages[0].start
     times = start + fs_to_natural(np.array([0.0, 0.01, 0.02]))
@@ -883,7 +881,7 @@ def _pipeline_case(name):
     intervals between the times cross free flight, the rise and the start
     of the plateau, and the plateau interval lies inside the plateau."""
     if name == "full-field-bichromatic":
-        scn = _grid_case("desk-bichrom-head-full-field")
+        scn = _desk_bichrom_head()
         scn.packet = replace(scn.packet, spin="x+")
         dt = default_timestep("full-field", scn.stages, 1.0)
     else:

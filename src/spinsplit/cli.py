@@ -205,35 +205,33 @@ def compare_csv(scenario, backends) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(p):
+# load_scenario's overrides, each the dest of the flag that sets it, if any
+_OVERRIDES = ("convention", "backend", "dt_as", "snapshot_every_fs", "grid_points",
+              "mode_halfwidth", "fmt")
+
+
+def _add_scenario(p):
     p.add_argument("--scenario", required=True,
                    help="scenario file path or bundled name (fig2, fig2-ideal, ...)")
-    p.add_argument("--backend", choices=BACKENDS,
-                   help="override the scenario's backend")
     p.add_argument("--out", help="output directory (default: print a summary)")
-    p.add_argument("--snapshot-every", type=float, metavar="FS",
-                   help="snapshot cadence in femtoseconds")
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--dt", type=float, metavar="AS", help="timestep in attoseconds")
     p.add_argument("--convention", choices=sorted(CONVENTIONS),
                    help="monochromatic amplitude convention override")
+
+
+def _add_run(p):
+    _add_scenario(p)
+    p.add_argument("--snapshot-every", type=float, metavar="FS", dest="snapshot_every_fs",
+                   help="snapshot cadence in femtoseconds")
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--dt", type=float, metavar="AS", dest="dt_as",
+                   help="timestep in attoseconds")
     p.add_argument("--mode-halfwidth", type=int)
-    p.add_argument("--format", choices=FORMATS, dest="fmt",
-                   help="snapshot format override")
 
 
 def _load(args):
     try:
-        return load_scenario(
-            args.scenario,
-            convention=args.convention,
-            backend=args.backend,
-            dt_as=args.dt,
-            snapshot_every_fs=args.snapshot_every,
-            grid_points=args.grid_points,
-            mode_halfwidth=args.mode_halfwidth,
-            fmt=args.fmt,
-        )
+        return load_scenario(args.scenario,
+                             **{name: getattr(args, name, None) for name in _OVERRIDES})
     except (ScenarioFileError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)
         raise SystemExit(1)
@@ -316,17 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="propagate a scenario and write time series + snapshots")
-    _add_common(p)
+    _add_run(p)
+    p.add_argument("--backend", choices=BACKENDS,
+                   help="override the scenario's backend")
+    p.add_argument("--format", choices=FORMATS, dest="fmt",
+                   help="snapshot format override")
     p.add_argument("--no-snapshots", action="store_true",
                    help="skip wavefunction snapshot files")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analytic", help="closed-form stage-unitary predictions for a scenario")
-    _add_common(p)
+    _add_scenario(p)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("compare", help="side-by-side analytic vs numerical channel table")
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--backends", default="effective,full-field",
                    help="comma-separated numerical backends to run")
     p.set_defaults(func=cmd_compare)

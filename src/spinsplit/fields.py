@@ -1,5 +1,7 @@
 """Time-dependent vector potentials of the two laser stages and their pulses.
 
+Both stage kinds are ``FieldStage``s, and each adds only its amplitudes,
+``kind`` (``analytic``'s name), envelope ``power`` and ``effective_lattice``.
 Amplitudes are stored as e*a in eV.  The magnetic field returned is e*B_y in
 eV per natural length unit (B = dA_x/dz with the slowly varying envelope
 treated as z-independent).  Every function of time here is written once, in
@@ -9,9 +11,11 @@ numpy, and works elementwise on an array of times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
+
+from .analytic import KIND_BI, KIND_MONO, EffectivePotential
 
 # Mean of f(t)^power over one sin^2 edge; power counts how many field factors
 # the driving term carries (A^2 terms: 2, the bichromatic three-photon term: 3).
@@ -56,28 +60,23 @@ class Envelope:
         return self.plateau + w * (self.rise + self.fall)
 
 
-@dataclass(frozen=True)
-class MonoStandingWave:
-    """Standing wave e*A = f(t) ea0 cos(2 w t) cos(2 k z + chi/2).
+@dataclass(frozen=True, kw_only=True)
+class FieldStage:
+    """A laser stage of photon energy hbar*w under ``envelope`` from ``start``.
+    Its cycle-averaged lattice, ``effective_lattice()``, scales as
+    f(t)^``power`` (``EDGE_AREA_WEIGHTS``)."""
 
-    ``ea0`` is the amplitude appearing literally in that expression (the
-    scenario layer resolves the per-traveling-wave vs standing convention
-    before building the stage).  ``photon_energy`` is the fundamental hbar*w;
-    the standing wave itself oscillates at 2w with wavenumber 2k = 2w/c.
-    """
-
-    ea0: float
     photon_energy: float
-    chi: float
     envelope: Envelope
     start: float = 0.0
     label: str = ""
 
+    kind: ClassVar[str]
+    power: ClassVar[int]
+
     def __post_init__(self):
         if self.photon_energy <= 0:
             raise ValueError("photon energy must be positive")
-
-    kind = "monochromatic"
 
     @property
     def omega(self) -> float:
@@ -92,8 +91,28 @@ class MonoStandingWave:
         return self.start + self.envelope.duration
 
 
-@dataclass(frozen=True)
-class BichromaticWave:
+@dataclass(frozen=True, kw_only=True)
+class MonoStandingWave(FieldStage):
+    """Standing wave e*A = f(t) ea0 cos(2 w t) cos(2 k z + chi/2).
+
+    ``ea0`` is the amplitude appearing literally in that expression (the
+    scenario layer resolves the per-traveling-wave vs standing convention
+    before building the stage).  ``photon_energy`` is the fundamental hbar*w;
+    the standing wave itself oscillates at 2w with wavenumber 2k = 2w/c.
+    """
+
+    ea0: float
+    chi: float
+
+    kind = KIND_MONO
+    power = 2
+
+    def effective_lattice(self) -> EffectivePotential:
+        return EffectivePotential.mono(self.ea0, self.wavenumber, self.chi)
+
+
+@dataclass(frozen=True, kw_only=True)
+class BichromaticWave(FieldStage):
     """Counterpropagating pair e*A = f(t) [ea1 cos(w t - k z) + ea2 cos(2 w t + 2 k z)].
 
     The fundamental travels toward +z, the second harmonic toward -z.
@@ -101,31 +120,12 @@ class BichromaticWave:
 
     ea1: float
     ea2: float
-    photon_energy: float
-    envelope: Envelope
-    start: float = 0.0
-    label: str = ""
 
-    def __post_init__(self):
-        if self.photon_energy <= 0:
-            raise ValueError("photon energy must be positive")
+    kind = KIND_BI
+    power = 3
 
-    kind = "bichromatic"
-
-    @property
-    def omega(self) -> float:
-        return self.photon_energy
-
-    @property
-    def wavenumber(self) -> float:
-        return self.photon_energy
-
-    @property
-    def end(self) -> float:
-        return self.start + self.envelope.duration
-
-
-FieldStage = Union[MonoStandingWave, BichromaticWave]
+    def effective_lattice(self) -> EffectivePotential:
+        return EffectivePotential.bichromatic(self.ea1, self.ea2, self.photon_energy)
 
 
 def stage_envelope(stage: FieldStage, t):

@@ -11,11 +11,12 @@ H = (p^2/2m + a) x 1, the spin is a spectator and psi = phi x chi, so they
 step the one spin-free packet phi, keep the constant sector weights chi+-
 and form the sectors chi+- phi only to observe.  All stages share one
 photon energy, so V+- is a Fourier series with harmonics e^{ijkz},
-|j| <= 4, and every backend reads its coefficients from one field model.
-The model takes an array of times and returns one row of coefficients per
-time, a zero row where no field acts; each backend calls it on all the
-times of a run of steps at once.  Observation rotates back to the z basis
-once per snapshot.
+|j| <= 4, whose k every backend takes from the first stage
+(``_analysis_wavenumber``), and every backend reads its coefficients from
+one field model.  The model takes an array of times and returns one row of
+coefficients per time, a zero row where no field acts; each backend calls
+it on all the times of a run of steps at once.  Observation rotates back to
+the z basis once per snapshot.
 
 * ``full-field``   - Strang splitting on the spatial grid with the exact
   time-dependent fields, whose coefficients come from each stage's spatial
@@ -27,11 +28,11 @@ once per snapshot.
   few steps while the main thread applies the current ones and runs the
   kinetic FFTs; numpy releases the GIL in both, so the two halves of a
   step run on two cores, and the result is bit for bit that of one thread.
-* ``effective``    - same splitting with the cycle-averaged lattices (j = 4);
-  inside pulse edges the monochromatic lattice scales as f(t)^2 and the
-  bichromatic one as f(t)^3 (two resp. three field factors drive them).
-  Only the bichromatic lattice couples to the spin (b != 0): the
-  monochromatic standing waves act on both spins alike.
+* ``effective``    - same splitting with each stage's cycle-averaged
+  lattice (``effective_lattice``, j = 4), scaled by f(t)^``power``: f^2 for
+  the monochromatic, f^3 for the bichromatic one (two resp. three field
+  factors drive them).  Only the bichromatic lattice couples to the spin
+  (b != 0): the monochromatic standing waves act on both spins alike.
 * ``mode-lattice`` - amplitudes c_n on momenta n*hbar*k, |n| <= N, under the
   full-field coefficients; each sector is a (2N+1)-mode Hermitian problem
   with Toeplitz coupling.  Each step is the exact exponential of the
@@ -89,7 +90,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fields as F
-from .analytic import KIND_MONO, EffectivePotential
+from .analytic import KIND_MONO
 from .observables import (REPORT_COLUMNS, AnalysisError, ChannelReport, channel_report,
                           mode_channel_report)
 from .states import SpatialGrid, SpinorWavefunction, gaussian_packet, normalize_spin
@@ -220,19 +221,6 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # timestep policy
 
-def _effective_lattice(stage):
-    """(cycle-averaged lattice, envelope power) of a stage.  The power counts
-    the field factors that drive it: f^2 for the A^2 lattice, f^3 for the
-    three-photon bichromatic one."""
-    if stage.kind == KIND_MONO:
-        return EffectivePotential.mono(stage.ea0, stage.wavenumber, stage.chi), 2
-    return EffectivePotential.bichromatic(stage.ea1, stage.ea2, stage.photon_energy), 3
-
-
-def _stage_rabi(stage) -> float:
-    return _effective_lattice(stage)[0].strength
-
-
 def _max_omega(stages) -> float:
     return max((s.omega for s in stages), default=0.0)
 
@@ -243,21 +231,20 @@ def default_timestep(backend: str, stages, snapshot_every: float) -> float:
         return np.pi / (64.0 * w) if w > 0 else snapshot_every
     if backend == "mode-lattice":
         return np.pi / (256.0 * w) if w > 0 else snapshot_every
-    om = max((_stage_rabi(s) for s in stages), default=0.0)
+    om = max((s.effective_lattice().strength for s in stages), default=0.0)
     return 1e-3 / om if om > 0 else snapshot_every
 
 
 def stage_pulse_areas(stages):
     """Per stage: (stage, hbar_rabi, effective_duration, pulse_area theta).
 
-    The effective duration integrates the envelope with the power the stage's
-    coupling carries (see ``_effective_lattice``).
+    The effective duration integrates the envelope to the stage's ``power``.
     """
     out = []
     for s in stages:
-        pot, power = _effective_lattice(s)
-        teff = s.envelope.effective_duration(power)
-        out.append((s, pot.strength, teff, pot.strength * teff))
+        om = s.effective_lattice().strength
+        teff = s.envelope.effective_duration(s.power)
+        out.append((s, om, teff, om * teff))
     return out
 
 
@@ -267,7 +254,7 @@ def timestep_ceiling(backend: str, stages) -> float:
     if backend in ("full-field", "mode-lattice"):
         w = _max_omega(stages)
         return np.pi / (40.0 * w) if w > 0 else np.inf
-    om = max((_stage_rabi(s) for s in stages), default=0.0)
+    om = max((s.effective_lattice().strength for s in stages), default=0.0)
     return 0.01 / om if om > 0 else np.inf
 
 
@@ -332,8 +319,8 @@ class _FullFieldModel:
 
 
 class _EffectiveModel:
-    """The cycle-averaged lattices (``_effective_lattice``), j = 4 only, each
-    scaled by its envelope to the stage's power.  The standing wave's
+    """The stages' cycle-averaged lattices, j = 4 only, each scaled by its
+    envelope to the stage's ``power``.  The standing wave's
     Omega cos(4kz + chi) gives a_4 = (Omega/2) e^{i chi} f^2, the bichromatic
     -Omega sin(4kz) sigma_y gives b_4 = (i Omega/2) f^3."""
 
@@ -341,21 +328,20 @@ class _EffectiveModel:
         self._entries = []
         zero = np.zeros(5, dtype=complex)
         for stage in stages:
-            pot, power = _effective_lattice(stage)
+            pot = stage.effective_lattice()
             row = zero.copy()
             if pot.kind == KIND_MONO:
                 row[4] = 0.5 * pot.strength * cmath.exp(1j * pot.chi)
-                self._entries.append((stage, power, _sectors(row, zero)))
+                self._entries.append((stage, _sectors(row, zero)))
             else:
                 row[4] = 0.5j * pot.strength
-                self._entries.append((stage, power, _sectors(zero, row)))
+                self._entries.append((stage, _sectors(zero, row)))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         c = np.zeros(t.shape + (2, 5), dtype=complex)
-        for stage, power, unit in self._entries:
-            f = stage.envelope.value(t - stage.start)
-            c += np.multiply.outer(f**power, unit)
+        for stage, unit in self._entries:
+            c += np.multiply.outer(F.stage_envelope(stage, t) ** stage.power, unit)
         return c
 
 
@@ -959,8 +945,9 @@ class ModeLatticeEngine:
 # scenario runner
 
 def _analysis_wavenumber(scn: Scenario) -> float:
+    """Every backend's k: the first stage's, else half the packet momentum."""
     if scn.stages:
-        return max(s.wavenumber for s in scn.stages)
+        return scn.stages[0].wavenumber
     if scn.packet.momentum != 0.0:
         return abs(scn.packet.momentum) / 2.0
     return 1.0
@@ -1011,13 +998,12 @@ def _propagator(scn: Scenario):
     effective backend."""
     cfg = scn.config
     packet = scn.packet
+    k = _analysis_wavenumber(scn)
     if cfg.backend == "mode-lattice":
-        k = scn.stages[0].wavenumber if scn.stages else _analysis_wavenumber(scn)
         eng = ModeLatticeEngine(k, cfg.mode_halfwidth, stages=scn.stages)
         return eng, eng.initial_state(int(round(packet.momentum / k)), packet.spin)
-    k_field = max((s.wavenumber for s in scn.stages), default=None)
-    grid = SpatialGrid(cfg.grid_length, cfg.grid_points, field_wavenumber=k_field)
-    k = _analysis_wavenumber(scn)   # the stages' common k when there are stages
+    grid = SpatialGrid(cfg.grid_length, cfg.grid_points,
+                       field_wavenumber=k if scn.stages else None)
     if cfg.backend == "full-field":
         model = _FullFieldModel(scn.stages, k)
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import PurePath
 
 import numpy as np
 import yaml
@@ -145,14 +146,23 @@ class _Validator:
         return None if required else options[0]
 
     def text(self, mapping: dict, key: str, path: str, default: str) -> str:
-        """A label or file name: a string, or a number as str() writes it;
-        default if absent or null."""
+        """A label: a string, or a number as str() writes it; default if
+        absent or null."""
         value = mapping.get(key)
         if isinstance(value, (str, int, float)) and not isinstance(value, bool):
             return str(value)
         if value is not None:
             self.error(f"{path}.{key}", f"expected a string or number, got {value!r}")
         return default
+
+    def file_name(self, mapping: dict, key: str, path: str, default: str) -> str:
+        """A ``text`` naming a file under the output directory: neither
+        absolute nor with a ".." part."""
+        name = self.text(mapping, key, path, default)
+        if PurePath(name).is_absolute() or ".." in PurePath(name).parts:
+            self.error(f"{path}.{key}", f"must stay inside the output directory, got {name!r}")
+            return default
+        return name
 
     def number(self, mapping: dict, key: str, path: str, *, required=False,
                default=None, minimum=None, positive=False):
@@ -307,8 +317,8 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
     outputs = val.mapping(raw, "outputs", _OUTPUT_KEYS, format=fmt)
     out_spec = OutputSpec(
         format=val.choice(outputs, "format", "outputs", FORMATS),
-        timeseries=val.text(outputs, "timeseries", "outputs", OutputSpec.timeseries),
-        snapshots=val.text(outputs, "snapshots", "outputs", OutputSpec.snapshots),
+        timeseries=val.file_name(outputs, "timeseries", "outputs", OutputSpec.timeseries),
+        snapshots=val.file_name(outputs, "snapshots", "outputs", OutputSpec.snapshots),
     )
     label = val.text(raw, "label", "scenario", "")
 

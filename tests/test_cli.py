@@ -217,6 +217,22 @@ class TestAnalytic:
         assert area == pytest.approx(np.pi / 2, rel=1e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--backend", "effective"], ["analytic", "--dt", "5"],
+    ["analytic", "--snapshot-every", "1"], ["analytic", "--grid-points", "64"],
+    ["analytic", "--mode-halfwidth", "8"], ["analytic", "--format", "csv"],
+    ["compare", "--format", "csv"],
+], ids=lambda argv: " ".join(argv))
+def test_commands_reject_flags_they_do_not_read(argv, capsys):
+    # analytic propagates nothing, and compare writes no snapshot; each such
+    # flag used to be parsed and ignored, and an ignored --format hid an
+    # invalid outputs.format.  (compare --backend now abbreviates --backends.)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--scenario", "desk-mono", *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_toy_effective_vs_analytic(self, toy_path, tmp_path):
         out = tmp_path / "cmp"

@@ -142,3 +142,11 @@ def test_frequency_wavenumber_locked():
     assert st.omega == st.wavenumber  # hbar = c = 1
     stb = bi(hw=1600.0)
     assert stb.omega == stb.wavenumber == 1600.0
+
+
+@pytest.mark.parametrize("hw", [0.0, -1.0])
+@pytest.mark.parametrize("factory", [mono, bi], ids=["mono", "bi"])
+def test_nonpositive_photon_energy_rejected(factory, hw):
+    # both kinds take this check from their common base
+    with pytest.raises(ValueError, match="photon energy must be positive"):
+        factory(hw=hw)

@@ -1104,3 +1104,27 @@ def test_state_holds_one_row_per_sector_potential(backend, kinds, rows):
     assert state.shape == (rows, points)
     assert (prop.spin is None) == (rows == 2)
     assert prop.observe(state)[0].psi.shape == (2, points)
+
+
+@pytest.mark.parametrize("backend", ["full-field", "effective", "mode-lattice"])
+def test_every_backend_takes_the_first_stage_wavenumber(backend):
+    # the second photon energy lies within validate's 1e-9 of the first but
+    # above it, so a max over the stages would differ from the first stage;
+    # the channel bins and the field model of every backend use stages[0]
+    k0 = 1200.0
+    env = Envelope(fs_to_natural(0.01), fs_to_natural(0.02), fs_to_natural(0.01))
+    stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=k0, chi=0.0, envelope=env),
+              BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=k0 * (1 + 5e-10),
+                              envelope=env)]
+    assert stages[1].wavenumber > k0
+    scn = with_backend(effective_scenario(stages, width_um=0.008, momentum=2 * k0,
+                                          length_um=0.236792364),
+                       backend).validate()
+    prop, _ = _propagator(scn)
+    if backend == "mode-lattice":
+        assert prop.k == prop._field.k == k0
+        return
+    assert prop.hbar_k == k0
+    np.testing.assert_array_equal(prop.potential._profiles[1], 2.0 * np.cos(k0 * prop.grid.z))
+    if backend == "full-field":
+        assert prop.potential.model.k == k0

@@ -206,6 +206,23 @@ class TestParsing:
             "line 30: propagation.mode_halfwidth: must be an integer >= 4, got 0",
         ]
 
+    @pytest.mark.parametrize("name", ["../escaped.csv", "/tmp/escaped", "runs/../../up"])
+    @pytest.mark.parametrize("key", ["timeseries", "snapshots"])
+    def test_output_names_leaving_the_output_directory_rejected(self, key, name):
+        # the CLI joins these names to --out: a ".." part used to write beside
+        # it, and an absolute name replaced it
+        text = MINIMAL + f"outputs:\n  {key}: {name}\n"
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text)
+        line = text.splitlines().index(f"  {key}: {name}") + 1
+        assert err.value.errors == [f"line {line}: outputs.{key}: must stay inside the "
+                                    f"output directory, got {name!r}"]
+
+    def test_plain_output_names_accepted(self):
+        _, out = parse_scenario_text(
+            MINIMAL + "outputs: {timeseries: runs/series.csv, snapshots: snaps..old}\n")
+        assert (out.timeseries, out.snapshots) == ("runs/series.csv", "snaps..old")
+
     def test_chi_conflict_rejected(self):
         text = MINIMAL.replace("stages: []", """stages:
   - kind: monochromatic

@@ -2,7 +2,9 @@
 
 All emitted files are deterministic for fixed inputs: fixed float formatting,
 no timestamps, and a metadata header (tool version, scenario hash, units) on
-every file.
+every file.  Every table and report goes through three writers: ``_table``
+(a CSV block), ``_pairs`` (``key = value`` lines) and ``_emit`` (a file under
+``--out``, else stdout).  Snapshots keep their own streaming encoders.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from .analytic import ID4, stage_unitary
 from .design import LaserSpec, ToleranceBudget, full_design_report
 from .observables import REPORT_COLUMNS, bragg_channel_report
 from .propagation import BACKENDS, run_scenario, stage_pulse_areas, with_backend
-from .scenario import CONVENTIONS, FORMATS, ScenarioFileError, load_scenario, standing_amplitude
+from .scenario import (CONVENTIONS, FINAL_REPORT, FORMATS, ScenarioFileError, load_scenario,
+                       standing_amplitude)
 from .states import MINUS_BLOCK, PLUS_BLOCK, BraggState, SpatialGrid
 from .units import natural_to_fs, natural_to_um
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):      # a column name, stage label or row name
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
@@ -51,17 +56,37 @@ def _write(path: Path, content):
         fh.writelines([content] if isinstance(content, str) else content)
 
 
-TIMESERIES_COLUMNS = ",".join(("t_fs",) + REPORT_COLUMNS + ("norm_drift",))
-PREDICTION_COLUMNS = ",".join(("input",) + REPORT_COLUMNS)
+def _table(columns, rows) -> str:
+    """A CSV block: the column line, then one line per row, each value as
+    _fmt writes it."""
+    return "".join(",".join(map(_fmt, line)) + "\n" for line in (columns, *rows))
+
+
+def _pairs(pairs) -> str:
+    """One ``key = value`` line per pair, each value as _fmt writes it."""
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+
+
+def _emit(out, name: str, text: str):
+    """text to the file out/name, or to stdout when there is no out."""
+    if out:
+        _write(Path(out) / name, text)
+    else:
+        print(text, end="")
+
+
+TIMESERIES_COLUMNS = ("t_fs",) + REPORT_COLUMNS + ("norm_drift",)
+STAGE_COLUMNS = ("stage", "kind", "hbar_rabi_eV", "effective_duration_fs", "pulse_area_rad",
+                 "chi_rad")
+PREDICTION_COLUMNS = ("input",) + REPORT_COLUMNS
+COMPARE_COLUMNS = ("backend",) + REPORT_COLUMNS + ("dev_pop_plus", "dev_pop_minus")
 
 
 def timeseries_csv(result, scenario_hash) -> str:
     ts = result.timeseries
     columns = ([natural_to_fs(ts.t)] + [getattr(ts, name) for name in REPORT_COLUMNS]
                + [ts.norm_drift])
-    lines = [_header(scenario_hash) + TIMESERIES_COLUMNS]
-    lines.extend(",".join(_fmt(x) for x in row) for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+    return _header(scenario_hash) + _table(TIMESERIES_COLUMNS, zip(*columns))
 
 
 SNAPSHOT_COLUMNS = ("z_um", "re_up", "im_up", "re_dn", "im_dn")
@@ -129,80 +154,56 @@ def _snapshot_writer(snap_dir: Path, fmt: str, scenario_hash):
     """The runner's snapshot sink for ``simulate --out``: snapshot i goes to
     its file in snap_dir as soon as it is observed, and the first write
     makes snap_dir."""
-
-    def write(i, t, psi):
-        if fmt == "binary":
-            _write(snap_dir / f"{i:06d}.snap", snapshot_binary(t, psi, scenario_hash))
-        else:
-            _write(snap_dir / f"{i:06d}.csv", snapshot_csv(t, psi, scenario_hash))
-
-    return write
+    encode, suffix = (snapshot_binary, "snap") if fmt == "binary" else (snapshot_csv, "csv")
+    return lambda i, t, psi: _write(snap_dir / f"{i:06d}.{suffix}", encode(t, psi, scenario_hash))
 
 
 def analytic_prediction(scenario):
     """Compose the closed-form stage unitaries for a scenario's pulse areas:
-    (U, stage table, channel reports of the scenario's spin and of the
-    unpolarized ensemble in the same mode).  The entropy column is the
-    entanglement made from a pure input, so the ensemble's reads 0."""
+    (stage rows under STAGE_COLUMNS, channel reports of the scenario's spin
+    and of the unpolarized ensemble in the same mode).  The entropy column is
+    the entanglement made from a pure input, so the ensemble's reads 0."""
     u = ID4.copy()
     table = []
     for s, om, teff, theta in stage_pulse_areas(scenario.stages):
         chi = getattr(s, "chi", 0.0)
         u = stage_unitary(s.kind, theta, chi).matrix @ u
-        table.append((s.label or s.kind, s.kind, om, teff, theta, chi))
+        table.append((s.label or s.kind, s.kind, om, natural_to_fs(teff), theta, chi))
     mode = +2 if scenario.packet.momentum >= 0 else -2
     vec = BraggState.from_spin(scenario.packet.spin, mode=mode)
     pure = bragg_channel_report(u @ vec.amplitudes)
     # the ensemble's members are the two spin states of the mode, weight 1/2
     members = u[:, PLUS_BLOCK if mode == +2 else MINUS_BLOCK] / np.sqrt(2.0)
     unpolarized = dataclasses.replace(bragg_channel_report(members), entropy=0.0)
-    return u, table, pure, unpolarized
+    return table, pure, unpolarized
 
 
 def analytic_csv(scenario) -> str:
-    _, table, pure, unpolarized = analytic_prediction(scenario)
-    lines = [_header(scenario.source_hash)
-             + "stage,kind,hbar_rabi_eV,effective_duration_fs,pulse_area_rad,chi_rad"]
-    for label, kind, om, teff, theta, chi in table:
-        lines.append(",".join([label, kind] + [_fmt(x) for x in
-                                               (om, natural_to_fs(teff), theta, chi)]))
-    lines.append("")
-    lines.append(PREDICTION_COLUMNS)
-    lines.append(",".join(["scenario-spin"] + [_fmt(x) for x in pure.row()]))
-    lines.append(",".join(["unpolarized"] + [_fmt(x) for x in unpolarized.row()]))
-    return "\n".join(lines) + "\n"
+    table, pure, unpolarized = analytic_prediction(scenario)
+    predictions = [("scenario-spin", *pure.row()), ("unpolarized", *unpolarized.row())]
+    return (_header(scenario.source_hash) + _table(STAGE_COLUMNS, table) + "\n"
+            + _table(PREDICTION_COLUMNS, predictions))
 
 
 def design_text(report) -> str:
-    lines = [_header(None).rstrip()]
-    for key, value in report.as_pairs():
-        lines.append(f"{key} = {_fmt(value)}")
-    if report.flags:
-        lines.append("flags:")
-        lines.extend(f"  - {f}" for f in report.flags)
-    else:
-        lines.append("flags: none")
-    return "\n".join(lines) + "\n"
+    flags = "".join(f"  - {f}\n" for f in report.flags)
+    return (_header(None) + _pairs(report.as_pairs())
+            + (f"flags:\n{flags}" if flags else "flags: none\n"))
 
 
 def design_csv(report) -> str:
-    pairs = report.as_pairs()
-    head = ",".join(k for k, _ in pairs)
-    row = ",".join(_fmt(v) for _, v in pairs)
-    return _header(None) + head + "\n" + row + "\n"
+    keys, values = zip(*report.as_pairs())
+    return _header(None) + _table(keys, [values])
 
 
 def compare_csv(scenario, backends) -> str:
-    _, _, ref, _ = analytic_prediction(scenario)
-    reports = [("analytic", ref)]
-    for backend in backends:
-        reports.append((backend, run_scenario(with_backend(scenario, backend)).final_report))
-    lines = [_header(scenario.source_hash) + PREDICTION_COLUMNS.replace("input", "backend")
-             + ",dev_pop_plus,dev_pop_minus"]
-    for name, r in reports:
-        devs = [r.pop_plus - ref.pop_plus, r.pop_minus - ref.pop_minus]
-        lines.append(",".join([name] + [_fmt(x) for x in r.row() + tuple(devs)]))
-    return "\n".join(lines) + "\n"
+    _, ref, _ = analytic_prediction(scenario)
+    reports = [("analytic", ref)] + [
+        (backend, run_scenario(with_backend(scenario, backend)).final_report)
+        for backend in backends]
+    rows = [(name, *r.row(), r.pop_plus - ref.pop_plus, r.pop_minus - ref.pop_minus)
+            for name, r in reports]
+    return _header(scenario.source_hash) + _table(COMPARE_COLUMNS, rows)
 
 
 # load_scenario's overrides, each the dest of the flag that sets it, if any
@@ -249,13 +250,10 @@ def cmd_simulate(args) -> int:
     if args.out:
         out = Path(args.out)
         _write(out / out_spec.timeseries, timeseries_csv(result, scenario.source_hash))
-        report_lines = [_header(scenario.source_hash).rstrip()]
-        for key, value in zip(REPORT_COLUMNS, summary.row()):
-            report_lines.append(f"{key} = {_fmt(value)}")
-        report_lines.append(f"norm_drift = {_fmt(result.timeseries.norm_drift[-1])}")
-        for w in result.warnings:
-            report_lines.append(f"warning: {w}")
-        _write(out / "final-report.txt", "\n".join(report_lines) + "\n")
+        pairs = [*zip(REPORT_COLUMNS, summary.row()),
+                 ("norm_drift", result.timeseries.norm_drift[-1])]
+        _write(out / FINAL_REPORT, _header(scenario.source_hash) + _pairs(pairs)
+               + "".join(f"warning: {w}\n" for w in result.warnings))
     print(f"pop_plus={summary.pop_plus:.6f} pop_minus={summary.pop_minus:.6f} "
           f"poldeg_plus={summary.poldeg_plus:.6f} poldeg_minus={summary.poldeg_minus:.6f} "
           f"norm_drift={result.timeseries.norm_drift[-1]:.3e}")
@@ -264,22 +262,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_analytic(args) -> int:
     scenario, _ = _load(args)
-    text = analytic_csv(scenario)
-    if args.out:
-        _write(Path(args.out) / "analytic.csv", text)
-    else:
-        print(text, end="")
+    _emit(args.out, "analytic.csv", analytic_csv(scenario))
     return 0
 
 
 def cmd_compare(args) -> int:
     scenario, _ = _load(args)
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    text = compare_csv(scenario, backends)
-    if args.out:
-        _write(Path(args.out) / "compare.csv", text)
-    else:
-        print(text, end="")
+    _emit(args.out, "compare.csv", compare_csv(scenario, backends))
     return 0
 
 
@@ -296,12 +286,9 @@ def cmd_design(args) -> int:
                           dp_x=args.dpx, dL_rel=args.dl_rel)
     report = full_design_report((spec1, spec2), mono_amplitude=mono,
                                 electron_energy=args.electron_energy, tolerances=tol)
+    _emit(args.out, "design-report.txt", design_text(report))
     if args.out:
-        out = Path(args.out)
-        _write(out / "design-report.txt", design_text(report))
-        _write(out / "design-report.csv", design_csv(report))
-    else:
-        print(design_text(report), end="")
+        _emit(args.out, "design-report.csv", design_csv(report))
     return 0
 
 
@@ -309,11 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinsplit",
         description="Spin-polarizing interferometric electron beam splitter toolkit",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"spinsplit {__version__}")
+    # no prefixes, so a removed or misspelt flag cannot parse as another; the
+    # top-level allow_abbrev does not reach the subparsers
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="propagate a scenario and write time series + snapshots")
+    p = sub.add_parser("simulate", allow_abbrev=False,
+                       help="propagate a scenario and write time series + snapshots")
     _add_run(p)
     p.add_argument("--backend", choices=BACKENDS,
                    help="override the scenario's backend")
@@ -323,17 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip wavefunction snapshot files")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analytic", help="closed-form stage-unitary predictions for a scenario")
+    p = sub.add_parser("analytic", allow_abbrev=False,
+                       help="closed-form stage-unitary predictions for a scenario")
     _add_scenario(p)
     p.set_defaults(func=cmd_analytic)
 
-    p = sub.add_parser("compare", help="side-by-side analytic vs numerical channel table")
+    p = sub.add_parser("compare", allow_abbrev=False,
+                       help="side-by-side analytic vs numerical channel table")
     _add_run(p)
     p.add_argument("--backends", default="effective,full-field",
                    help="comma-separated numerical backends to run")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("design", help="feasibility numbers for a parameter point")
+    p = sub.add_parser("design", allow_abbrev=False,
+                       help="feasibility numbers for a parameter point")
     p.add_argument("--xi1", type=float, default=2.35e4 / 5.110e5)
     p.add_argument("--xi2", type=float, default=None)
     p.add_argument("--ea1", type=float, default=None, help="e*a1 in eV (overrides --xi1)")

@@ -221,16 +221,13 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # timestep policy
 
-def _max_omega(stages) -> float:
-    return max((s.omega for s in stages), default=0.0)
-
-
 def default_timestep(backend: str, stages, snapshot_every: float) -> float:
-    w = _max_omega(stages)
+    """The backend's dt when the scenario gives none; the field-resolving
+    backends step the first stage's carrier, which every stage shares."""
     if backend == "full-field":
-        return np.pi / (64.0 * w) if w > 0 else snapshot_every
+        return np.pi / (64.0 * stages[0].omega) if stages else snapshot_every
     if backend == "mode-lattice":
-        return np.pi / (256.0 * w) if w > 0 else snapshot_every
+        return np.pi / (256.0 * stages[0].omega) if stages else snapshot_every
     om = max((s.effective_lattice().strength for s in stages), default=0.0)
     return 1e-3 / om if om > 0 else snapshot_every
 
@@ -252,8 +249,7 @@ def timestep_ceiling(backend: str, stages) -> float:
     """Hard upper bound on dt: carrier period/40 for field-resolving backends,
     0.01/Omega for the effective backend."""
     if backend in ("full-field", "mode-lattice"):
-        w = _max_omega(stages)
-        return np.pi / (40.0 * w) if w > 0 else np.inf
+        return np.pi / (40.0 * stages[0].omega) if stages else np.inf
     om = max((s.effective_lattice().strength for s in stages), default=0.0)
     return 0.01 / om if om > 0 else np.inf
 
@@ -732,8 +728,7 @@ class ModeLatticeEngine:
         self._n = np.arange(m) - halfwidth
         self.energies = (self._n * wavenumber) ** 2 / (2.0 * MC2_EV)
         # carrier period of the plateau Hamiltonian; None without a stage
-        w = _max_omega(self.stages)
-        self.period = 2.0 * np.pi / w if w > 0 else None
+        self.period = 2.0 * np.pi / self.stages[0].omega if self.stages else None
         # gaps[d - 1, r] = E_r - E_{r-d} along the d-th subdiagonal, d = 1..4
         self._gaps = np.zeros((4, m))
         for d in range(1, 5):

@@ -32,6 +32,7 @@ except ImportError:
 # the choices of the file, each with its default first
 CONVENTIONS = ("traveling", "standing")     # the monochromatic amplitude conventions
 FORMATS = ("csv", "binary")
+FINAL_REPORT = "final-report.txt"    # simulate --out writes it beside the outputs named here
 _STAGE_KINDS = (MonoStandingWave.kind, BichromaticWave.kind)
 
 _TIME_UNITS = {"fs": fs_to_natural, "natural": lambda x: x}
@@ -103,6 +104,7 @@ class _Validator:
     def __init__(self, lines: dict):
         self.lines = lines
         self.errors: list[str] = []
+        self.outputs = [FINAL_REPORT]   # the output names read so far
 
     def _line_of(self, path: str) -> str:
         # top-level scalars are reported as "scenario.<key>"; a missing entry
@@ -156,12 +158,19 @@ class _Validator:
         return default
 
     def file_name(self, mapping: dict, key: str, path: str, default: str) -> str:
-        """A ``text`` naming a file under the output directory: neither
-        absolute nor with a ".." part."""
+        """A ``text`` naming a file under the output directory: neither empty,
+        ".", absolute nor with a ".." part, and neither the same as, inside
+        nor around an output name read before it."""
         name = self.text(mapping, key, path, default)
-        if PurePath(name).is_absolute() or ".." in PurePath(name).parts:
+        parts = PurePath(name).parts
+        if not parts or PurePath(name).is_absolute() or ".." in parts:
             self.error(f"{path}.{key}", f"must stay inside the output directory, got {name!r}")
             return default
+        for other in self.outputs:
+            if PurePath(name).is_relative_to(other) or PurePath(other).is_relative_to(name):
+                self.error(f"{path}.{key}", f"overlaps the output {other!r}, got {name!r}")
+                return default
+        self.outputs.append(name)
         return name
 
     def number(self, mapping: dict, key: str, path: str, *, required=False,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spinsplit.cli import _fmt, _header, main, read_snapshot_binary, snapshot_csv
+from spinsplit.scenario import ScenarioFileError, parse_scenario_text
 from spinsplit.states import SpatialGrid, SpinorWavefunction
 from spinsplit.units import natural_to_fs, natural_to_um, um_to_natural
 
@@ -57,6 +58,51 @@ duration: 0.012
 propagation:
   {backend: mode-lattice, snapshot_every: 0.004, mode_halfwidth: 8,
    mono_convention: standing}
+"""
+
+
+# TINY_MODES with 0.005 fs snapshots, which do not divide its 0.012 fs
+TINY_MODES_UNEVEN = TINY_MODES.replace("snapshot_every: 0.004", "snapshot_every: 0.005")
+
+UNITS_LINE = ("# units: time=fs length=um energy=eV momentum=eV/c intensity=W/cm^2 "
+              "energy_pulse=mJ\n")
+
+DESIGN_STDOUT = """\
+# spinsplit 0.1.0
+# scenario-sha256: none
+""" + UNITS_LINE + """\
+hbar_omega_eV = 200
+xi1 = 0.045988258317
+xi2 = 0.045988258317
+I1_W_cm2 = 7.52940103154e+19
+I2_W_cm2 = 3.01176041261e+20
+hbar_Omega_b_eV = 0.00972614828205
+hbar_Omega_m_eV = 0.00978473581213
+T_b_fs = 106.302813226
+T_mono_pi_fs = 211.332619313
+beam_width_um = 0.345327079717
+pulse_energy_mJ = 47.7239589528
+dpz_over_pz = 0.0310628860758
+bragg_pz_eV_c = 400
+electron_energy_eV = 30
+v_over_c = 0.0108359046575
+dP_over_P = 0
+hbar_Omega_noflip_eV = 0
+flags: none
+"""
+
+FIG2_ANALYTIC_STDOUT = """\
+# spinsplit 0.1.0
+# scenario-sha256: 149c1d89d1553505ba0d4d2632f15e0e9f33aba76247e8076e2b2a544abed582
+""" + UNITS_LINE + """\
+stage,kind,hbar_rabi_eV,effective_duration_fs,pulse_area_rad,chi_rad
+spin-splitter,bichromatic,0.00972614828205,106.302813,1.57079632346,0
+mirror,monochromatic,0.00978473581213,211.332619,3.14159264894,-0.314159265359
+recombiner,monochromatic,0.00978473581213,105.66631,1.5707963319,-0.314159265359
+
+input,pop_plus,pop_minus,sy_plus,sy_minus,poldeg_plus,poldeg_minus,entropy
+scenario-spin,0.5,0.5,-0.309016994375,0.309016994375,0.309016994375,0.309016994375,1
+unpolarized,0.5,0.5,-0.309016994375,0.309016994375,0.309016994375,0.309016994375,0
 """
 
 
@@ -176,6 +222,34 @@ class TestSimulate:
         assert (out / "timeseries.csv").exists()
         assert not (out / "snapshots").exists()
 
+    @pytest.mark.parametrize("key, name, error", [
+        ("timeseries", '""', "must stay inside the output directory, got ''"),
+        ("timeseries", ".", "must stay inside the output directory, got '.'"),
+        ("snapshots", "timeseries.csv", "overlaps the output 'timeseries.csv', got "
+                                        "'timeseries.csv'"),
+        ("timeseries", "final-report.txt", "overlaps the output 'final-report.txt', got "
+                                           "'final-report.txt'"),
+        ("snapshots", "final-report.txt/snaps", "overlaps the output 'final-report.txt', "
+                                                "got 'final-report.txt/snaps'"),
+    ])
+    def test_clashing_output_names_rejected_before_the_run(self, key, name, error, tmp_path):
+        # each used to run the whole propagation, then fail on a directory
+        # in the way or overwrite one output with another
+        text = TOY + f"outputs:\n  {key}: {name}\n"
+        line = text.splitlines().index(f"  {key}: {name}") + 1
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text)
+        assert err.value.errors == [f"line {line}: outputs.{key}: {error}"]
+        scenario, out = tmp_path / "clash.scenario", tmp_path / "run"
+        scenario.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert exc.value.code == 1
+        assert not out.exists()
+        # a name that only shares a prefix with another output is its own
+        _, spec = parse_scenario_text(TOY + "outputs: {timeseries: snaps/ts.csv}\n")
+        assert (spec.timeseries, spec.snapshots) == ("snaps/ts.csv", "snapshots")
+
     def test_dt_override_and_ceiling(self, toy_path, capsys):
         # 10^6 as = 1 ps timestep violates the effective-backend bound
         assert main(["simulate", "--scenario", toy_path, "--dt", "1e6"]) == 1
@@ -185,6 +259,27 @@ class TestSimulate:
     def test_missing_scenario_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--scenario", "nope-not-here"])
+
+
+    def test_final_report_layout(self, tmp_path):
+        # three header lines, the seven report columns and norm_drift as
+        # key = value lines, then one line per run warning
+        scenario = tmp_path / "uneven.scenario"
+        scenario.write_text(TINY_MODES_UNEVEN)
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="does not divide"):
+            assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        lines = (out / "final-report.txt").read_text().splitlines()
+        assert len(lines) == 12
+        assert lines[0] == "# spinsplit 0.1.0"
+        assert lines[1].startswith("# scenario-sha256: ")
+        assert lines[2] + "\n" == UNITS_LINE
+        keys = ["pop_plus", "pop_minus", "sy_plus", "sy_minus", "poldeg_plus",
+                "poldeg_minus", "entropy", "norm_drift"]
+        assert [line.split(" = ")[0] for line in lines[3:11]] == keys
+        for line in lines[3:11]:
+            float(line.split(" = ")[1])
+        assert lines[11].startswith("warning: snapshot_every 0.005 fs does not divide")
 
 
 class TestAnalytic:
@@ -207,6 +302,10 @@ class TestAnalytic:
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         assert rows and all("-0" not in l.split(",") for l in rows)
 
+    def test_fig2_stdout_text(self, capsys):
+        assert main(["analytic", "--scenario", "fig2"]) == 0
+        assert capsys.readouterr().out == FIG2_ANALYTIC_STDOUT
+
     def test_stage_table_lists_areas(self, tmp_path):
         out = tmp_path / "an"
         main(["analytic", "--scenario", "fig2", "--out", str(out)])
@@ -221,12 +320,15 @@ class TestAnalytic:
     ["analytic", "--backend", "effective"], ["analytic", "--dt", "5"],
     ["analytic", "--snapshot-every", "1"], ["analytic", "--grid-points", "64"],
     ["analytic", "--mode-halfwidth", "8"], ["analytic", "--format", "csv"],
-    ["compare", "--format", "csv"],
+    ["compare", "--format", "csv"], ["compare", "--backend", "effective"],
+    ["simulate", "--no-snap"],
 ], ids=lambda argv: " ".join(argv))
 def test_commands_reject_flags_they_do_not_read(argv, capsys):
     # analytic propagates nothing, and compare writes no snapshot; each such
     # flag used to be parsed and ignored, and an ignored --format hid an
-    # invalid outputs.format.  (compare --backend now abbreviates --backends.)
+    # invalid outputs.format.  No flag may be abbreviated, so a removed or
+    # misspelt one (compare --backend, simulate --no-snap) is not read as
+    # another (--backends, --no-snapshots).
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--scenario", "desk-mono", *argv[1:]])
     assert exc.value.code == 2
@@ -254,6 +356,10 @@ class TestDesign:
         assert "I1_W_cm2" in out
         i1 = float([l for l in out.splitlines() if l.startswith("I1_W_cm2")][0].split("=")[1])
         assert i1 == pytest.approx(7.6e19, rel=0.03)
+
+    def test_stdout_text(self, capsys):
+        assert main(["design"]) == 0
+        assert capsys.readouterr().out == DESIGN_STDOUT
 
     def test_files_written(self, tmp_path):
         out = tmp_path / "design"

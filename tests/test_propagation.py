@@ -1110,7 +1110,8 @@ def test_state_holds_one_row_per_sector_potential(backend, kinds, rows):
 def test_every_backend_takes_the_first_stage_wavenumber(backend):
     # the second photon energy lies within validate's 1e-9 of the first but
     # above it, so a max over the stages would differ from the first stage;
-    # the channel bins and the field model of every backend use stages[0]
+    # the channel bins, the field model, the carrier-resolving dt and its
+    # ceiling, and the mode lattice's carrier period all use stages[0]
     k0 = 1200.0
     env = Envelope(fs_to_natural(0.01), fs_to_natural(0.02), fs_to_natural(0.01))
     stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=k0, chi=0.0, envelope=env),
@@ -1121,8 +1122,14 @@ def test_every_backend_takes_the_first_stage_wavenumber(backend):
                                           length_um=0.236792364),
                        backend).validate()
     prop, _ = _propagator(scn)
+    w0 = stages[0].omega
+    if backend != "effective":
+        assert timestep_ceiling(backend, stages) == np.pi / (40.0 * w0)
+        assert default_timestep(backend, stages, 1.0) == np.pi / (
+            {"full-field": 64.0, "mode-lattice": 256.0}[backend] * w0)
     if backend == "mode-lattice":
         assert prop.k == prop._field.k == k0
+        assert prop.period == 2.0 * np.pi / w0
         return
     assert prop.hbar_k == k0
     np.testing.assert_array_equal(prop.potential._profiles[1], 2.0 * np.cos(k0 * prop.grid.z))

@@ -20,14 +20,15 @@ the z basis once per snapshot.
 
 * ``full-field``   - Strang splitting on the spatial grid with the exact
   time-dependent fields, whose coefficients come from each stage's spatial
-  harmonics.  ``advance`` evaluates them once on its step midpoints.  The
-  potential factor is the phase exp(-i V+- dt) in each sector, built from
-  one tangent tan(-V+- dt/2) per grid point without sin or cos, within
-  4e-16 of the exact phase.  Factors depend only on t, not on the state, so
-  a helper thread sums V+- on the grid and builds the factors of the next
-  few steps while the main thread applies the current ones and runs the
-  kinetic FFTs; numpy releases the GIL in both, so the two halves of a
-  step run on two cores, and the result is bit for bit that of one thread.
+  harmonics.  ``advance`` evaluates them once on its step midpoints and
+  steps only where they act.  The potential factor is the phase
+  exp(-i V+- dt) in each sector, built from one tangent tan(-V+- dt/2) per
+  grid point without sin or cos, within 4e-16 of the exact phase.  Factors
+  depend only on t, not on the state, so a helper thread sums V+- on the
+  grid and builds the factors of the next few steps while the main thread
+  applies the current ones and runs the kinetic FFTs; numpy releases the
+  GIL in both, so the two halves of a step run on two cores, and the
+  result is bit for bit that of one thread.
 * ``effective``    - same splitting with each stage's cycle-averaged
   lattice (``effective_lattice``, j = 4), scaled by f(t)^``power``: f^2 for
   the monochromatic, f^3 for the bichromatic one (two resp. three field
@@ -59,16 +60,17 @@ the z basis once per snapshot.
   same U+ in the mirrored frame Pi D* a- (reversed in n, times a phase),
   entered and left once around each run of such steps.
 
-One runner drives every backend through the same two calls on the state
-its propagator holds (the sigma_y sectors, or the spin-free packet):
-``advance`` across each snapshot interval, which takes one ``drift`` (the
-free phase) across an interval where no field acts, and ``observe`` at
-each snapshot (the channel report from ``observables``, which carries
-the populations, Bloch vectors, entropy and total <sigma_y> of the time
-series, and the leakage shares the run warns about).  The runner
-keeps no snapshot: it hands each one to the config's ``on_snapshot`` sink,
-if any, as ``on_snapshot(index, t, snapshot)``, and holds only the last as
-the final state.  These propagators are the only steppers; the mode
+One runner drives every backend through the same two calls on the state its
+propagator holds (the sigma_y sectors, or the spin-free packet):
+``advance`` across each snapshot interval and ``observe`` at each snapshot
+(the channel report from ``observables``, which carries the populations,
+Bloch vectors, entropy and total <sigma_y> of the time series, and the
+leakage shares the run warns about).  ``advance`` crosses each field-free
+stretch in one free phase, exact over any time (Feit, Fleck and Steiger,
+J. Comput. Phys. 47, 412 (1982)); a wholly free interval is one ``drift``.
+The runner keeps no snapshot: it hands each one to the config's
+``on_snapshot`` sink, if any, as ``on_snapshot(index, t, snapshot)``, and
+holds only the last as the final state.  These propagators are the only steppers; the mode
 lattice's one fresh-step path, ``gl2_step``, is also the reference that
 ``advance`` is tested against.
 
@@ -520,7 +522,8 @@ class _FactorPipeline:
 
 class _GridPropagator:
     """Strang splitting on the spatial grid: half kinetic, full potential at
-    the step midpoint, half kinetic, with the half steps of neighbours merged.
+    the step midpoint, half kinetic, with the kinetic steps between two
+    potentials merged.
     The state has one row per distinct sector potential, so the potential
     factor is one phase per row and every step is unitary to rounding:
     the pair of sigma_y sectors (2, N), or, given the constant sector
@@ -542,7 +545,7 @@ class _GridPropagator:
         self.potential = potential
         self.hbar_k = hbar_k
         self.spin = spin
-        self._kinetic = (None, None, None)  # (h, half-step phase, full-step phase)
+        self._kinetic = (None, {})  # (h, {gap: phase of gap * h}) for the gaps 1/2 and 1
         self._edge = np.flatnonzero(np.abs(grid.z) >= (0.5 - 1.0 / 32.0) * grid.length)
         self._nyquist = np.flatnonzero(np.abs(grid.p) > 0.9 * np.pi / grid.spacing)
         _keep_scratch_on_heap()
@@ -553,13 +556,14 @@ class _GridPropagator:
 
     def advance(self, psi: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
         """Sectors at ta -> at tb, in equal steps no longer than dt, with the
-        field model called once on the array of the step midpoints.  A factor
-        is built for each acting step whose coefficients differ bit for bit
-        from the previous acting step's, and reused until then (a plateau of
-        the effective model).  The builds after the first chunk run on a
-        helper thread (``_FactorPipeline``); every factor is applied on this
-        one.  Where no step acts, the interval is one ``drift``.  The
-        kinetic phases of the last step size are kept for the next call."""
+        field model called once on the array of the step midpoints.  Only the
+        acting steps are stepped: the free time before, between and after
+        them is one kinetic phase per gap (gap * h), and an interval where no
+        step acts is one ``drift``.  A factor is built for each acting step
+        whose coefficients differ bit for bit from the previous acting
+        step's, and reused until then (a plateau of the effective model);
+        builds after the first chunk run on a helper thread
+        (``_FactorPipeline``), and every factor is applied on this one."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
         coefficients = self.potential.model(ta + (np.arange(n) + 0.5) * h)
@@ -567,20 +571,20 @@ class _GridPropagator:
         if not acting.size:
             return self.drift(psi, tb - ta)
         if self._kinetic[0] != h:
-            self._kinetic = (h, _kinetic_phase(self.grid, 0.5 * h), _kinetic_phase(self.grid, h))
-        _, half, full = self._kinetic
+            self._kinetic = (h, {g: _kinetic_phase(self.grid, g * h) for g in (0.5, 1.0)})
+        phases = self._kinetic[1]
+        gaps = np.diff(acting, prepend=-0.5, append=n - 0.5).tolist()
         rows = coefficients[acting, :len(psi)]
         bits = rows.view(np.uint64)
         fresh = np.ones(len(acting), dtype=bool)
         fresh[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
-        build = np.full(n, -1)      # per step, the index of its factor's build
-        build[acting] = np.cumsum(fresh) - 1
+        builds = (np.cumsum(fresh) - 1).tolist() + [None]    # per gap, the next factor's build
         with _FactorPipeline(self.potential, rows[fresh], -0.5 * h) as factors:
-            _apply_kinetic(psi, half)
-            for i, g in enumerate(build.tolist()):
-                if g >= 0:
+            for gap, g in zip(gaps, builds):
+                _apply_kinetic(psi, phases[gap] if gap in phases
+                               else _kinetic_phase(self.grid, gap * h))
+                if g is not None:
                     _apply_potential(psi, factors[g])
-                _apply_kinetic(psi, full if i < n - 1 else half)
         return psi
 
     def observe(self, psi: np.ndarray):
@@ -693,12 +697,6 @@ def _taylor(x: np.ndarray, degree: int) -> np.ndarray:
 def _add_to_diagonal(x: np.ndarray, value) -> None:
     """x[..., n, n] += value in place."""
     np.einsum("...ii->...i", x)[...] += value
-
-
-def _apply(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Sector propagators (2, m, m), or one (1, m, m) that both sectors
-    share, applied to sector amplitudes (2, m)."""
-    return np.matvec(u, amps)
 
 
 def _flip(amps: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -850,7 +848,7 @@ class ModeLatticeEngine:
             amps = _flip(amps, phase)
         for _, us, acts in self._fresh(t, dt, 2 if phase is None else 1):
             for u, act in zip(us, acts):
-                amps = _apply(u, amps) if act else self.drift(amps, dt)
+                amps = np.matvec(u, amps) if act else self.drift(amps, dt)
         return amps if phase is None else _flip(amps, phase)
 
     def advance(self, amps: np.ndarray, ta: float, tb: float, dt: float) -> np.ndarray:
@@ -921,7 +919,7 @@ class ModeLatticeEngine:
             amps = _flip(amps, phase)
         while i < end:
             whole = i % steps == 0 and end - i >= steps
-            amps = _apply(period if whole else cached[i % steps], amps)
+            amps = np.matvec(period if whole else cached[i % steps], amps)
             i += steps if whole else 1
         return amps if phase is None else _flip(amps, phase)
 

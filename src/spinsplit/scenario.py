@@ -104,7 +104,7 @@ class _Validator:
     def __init__(self, lines: dict):
         self.lines = lines
         self.errors: list[str] = []
-        self.outputs = [FINAL_REPORT]   # the output names read so far
+        self.outputs = {FINAL_REPORT: None}   # output name read so far -> the key giving it
 
     def _line_of(self, path: str) -> str:
         # top-level scalars are reported as "scenario.<key>"; a missing entry
@@ -160,17 +160,20 @@ class _Validator:
     def file_name(self, mapping: dict, key: str, path: str, default: str) -> str:
         """A ``text`` naming a file under the output directory: neither empty,
         ".", absolute nor with a ".." part, and neither the same as, inside
-        nor around an output name read before it."""
+        nor around an output name read before it (blamed on a key the file gave)."""
         name = self.text(mapping, key, path, default)
         parts = PurePath(name).parts
         if not parts or PurePath(name).is_absolute() or ".." in parts:
             self.error(f"{path}.{key}", f"must stay inside the output directory, got {name!r}")
             return default
-        for other in self.outputs:
+        for other, given in self.outputs.items():
             if PurePath(name).is_relative_to(other) or PurePath(other).is_relative_to(name):
-                self.error(f"{path}.{key}", f"overlaps the output {other!r}, got {name!r}")
+                at, msg = f"{path}.{key}", f"overlaps the output {other!r}, got {name!r}"
+                if mapping.get(key) is None and given:  # this key took its default
+                    at, msg = given, f"overlaps the default output {name!r} of {at}, got {other!r}"
+                self.error(at, msg)
                 return default
-        self.outputs.append(name)
+        self.outputs[name] = f"{path}.{key}"
         return name
 
     def number(self, mapping: dict, key: str, path: str, *, required=False,

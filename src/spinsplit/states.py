@@ -15,10 +15,8 @@ class PacketError(ValueError):
     pass
 
 
-# Pauli matrices in the z basis used for all stored spinors.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# sigma_y and the identity in the z basis used for all stored spinors.
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 # sigma_y eigenstates |+> and |->, the spin basis the splitter sorts by.

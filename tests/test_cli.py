@@ -231,6 +231,9 @@ class TestSimulate:
                                            "'final-report.txt'"),
         ("snapshots", "final-report.txt/snaps", "overlaps the output 'final-report.txt', "
                                                 "got 'final-report.txt/snaps'"),
+        # the clash is with the default of a key the file does not give
+        ("timeseries", "snapshots/ts.csv", "overlaps the default output 'snapshots' of "
+                                           "outputs.snapshots, got 'snapshots/ts.csv'"),
     ])
     def test_clashing_output_names_rejected_before_the_run(self, key, name, error, tmp_path):
         # each used to run the whole propagation, then fail on a directory

@@ -54,7 +54,7 @@ from spinsplit.states import (
     SpatialGrid,
     gaussian_packet,
 )
-from spinsplit.units import MC2_EV, fs_to_natural, um_to_natural
+from spinsplit.units import MC2_EV, fs_to_natural, natural_to_fs, um_to_natural
 
 K = 200.0
 RABI_MONO_200 = 200.0**2 / (8.0 * MC2_EV)
@@ -380,16 +380,17 @@ class TestModeLattice:
 
 @contextlib.contextmanager
 def _period_applies(engine):
-    """Per ``propagation._apply`` call while the block runs: whether it
-    applied the period product U_T of the engine's plateau record."""
+    """Per ``np.matvec`` call while the block runs (the mode lattice applies
+    every propagator with it): whether it applied the period product U_T of
+    the engine's plateau record."""
     applies = []
-    apply = propagation._apply
+    matvec = np.matvec
 
     def spy(u, amps):
         applies.append(u is engine._plateau[2])
-        return apply(u, amps)
+        return matvec(u, amps)
 
-    with mock.patch.object(propagation, "_apply", spy):
+    with mock.patch.object(np, "matvec", spy):
         yield applies
 
 
@@ -790,25 +791,53 @@ def _midpoints(ta, tb, dt):
     return ta + (np.arange(n) + 0.5) * h, h
 
 
+def _reference_potential(potential, psi, c, h, exact):
+    """psi times exp(-i V+- h) of the coefficients c, built from
+    tau = tan(-h V+-/2) as (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2), or with
+    exact=True by np.exp.  The factor is held by a name: numpy would
+    otherwise compute the product in the buffer of the temporary factor,
+    with the operands swapped, which rounds differently under FMA."""
+    if exact:
+        factor = np.exp(-1j * h * potential(c[:len(psi)]))
+    else:
+        tau = np.tan(potential(c[:len(psi)], -0.5 * h))
+        weight = 2.0 / (1.0 + tau * tau)
+        factor = (weight - 1.0) + 1j * (tau * weight)
+    return psi * factor
+
+
 def _reference_advance(prop, psi, ta, tb, dt, exact=False):
     """The grid Strang step with out-of-place formulas: every FFT, every
     angle and every potential factor is a new array, and nothing is cached or
-    reused.  The factor exp(-i V+- h) is built from tau = tan(-h V+-/2) as
-    (2/(1 + tau^2) - 1) + i tau 2/(1 + tau^2), or with exact=True by np.exp.
-    The coefficients come from one field-model call on the step midpoints."""
+    reused.  The coefficients come from one field-model call on the step
+    midpoints.  Only acting steps are stepped: each free stretch, from ta to
+    the first acting midpoint, between two, and from the last to tb, is one
+    kinetic step of gap * h, and an interval where no step acts is one of
+    tb - ta."""
+    grid, model = prop.grid, prop.potential.model
+    potential = _GridPotential(model, prop.hbar_k, grid.z)
+    midpoints, h = _midpoints(ta, tb, dt)
+    coefficients = model(midpoints)
+    acting = np.flatnonzero(coefficients.any(axis=(-2, -1)))
+    if not acting.size:
+        return _reference_kinetic(grid, psi, tb - ta)
+    gaps = np.diff(acting, prepend=-0.5, append=len(midpoints) - 0.5)
+    for gap, c in zip(gaps, coefficients[acting]):
+        psi = _reference_potential(potential, _reference_kinetic(grid, psi, gap * h), c, h, exact)
+    return _reference_kinetic(grid, psi, gaps[-1] * h)
+
+
+def _stepwise_advance(prop, psi, ta, tb, dt):
+    """The same splitting taken step by step, free steps included: half
+    kinetic, the tangent factor where a field acts, half kinetic, with the
+    half steps of neighbours merged."""
     grid, model = prop.grid, prop.potential.model
     potential = _GridPotential(model, prop.hbar_k, grid.z)
     midpoints, h = _midpoints(ta, tb, dt)
     psi = _reference_kinetic(grid, psi, 0.5 * h)
     for i, c in enumerate(model(midpoints)):
         if c.any():
-            if exact:
-                factor = np.exp(-1j * h * potential(c))
-            else:
-                tau = np.tan(potential(c, -0.5 * h))
-                weight = 2.0 / (1.0 + tau * tau)
-                factor = (weight - 1.0) + 1j * (tau * weight)
-            psi = psi * factor
+            psi = _reference_potential(potential, psi, c, h, False)
         psi = _reference_kinetic(grid, psi, h if i < len(midpoints) - 1 else 0.5 * h)
     return psi
 
@@ -931,6 +960,62 @@ def test_every_potential_step_is_applied_on_the_main_thread(monkeypatch, name, r
         assert built == [rows]
     else:
         assert sum(built) == acting * rows
+
+
+def _free_stretch_case(name):
+    """(scenario, dt, intervals) of a grid run whose intervals cross free
+    time: wholly free up to shortly before the stage, a free head and the
+    rise, and the fall with a free tail; or, for "effective-gap", two
+    stages with a free gap between them.  The free stretches next to a
+    field are a tenth of a rise long."""
+    if name == "effective-gap":
+        first = mono_stage(np.pi / 2, rise_fs=5.0)
+        second = bi_stage(np.pi / 2, rise_fs=5.0, start_fs=natural_to_fs(first.end) + 2.0)
+        scn = effective_scenario([first, second], spin=(1, 1))
+        rise = first.envelope.rise
+        return (scn, timestep_ceiling("effective", scn.stages) / 2.0,
+                [(first.end - 0.3 * rise, second.start + 0.3 * rise)])
+    scn, _, dt, _ = _pipeline_case(name)
+    stage = scn.stages[0]
+    rise, fall = stage.envelope.rise, stage.envelope.fall
+    head = stage.start - 0.1 * rise
+    return scn, dt, [(0.0, head), (head, stage.start + 0.3 * rise),
+                     (stage.end - 0.3 * fall, stage.end + 0.1 * fall)]
+
+
+@pytest.mark.parametrize("name", ["full-field-bichromatic", "effective-bichromatic",
+                                  "effective-monochromatic", "effective-gap"])
+def test_each_free_stretch_is_one_kinetic_step(monkeypatch, name):
+    # only the acting steps are stepped: per advance one kinetic step before
+    # each and one after the last, or one drift where no step acts, and one
+    # potential step per acting step on the calling thread
+    scn, dt, intervals = _free_stretch_case(name)
+    prop, state = _propagator(scn)
+    kinetic, applied = [], []
+    apply_kinetic, apply_potential = propagation._apply_kinetic, propagation._apply_potential
+    monkeypatch.setattr(propagation, "_apply_kinetic",
+                        lambda psi, phase: kinetic.append(1) or apply_kinetic(psi, phase))
+    monkeypatch.setattr(propagation, "_apply_potential",
+                        lambda psi, factor: applied.append(threading.get_ident())
+                        or apply_potential(psi, factor))
+    free_steps = 0
+    for ta, tb in intervals:
+        acts = prop.potential.model(_midpoints(ta, tb, dt)[0]).any(axis=(-2, -1))
+        acting = int(acts.sum())
+        free_steps += acts.size - acting if acting else 0
+        ref = _reference_advance(prop, state, ta, tb, dt)
+        # a wholly free interval is one drift; where free and acting steps
+        # mix, the step-by-step splitting is the cross-check
+        stepwise = _stepwise_advance(prop, state, ta, tb, dt) if acting else ref
+        kinetic.clear()
+        applied.clear()
+        assert prop.advance(state, ta, tb, dt) is state
+        assert len(kinetic) == (acting + 1 if acting else 1), (ta, tb)
+        assert applied == [threading.get_ident()] * acting, (ta, tb)
+        assert np.array_equal(state, ref), (ta, tb)
+        np.testing.assert_allclose(state, stepwise, rtol=0, atol=1e-13 * np.abs(stepwise).max())
+    # some interval mixes free and acting steps
+    assert free_steps > 0
 
 
 @pytest.mark.parametrize("failing", ["helper", "main"])

@@ -4,7 +4,10 @@ All emitted files are deterministic for fixed inputs: fixed float formatting,
 no timestamps, and a metadata header (tool version, scenario hash, units) on
 every file.  Every table and report goes through three writers: ``_table``
 (a CSV block), ``_pairs`` (``key = value`` lines) and ``_emit`` (a file under
-``--out``, else stdout).  Snapshots keep their own streaming encoders.
+``--out``, else stdout).  Snapshots keep their own streaming encoders, which
+``simulate --out`` runs in one private writer process (``_SnapshotWriter``),
+so that the encoding overlaps the propagation on a second core; the command
+reaps the writer before it returns, whether the run succeeds or fails.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from .observables import REPORT_COLUMNS, bragg_channel_report
 from .propagation import BACKENDS, run_scenario, stage_pulse_areas, with_backend
 from .scenario import (CONVENTIONS, FINAL_REPORT, FORMATS, ScenarioFileError, load_scenario,
                        standing_amplitude)
-from .states import MINUS_BLOCK, PLUS_BLOCK, BraggState, SpatialGrid
+from .states import MINUS_BLOCK, PLUS_BLOCK, BraggState, SpatialGrid, SpinorWavefunction
 from .units import natural_to_fs, natural_to_um
 
 
@@ -150,12 +154,87 @@ def snapshot_csv(t, psi, scenario_hash):
         yield template % tuple(values.ravel().tolist())
 
 
-def _snapshot_writer(snap_dir: Path, fmt: str, scenario_hash):
+class _SnapshotWriter:
     """The runner's snapshot sink for ``simulate --out``: snapshot i goes to
-    its file in snap_dir as soon as it is observed, and the first write
-    makes snap_dir."""
+    its file in snap_dir, encoded and written by one private writer process
+    while the runner propagates on, and the first write makes snap_dir.
+
+    The first call forks the writer: the runner makes it at snapshot 0,
+    before any ``advance``, so no factor helper thread is alive to be
+    copied.  Each call sends the snapshot's (i, t) and the bytes of its
+    spinor, after waiting for the previous snapshot's file and raising the
+    error its write met, if any; so at most one snapshot is in flight.
+    ``close`` waits for the file in flight, then stops and reaps the
+    writer."""
+
+    def __init__(self, snap_dir: Path, fmt: str, scenario_hash):
+        self._args = (snap_dir, fmt, scenario_hash)
+        self._conn = self._writer = None
+        self._in_flight = False
+
+    def __call__(self, i, t, psi):
+        if self._writer is None:
+            import multiprocessing  # loaded only by runs that write snapshots
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+            self._conn, child_end = ctx.Pipe()
+            self._writer = ctx.Process(target=_write_snapshots, name="spinsplit-snapshots",
+                                       args=(child_end, self._conn, psi.grid, *self._args),
+                                       daemon=True)
+            self._writer.start()
+            child_end.close()
+        self._settle()
+        self._conn.send((i, t))
+        self._conn.send_bytes(np.ascontiguousarray(psi.psi))
+        self._in_flight = True
+
+    def _settle(self):
+        """Wait for the file in flight, if any; raise the error its write met."""
+        if not self._in_flight:
+            return
+        self._in_flight = False
+        try:
+            error = self._conn.recv()
+        except EOFError:
+            error = OSError("the snapshot writer stopped before its file was written")
+        if error is not None:
+            raise error
+
+    def close(self):
+        """Wait for the file in flight, then stop the writer and reap it."""
+        if self._writer is None:
+            return
+        try:
+            self._settle()
+        finally:
+            self._conn.close()
+            self._writer.join()
+            self._writer = None
+
+
+def _write_snapshots(conn, parent_end, grid: SpatialGrid, snap_dir: Path, fmt: str,
+                     scenario_hash):
+    """The writer process of ``_SnapshotWriter``: each snapshot received on
+    conn goes to its file, and the reply is None, or the exception its write
+    raised, after which the writer stops.  It stops quietly when the parent
+    closes its end or dies."""
+    parent_end.close()  # a fork's copy of it would keep the pipe open past the parent
+    # an interrupt reaches the parent, which waits for the file in flight
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     encode, suffix = (snapshot_binary, "snap") if fmt == "binary" else (snapshot_csv, "csv")
-    return lambda i, t, psi: _write(snap_dir / f"{i:06d}.{suffix}", encode(t, psi, scenario_hash))
+    try:
+        while True:
+            i, t = conn.recv()
+            psi = SpinorWavefunction(
+                grid, np.frombuffer(conn.recv_bytes(), dtype=complex).reshape(2, -1))
+            try:
+                _write(snap_dir / f"{i:06d}.{suffix}", encode(t, psi, scenario_hash))
+            except Exception as exc:  # reported by the parent, which exits with it
+                conn.send(exc)
+                return
+            conn.send(None)
+    except (EOFError, ConnectionError):  # the parent closed its end or died
+        return
 
 
 def analytic_prediction(scenario):
@@ -242,10 +321,15 @@ def cmd_simulate(args) -> int:
     scenario, out_spec = _load(args)
     # wavefunction dumps exist only for the grid backends; mode-lattice
     # snapshots are amplitude vectors already summarized in the series
+    writer = None
     if args.out and not args.no_snapshots and scenario.config.backend != "mode-lattice":
-        scenario.config.on_snapshot = _snapshot_writer(
+        writer = scenario.config.on_snapshot = _SnapshotWriter(
             Path(args.out) / out_spec.snapshots, out_spec.format, scenario.source_hash)
-    result = run_scenario(scenario)
+    try:
+        result = run_scenario(scenario)
+    finally:
+        if writer is not None:
+            writer.close()
     summary = result.final_report
     if args.out:
         out = Path(args.out)

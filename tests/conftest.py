@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,3 +26,19 @@ def bundled_run():
     that asks for it, so a test only reads it.  A test that changes the
     scenario makes its own run."""
     return _bundled_result
+
+
+@pytest.fixture(autouse=True)
+def no_stray_workers():
+    """Fails a test that leaves a process of ``multiprocessing`` (the
+    snapshot writer) or a grid factor helper thread running; a stray
+    process is then killed, so that the next test starts clean."""
+    yield
+    mp = sys.modules.get("multiprocessing")     # none can run before its import
+    children = mp.active_children() if mp else []
+    helpers = [t.name for t in threading.enumerate() if t.name == "spinsplit-factors"]
+    for child in children:
+        child.kill()
+        child.join()
+    if children or helpers:
+        pytest.fail(f"left running: processes {children}, threads {helpers}")

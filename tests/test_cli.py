@@ -1,4 +1,5 @@
 import gc
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsplit.cli import _fmt, _header, main, read_snapshot_binary, snapshot_csv
-from spinsplit.scenario import ScenarioFileError, parse_scenario_text
+from spinsplit import propagation
+from spinsplit.cli import (_fmt, _header, main, read_snapshot_binary, snapshot_binary,
+                           snapshot_csv)
+from spinsplit.scenario import ScenarioFileError, load_scenario, parse_scenario_text
 from spinsplit.states import SpatialGrid, SpinorWavefunction
 from spinsplit.units import natural_to_fs, natural_to_um, um_to_natural
 
@@ -63,6 +66,11 @@ propagation:
 
 # TINY_MODES with 0.005 fs snapshots, which do not divide its 0.012 fs
 TINY_MODES_UNEVEN = TINY_MODES.replace("snapshot_every: 0.004", "snapshot_every: 0.005")
+
+# TINY_MODES on the full-field backend, on a grid that resolves its field
+TINY_FULL_FIELD = TINY_MODES.replace(
+    "{backend: mode-lattice,",
+    "{backend: full-field, grid_points: 4096, grid_length: 0.236792364,")
 
 UNITS_LINE = ("# units: time=fs length=um energy=eV momentum=eV/c intensity=W/cm^2 "
               "energy_pulse=mJ\n")
@@ -283,6 +291,79 @@ class TestSimulate:
         for line in lines[3:11]:
             float(line.split(" = ")[1])
         assert lines[11].startswith("warning: snapshot_every 0.005 fs does not divide")
+
+
+class TestSnapshotWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("text, every, rows", [
+        (TOY, "15", 1),                     # spin-blind effective: the packet alone
+        (TINY_FULL_FIELD, "0.005", 2),      # full field: both sigma_y sectors
+    ], ids=["effective", "full-field"])
+    def test_files_match_in_process_encoding(self, text, every, rows, fmt, tmp_path):
+        # snapshot_every divides neither duration, so the snapshots are
+        # spaced by a share of it, not by the cadence asked for
+        scenario = tmp_path / "run.scenario"
+        scenario.write_text(text)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="does not divide"):
+            assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                         "--snapshot-every", every, "--format", fmt]) == 0
+        scn, _ = load_scenario(str(scenario), snapshot_every_fs=float(every))
+        assert len(propagation._propagator(scn)[1]) == rows
+        snapshots = []
+        scn.config.on_snapshot = lambda i, t, psi: snapshots.append((i, t, psi))
+        with pytest.warns(UserWarning, match="does not divide"):
+            propagation.run_scenario(scn)
+        suffix = "snap" if fmt == "binary" else "csv"
+        files = sorted((out / "snapshots").iterdir())
+        assert [f.name for f in files] == [f"{i:06d}.{suffix}" for i, _, _ in snapshots]
+        for f, (_, t, psi) in zip(files, snapshots):
+            expected = (snapshot_binary(t, psi, scn.source_hash) if fmt == "binary"
+                        else "".join(snapshot_csv(t, psi, scn.source_hash)).encode())
+            assert f.read_bytes() == expected
+
+    @pytest.mark.parametrize("blocked, error, written", [
+        ("snapshots", "File exists", 0),                # a file: the first write fails
+        ("snapshots/000011.csv", "Is a directory", 11),   # a directory: only the last one
+    ])
+    def test_failed_write_exits_1_and_reaps_the_writer(self, blocked, error, written,
+                                                       toy_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / blocked).parent.mkdir(parents=True)
+        if blocked == "snapshots":
+            (out / blocked).write_text("a file where the snapshot directory goes\n")
+        else:
+            (out / blocked).mkdir()
+        assert main(["simulate", "--scenario", toy_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and error in err
+        assert len([f for f in out.glob("snapshots/*.csv") if f.is_file()]) == written
+        assert not (out / "timeseries.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_failed_run_keeps_the_files_written_and_reaps_the_writer(
+            self, toy_path, tmp_path, capsys, monkeypatch):
+        full = tmp_path / "full"
+        assert main(["simulate", "--scenario", toy_path, "--out", str(full)]) == 0
+        advance = propagation._GridPropagator.advance
+        calls = []
+
+        def fail_second(self, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("advance failed")
+            return advance(self, *args)
+
+        monkeypatch.setattr(propagation._GridPropagator, "advance", fail_second)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", toy_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: advance failed\n"
+        # snapshot 1 was in flight when the run failed: its file is whole
+        files = sorted((out / "snapshots").iterdir())
+        assert [f.name for f in files] == ["000000.csv", "000001.csv"]
+        for f in files:
+            assert f.read_bytes() == (full / "snapshots" / f.name).read_bytes()
+        assert multiprocessing.active_children() == []
 
 
 class TestAnalytic:

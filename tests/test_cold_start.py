@@ -165,3 +165,57 @@ def test_mode_lattice_steps_do_not_page_fault_without_scipy():
     record = _fresh(MODE_STEPS)
     assert record["scipy"] == []
     assert record["faults"] / STEPS < 1.0
+
+
+# desk-mono's field, packet and 4096-point grid on full-field, with a 0.008 fs pulse
+TINY_FULL_FIELD = """\
+label: cold-tiny
+units: {time: fs, length: um}
+electron: {center: 0.0, width: 0.008, momentum: 2400.0, spin: x+}
+stages:
+  - {kind: monochromatic, label: splitter, a0: 4952.57508777, photon_energy: 1200.0,
+     chi: 0.0, start: 0.002, rise: 0.002, plateau: 0.004, fall: 0.002}
+duration: 0.012
+propagation:
+  {backend: full-field, snapshot_every: 0.004, grid_points: 4096,
+   grid_length: 0.236792364, mode_halfwidth: 8, mono_convention: standing}
+"""
+
+# after each command that writes no snapshot file: whether multiprocessing
+# is loaded, and whether this process has or ever had a child (a running or
+# unreaped one makes waitpid return; a reaped one shows in RUSAGE_CHILDREN)
+NO_WRITER = f"""
+import json, os, resource, sys, tempfile
+from pathlib import Path
+import spinsplit.cli as cli
+
+def started():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        return True
+    except ChildProcessError:
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+
+record = {{"import": ["multiprocessing" in sys.modules, started()]}}
+with tempfile.TemporaryDirectory() as tmp:
+    rabi, tiny = Path(tmp) / "rabi.scenario", Path(tmp) / "tiny.scenario"
+    rabi.write_text({RABI_SCENARIO!r})
+    tiny.write_text({TINY_FULL_FIELD!r})
+    for name, argv in [
+            ("no-snapshots", ["simulate", "--scenario", str(rabi), "--out", tmp + "/a",
+                              "--no-snapshots"]),
+            ("mode-lattice", ["simulate", "--scenario", str(tiny), "--out", tmp + "/b",
+                              "--backend", "mode-lattice"]),
+            ("compare", ["compare", "--scenario", str(tiny)])]:
+        assert cli.main(argv) == 0
+        record[name] = ["multiprocessing" in sys.modules, started()]
+print(json.dumps(record))
+"""
+
+
+def test_runs_without_snapshot_files_start_no_writer():
+    # only simulate --out with snapshots forks the snapshot writer; every
+    # other command neither loads multiprocessing nor starts a process
+    record = _fresh(NO_WRITER)
+    assert record == {name: [False, False] for name in
+                      ("import", "no-snapshots", "mode-lattice", "compare")}

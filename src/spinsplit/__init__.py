@@ -16,19 +16,6 @@ from .analytic import (
     stage_unitary,
     total_evolution,
 )
-from .design import (
-    DesignReport,
-    LaserSpec,
-    ToleranceBudget,
-    full_design_report,
-    intensity_from_xi,
-    interaction_geometry,
-    momentum_acceptance,
-    no_flip_rabi,
-    paper_design_report,
-    pulse_energy_mj,
-    scatter_probability_uncertainty,
-)
 from .fields import (
     BichromaticWave,
     Envelope,
@@ -66,4 +53,20 @@ from .states import (
     spin_expectations,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the design calculator and its names, loaded on first use: of the commands,
+# only ``design`` runs it
+_DESIGN = ("design", "DesignReport", "LaserSpec", "ToleranceBudget", "full_design_report",
+           "intensity_from_xi", "interaction_geometry", "momentum_acceptance", "no_flip_rabi",
+           "paper_design_report", "pulse_energy_mj", "scatter_probability_uncertainty")
+
+
+def __getattr__(name):
+    if name not in _DESIGN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # not ``from . import``, whose attribute check would come back here
+
+    design = importlib.import_module(".design", __name__)
+    return design if name == "design" else getattr(design, name)
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_DESIGN))

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .analytic import ID4, stage_unitary
-from .design import LaserSpec, ToleranceBudget, full_design_report
 from .observables import REPORT_COLUMNS, bragg_channel_report
 from .propagation import BACKENDS, run_scenario, stage_pulse_areas, with_backend
 from .scenario import (CONVENTIONS, FINAL_REPORT, FORMATS, ScenarioFileError, load_scenario,
@@ -358,6 +357,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_design(args) -> int:
+    # the calculator loads here only: no other command runs it
+    from .design import LaserSpec, ToleranceBudget, full_design_report
+
     def wave(ea, xi):   # one wave from its own flags: --eaN over --xiN
         return (LaserSpec(photon_energy=args.photon_energy, xi=xi) if ea is None
                 else LaserSpec.from_amplitude(ea, args.photon_energy))

@@ -215,6 +215,9 @@ def fit_rabi(t: np.ndarray, population: np.ndarray) -> RabiFit:
         raise AnalysisError("trace is non-oscillatory (flat)")
 
     dt = t[1] - t[0]
+    # the spectral seeds need one step; linspace times differ in their last bits
+    if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=0.0):
+        raise AnalysisError("the samples of t must be equally spaced")
     spec = np.abs(np.fft.rfft(pop - pop.mean()))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(pop.size, d=dt)
     padded = np.concatenate([[-np.inf], spec[1:], [-np.inf]])

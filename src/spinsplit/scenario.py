@@ -272,7 +272,8 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
                         dt_as: float | None = None, snapshot_every_fs: float | None = None,
                         grid_points: int | None = None, mode_halfwidth: int | None = None,
                         fmt: str | None = None) -> tuple[Scenario, OutputSpec]:
-    loader = yaml.SafeLoader(text)
+    # libyaml's parser where PyYAML has it: the same nodes and marks, parsed in C
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
         node = loader.get_single_node()
         raw = loader.construct_document(node) if node is not None else None
@@ -380,7 +381,8 @@ def load_scenario(name_or_path: str, **overrides) -> tuple[Scenario, OutputSpec]
     """Load a scenario from a filesystem path or a bundled name like 'fig2'."""
     import os
 
-    if os.path.exists(name_or_path):
+    # a file only: a directory of a bundled scenario's name must not hide it
+    if os.path.isfile(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return parse_scenario_text(text, path=name_or_path, **overrides)

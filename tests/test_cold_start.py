@@ -219,3 +219,37 @@ def test_runs_without_snapshot_files_start_no_writer():
     record = _fresh(NO_WRITER)
     assert record == {name: [False, False] for name in
                       ("import", "no-snapshots", "mode-lattice", "compare")}
+
+
+# after each command but design, whether the design calculator is loaded;
+# then whether its names still reach the package's users and the CLI
+DESIGN_ON_DEMAND = f"""
+import json, sys, tempfile
+from pathlib import Path
+import spinsplit, spinsplit.cli as cli
+
+record = {{"import": "spinsplit.design" in sys.modules}}
+with tempfile.TemporaryDirectory() as tmp:
+    tiny = Path(tmp) / "tiny.scenario"
+    tiny.write_text({TINY_FULL_FIELD!r})
+    for argv in (["simulate", "--scenario", str(tiny), "--out", tmp + "/a", "--no-snapshots"],
+                 ["compare", "--scenario", str(tiny)],
+                 ["analytic", "--scenario", str(tiny)]):
+        assert cli.main(argv) == 0
+        record[argv[0]] = "spinsplit.design" in sys.modules
+    record["LaserSpec"] = spinsplit.LaserSpec.__module__
+    star = {{}}
+    exec("from spinsplit import *", star)
+    record["star"] = sorted(set(spinsplit.__all__) - set(star))
+    record["design"] = [cli.main(["design", "--out", tmp + "/d"]),
+                        (Path(tmp) / "d" / "design-report.txt").is_file()]
+print(json.dumps(record))
+"""
+
+
+def test_only_design_loads_the_design_calculator():
+    # every command used to compile and run the calculator's 240 lines,
+    # which only design uses
+    assert _fresh(DESIGN_ON_DEMAND) == {
+        "import": False, "simulate": False, "compare": False, "analytic": False,
+        "LaserSpec": "spinsplit.design", "star": [], "design": [0, True]}

@@ -180,6 +180,17 @@ class TestFitRabi:
         assert fit.omega == pytest.approx(omega0, rel=1e-2)
         assert fit.visibility == pytest.approx(0.1, rel=5e-2)
 
+    def test_unequal_steps_rejected(self):
+        # the spectral seeds read the first step as every step: on geometric
+        # times this trace used to fit omega = 76.3 against the true 0.70
+        t = np.geomspace(0.01, 30.0, 200)
+        pop = 0.9 * np.sin(0.35 * t + 0.1) ** 2
+        with pytest.raises(AnalysisError, match="equally spaced"):
+            fit_rabi(t, pop)
+        t = np.linspace(0.01, 30.0, 200)
+        fit = fit_rabi(t, 0.9 * np.sin(0.35 * t + 0.1) ** 2)
+        assert fit.omega == pytest.approx(0.70, rel=1e-6)
+
     def test_short_trace_rejected(self):
         omega0 = 0.01
         t = np.linspace(0.0, 0.2 * np.pi / omega0, 100)  # a tenth of a period

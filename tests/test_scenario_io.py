@@ -64,6 +64,14 @@ def _key_slots(text: str) -> dict:
 FULL_SLOTS = _key_slots(FULL)
 
 
+@pytest.fixture(params=["libyaml", "pure-python"])
+def yaml_parser(request, monkeypatch):
+    """Each input parsed twice: by libyaml, where PyYAML has it, and by the
+    pure-Python parser that stands in where it does not."""
+    if request.param == "pure-python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
 class TestBundled:
     def test_names_present(self):
         names = bundled_scenario_names()
@@ -164,6 +172,7 @@ class TestParsing:
             parse_scenario_text(text)
         assert "plateau" in str(err.value)
 
+    @pytest.mark.usefixtures("yaml_parser")
     def test_error_reports_line_of_the_offending_stage(self):
         # fig2's second plateau is on line 31; the first, on line 22, is fine
         lines = bundled_scenario_path("fig2").read_text().splitlines(keepends=True)
@@ -197,6 +206,7 @@ class TestParsing:
             parse_scenario_text("".join(lines), backend="mode-lattice")
         assert err.value.errors == [f"line {row + 1}: {error}"]
 
+    @pytest.mark.usefixtures("yaml_parser")
     def test_zero_overrides_reach_the_checks(self):
         # a zero override used to fall back to the file's 4096 points and N = 8
         with pytest.raises(ScenarioFileError) as err:
@@ -257,6 +267,7 @@ class TestParsing:
         scn, _ = parse_scenario_text(text)
         np.testing.assert_allclose(scn.packet.spin, [1 / np.sqrt(2), -1j / np.sqrt(2)])
 
+    @pytest.mark.usefixtures("yaml_parser")
     @pytest.mark.parametrize("spin, message", [
         ("sideways", "unknown spin label 'sideways'; known: "
                      "['down', 'up', 'x+', 'x-', 'y+', 'y-']"),
@@ -337,6 +348,18 @@ class TestParsing:
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
+            load_scenario("no-such-scenario")
+
+    def test_directory_does_not_hide_a_bundled_name(self, tmp_path, monkeypatch):
+        # a directory named desk-mono used to be opened as the scenario file
+        # ("Is a directory"); a directory of no bundled name is still not found
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "desk-mono").mkdir()
+        (tmp_path / "no-such-scenario").mkdir()
+        scn, _ = load_scenario("desk-mono")
+        text = bundled_scenario_path("desk-mono").read_text()
+        assert scn.source_hash == hashlib.sha256(text.encode()).hexdigest()
+        with pytest.raises(FileNotFoundError, match="no scenario file 'no-such-scenario'"):
             load_scenario("no-such-scenario")
 
     def test_load_from_path(self, tmp_path):

@@ -4,17 +4,19 @@ All emitted files are deterministic for fixed inputs: fixed float formatting,
 no timestamps, and a metadata header (tool version, scenario hash, units) on
 every file.  Every table and report goes through three writers: ``_table``
 (a CSV block), ``_pairs`` (``key = value`` lines) and ``_emit`` (a file under
-``--out``, else stdout).  Snapshots keep their own streaming encoders, which
-``simulate --out`` runs in one private writer process (``_SnapshotWriter``),
-so that the encoding overlaps the propagation on a second core; the command
-reaps the writer before it returns, whether the run succeeds or fails.
+``--out``, else stdout).  Snapshots have two encoders of their own,
+``snapshot_csv`` and ``snapshot_binary``, each of which returns a whole file
+(one str or one bytes) made from the snapshot's float64 block
+(``_snapshot_block``); ``simulate --out`` runs them in one private writer
+process (``_SnapshotWriter``), so that the encoding overlaps the propagation
+on a second core; the command reaps the writer before it returns, whether
+the run succeeds or fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import signal
 import sys
@@ -49,14 +51,9 @@ def _header(scenario_hash: str | None) -> str:
 
 
 def _write(path: Path, content):
-    """Write content to path, making its directory: a str, bytes, or an
-    iterable of str chunks, each written as it comes."""
+    """Write content, a str or bytes, to path, making its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(content, bytes):
-        path.write_bytes(content)
-        return
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines([content] if isinstance(content, str) else content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
 
 
 def _table(columns, rows) -> str:
@@ -125,32 +122,14 @@ def read_snapshot_binary(data: bytes):
     return header, block
 
 
-# rows per chunk of snapshot_csv, so that no snapshot file is ever whole in memory
-_CSV_BLOCK_ROWS = 1024
-
-
-@functools.lru_cache(maxsize=4)
-def _snapshot_row_templates(length: float, points: int) -> tuple:
-    """The data rows of a snapshot CSV on the grid (length, points), in
-    blocks of _CSV_BLOCK_ROWS: each row's z_um value written in as _fmt
-    writes a float, then a %.12g slot per psi column.  z is the same in
-    every snapshot of a run, so it is formatted once."""
-    slots = ",%.12g" * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
-    rows = ["%.12g" % z + slots for z in natural_to_um(SpatialGrid(length, points).z).tolist()]
-    return tuple("".join(rows[i:i + _CSV_BLOCK_ROWS]) for i in range(0, points, _CSV_BLOCK_ROWS))
-
-
-def snapshot_csv(t, psi, scenario_hash):
-    """The snapshot's CSV text in chunks: the header lines, then blocks of
-    _CSV_BLOCK_ROWS rows, one row per grid point."""
-    yield (_header(scenario_hash)
-           + f"# time_fs={_fmt(natural_to_fs(t))} norm={_fmt(psi.norm())}\n"
-           + ",".join(SNAPSHOT_COLUMNS) + "\n")
-    templates = _snapshot_row_templates(psi.grid.length, psi.grid.points)
-    for lo, template in zip(range(0, psi.grid.points, _CSV_BLOCK_ROWS), templates):
-        # rows (re_up, im_up, re_dn, im_dn): each point's spinor as float pairs
-        values = np.ascontiguousarray(psi.psi[:, lo:lo + _CSV_BLOCK_ROWS].T).view(np.float64)
-        yield template % tuple(values.ravel().tolist())
+def snapshot_csv(t, psi, scenario_hash) -> str:
+    """The snapshot's CSV text: the header lines, then one row per grid
+    point, each value as _fmt writes a float."""
+    row = ",".join(["%.12g"] * len(SNAPSHOT_COLUMNS)) + "\n"
+    return (_header(scenario_hash)
+            + f"# time_fs={_fmt(natural_to_fs(t))} norm={_fmt(psi.norm())}\n"
+            + ",".join(SNAPSHOT_COLUMNS) + "\n"
+            + row * psi.grid.points % tuple(_snapshot_block(psi).T.ravel().tolist()))
 
 
 class _SnapshotWriter:

@@ -81,6 +81,7 @@ multiplies the identity and contributes only a global phase.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import ctypes
 import functools
 import math
@@ -93,8 +94,7 @@ import numpy as np
 
 from . import fields as F
 from .analytic import KIND_MONO
-from .observables import (REPORT_COLUMNS, AnalysisError, ChannelReport, channel_report,
-                          mode_channel_report)
+from .observables import AnalysisError, ChannelReport, channel_report, mode_channel_report
 from .states import SpatialGrid, SpinorWavefunction, gaussian_packet, normalize_spin
 from .units import MC2_EV, natural_to_fs, um_to_natural
 
@@ -427,7 +427,7 @@ class _GridPotential:
     ``_FACTOR_BYTES``), r rows per step for the r rows of the state, stacked
     step by step into K r rows: the half angles -h V/2 (then their
     tangents), and the two halves ``factors[0]`` and ``factors[1]`` of a
-    double buffer of the factors exp(-i h V)."""
+    double buffer of the factors exp(-i h V), which ``_factors`` fills."""
 
     def __init__(self, model, wavenumber: float, z: np.ndarray, rows: int = 2):
         self.model = model
@@ -445,79 +445,59 @@ class _GridPotential:
         return np.matmul(rows, self._profiles, out=out)
 
 
-class _FactorPipeline:
-    """The factors exp(-i h V) of a run of steps, built a chunk of K at a time
-    into the halves of the potential's double buffer, chunk q into half
-    q mod 2.  Each chunk is one matmul, one tan and the arithmetic of
-    ``_phase_from_half_angles``, all of which release the GIL.  Entering
-    builds chunk 0 on the calling thread and starts a helper thread for the
-    rest, if any, so the helper builds chunk q + 1 while the caller applies
-    chunk q with the kinetic FFTs.  A half is rebuilt only after the caller
-    has moved past the chunk it held.
+def _factors(potential: _GridPotential, coefficients: np.ndarray, scale: float):
+    """Yields the factor exp(-i h V) of each build (coefficients (builds, r, 5),
+    scale -h/2), in order, as a view into the potential's double buffer.
+    Builds go a chunk of K at a time, chunk q into half q mod 2: one matmul,
+    one tan and the arithmetic of ``_phase_from_half_angles``, all of which
+    release the GIL.  Chunk 0 is built on the calling thread, the rest by one
+    helper thread, which builds chunk q + 1 while the caller applies chunk q
+    with the kinetic FFTs; a half is rebuilt only after the caller has moved
+    past the chunk it held.  The helper's exception, if any, is re-raised
+    here; closing the generator stops and joins the helper."""
+    rows = coefficients.shape[1]
+    size = len(potential.angle) // rows         # K
+    chunks = [coefficients[lo:lo + size] for lo in range(0, len(coefficients), size)]
+    built = threading.Semaphore(0)              # chunks built and not yet taken
+    free = threading.Semaphore(1)               # halves the helper may write
+    stop, errors = False, []
 
-    ``pipeline[g]`` (calling thread) is the factor of build g, g in order;
-    it waits for g's chunk and re-raises the helper's exception, if any.
-    Leaving stops and joins the helper."""
-
-    def __init__(self, potential: _GridPotential, coefficients: np.ndarray, scale: float):
-        self._potential = potential
-        self._coefficients = coefficients       # (builds, r, 5)
-        self._scale = scale
-        self._rows = coefficients.shape[1]
-        self._size = len(potential.angle) // self._rows       # K
-        self._chunks = -(-len(coefficients) // self._size)
-        self._built = threading.Semaphore(0)    # chunks built and not yet taken
-        self._free = threading.Semaphore(1)     # halves the helper may write
-        self._stop = False
-        self._error = None
-        self._chunk = -1                        # the chunk the caller applies
-        self._helper = None
-
-    def __enter__(self):
-        if self._chunks:
-            self._build(0)
-            self._built.release()
-        if self._chunks > 1:
-            self._helper = threading.Thread(target=self._build_rest, name="spinsplit-factors",
-                                            daemon=True)
-            self._helper.start()
-        return self
-
-    def __exit__(self, *exc):
-        if self._helper is not None:
-            self._stop = True
-            self._free.release()
-            self._helper.join()
-
-    def _build(self, q: int) -> None:
-        potential = self._potential
-        c = self._coefficients[q * self._size:(q + 1) * self._size]
-        flat = len(c) * self._rows
-        potential(c, self._scale, out=potential.angle[:flat].reshape(c.shape[:2] + (-1,)))
+    def build(q):
+        c = chunks[q]
+        flat = len(c) * rows
+        potential(c, scale, out=potential.angle[:flat].reshape(len(c), rows, -1))
         _phase_from_half_angles(potential, potential.factors[q % 2][:flat])
 
-    def _build_rest(self) -> None:
+    def build_rest():
         try:
-            for q in range(1, self._chunks):
-                self._free.acquire()
-                if self._stop:
+            for q in range(1, len(chunks)):
+                free.acquire()
+                if stop:
                     return
-                self._build(q)
-                self._built.release()
+                build(q)
+                built.release()
         except BaseException as exc:     # re-raised on the calling thread
-            self._error = exc
-            self._built.release()
+            errors.append(exc)
+            built.release()
 
-    def __getitem__(self, g: int) -> np.ndarray:
-        q, k = divmod(g, self._size)
-        if q != self._chunk:
-            if self._chunk >= 0:
-                self._free.release()
-            self._built.acquire()
-            if self._error is not None:
-                raise self._error
-            self._chunk = q
-        return self._potential.factors[q % 2][k * self._rows:(k + 1) * self._rows]
+    build(0)
+    helper = None
+    if len(chunks) > 1:
+        helper = threading.Thread(target=build_rest, name="spinsplit-factors", daemon=True)
+        helper.start()
+    try:
+        for q, c in enumerate(chunks):
+            if q:
+                free.release()
+                built.acquire()
+                if errors:
+                    raise errors[0]
+            yield from potential.factors[q % 2][:len(c) * rows].reshape(len(c), rows, -1)
+    finally:
+        if helper is not None:
+            stop = True
+            free.release()
+            helper.join()
 
 
 class _GridPropagator:
@@ -562,8 +542,8 @@ class _GridPropagator:
         step acts is one ``drift``.  A factor is built for each acting step
         whose coefficients differ bit for bit from the previous acting
         step's, and reused until then (a plateau of the effective model);
-        builds after the first chunk run on a helper thread
-        (``_FactorPipeline``), and every factor is applied on this one."""
+        ``_factors`` builds them, those after the first chunk on a helper
+        thread, and every factor is applied on this one."""
         n = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / n
         coefficients = self.potential.model(ta + (np.arange(n) + 0.5) * h)
@@ -573,18 +553,22 @@ class _GridPropagator:
         if self._kinetic[0] != h:
             self._kinetic = (h, {g: _kinetic_phase(self.grid, g * h) for g in (0.5, 1.0)})
         phases = self._kinetic[1]
+
+        def kinetic(gap):
+            _apply_kinetic(psi, phases[gap] if gap in phases
+                           else _kinetic_phase(self.grid, gap * h))
+
         gaps = np.diff(acting, prepend=-0.5, append=n - 0.5).tolist()
         rows = coefficients[acting, :len(psi)]
         bits = rows.view(np.uint64)
         fresh = np.ones(len(acting), dtype=bool)
         fresh[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
-        builds = (np.cumsum(fresh) - 1).tolist() + [None]    # per gap, the next factor's build
-        with _FactorPipeline(self.potential, rows[fresh], -0.5 * h) as factors:
-            for gap, g in zip(gaps, builds):
-                _apply_kinetic(psi, phases[gap] if gap in phases
-                               else _kinetic_phase(self.grid, gap * h))
-                if g is not None:
-                    _apply_potential(psi, factors[g])
+        with contextlib.closing(_factors(self.potential, rows[fresh], -0.5 * h)) as factors:
+            for gap, new in zip(gaps, fresh.tolist()):
+                kinetic(gap)
+                factor = next(factors) if new else factor
+                _apply_potential(psi, factor)
+        kinetic(gaps[-1])
         return psi
 
     def observe(self, psi: np.ndarray):
@@ -965,24 +949,6 @@ def _snapshot_times(duration: float, cadence: float, run_warnings: list) -> np.n
     return np.linspace(0.0, duration, n + 1)
 
 
-class _RowCollector:
-    """The time series of a run with a known number of observations, one
-    float64 row of ``fields`` each, so that a row costs 11 floats and no
-    Python objects."""
-
-    fields = ("t",) + REPORT_COLUMNS + ("norm_drift", "sy_total", "norm")
-
-    def __init__(self, count: int):
-        self.rows = np.empty((count, len(self.fields)))
-
-    def add(self, i, t, report: ChannelReport, norm0):
-        norm = report.total_norm
-        self.rows[i] = (t, *report.row(), norm - norm0, report.sy_total, norm)
-
-    def series(self) -> TimeSeries:
-        return TimeSeries(**dict(zip(self.fields, self.rows.T.copy())))
-
-
 def _propagator(scn: Scenario):
     """The backend's propagator and its initial state.  On a grid backend
     the state is the two sigma_y sectors (2, N), or the spin-free packet
@@ -1028,7 +994,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     times = _snapshot_times(scn.duration, cadence, run_warnings)
     prop, state = _propagator(scn)
     modes = cfg.backend == "mode-lattice"
-    collector = _RowCollector(times.size)
+    # one row per observation, in the order of the TimeSeries fields
+    rows = np.empty((times.size, 11))
     norm0 = None
     warned = set()
     for i, t in enumerate(times):
@@ -1039,7 +1006,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         except AnalysisError as exc:
             raise PropagationError(f"zero or non-finite norm at t={t:.6g}") from exc
         norm0 = report.total_norm if norm0 is None else norm0
-        collector.add(i, t, report, norm0)
+        norm = report.total_norm
+        rows[i] = (t, *report.row(), norm - norm0, report.sy_total, norm)
         for monitor, share in zip(prop.monitors, leakage):
             if share > _LEAKAGE_LIMIT and monitor not in warned:
                 warned.add(monitor)
@@ -1048,8 +1016,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             cfg.on_snapshot(i, t, snap)
 
     return ScenarioResult(
-        scenario=scn, backend=cfg.backend, timeseries=collector.series(), final_report=report,
-        final_psi=None if modes else snap, warnings=run_warnings,
+        scenario=scn, backend=cfg.backend, timeseries=TimeSeries(*rows.T.copy()),
+        final_report=report, final_psi=None if modes else snap, warnings=run_warnings,
     )
 
 

@@ -20,7 +20,7 @@ import yaml
 from .fields import BichromaticWave, Envelope, MonoStandingWave
 from .propagation import BACKENDS, PacketSpec, PropagationConfig, Scenario
 from .states import PacketError, normalize_spin
-from .units import attoseconds_to_natural, fs_to_natural, nm_to_natural, um_to_natural
+from .units import fs_to_natural, nm_to_natural, um_to_natural
 
 # CPython's built-in SHA-256, the module hashlib falls back on: hashlib itself
 # loads OpenSSL's _hashlib, about 4 MB of resident memory for one header line
@@ -35,7 +35,8 @@ FORMATS = ("csv", "binary")
 FINAL_REPORT = "final-report.txt"    # simulate --out writes it beside the outputs named here
 _STAGE_KINDS = (MonoStandingWave.kind, BichromaticWave.kind)
 
-_TIME_UNITS = {"fs": fs_to_natural, "natural": lambda x: x}
+# per time unit: (a value in the unit -> in natural units, a value in fs -> in the unit)
+_TIME_UNITS = {"fs": (fs_to_natural, lambda x: x), "natural": (lambda x: x, fs_to_natural)}
 _LENGTH_UNITS = {"um": um_to_natural, "nm": nm_to_natural, "natural": lambda x: x}
 
 _TOP_KEYS = {"label", "units", "electron", "stages", "propagation", "duration", "outputs"}
@@ -197,6 +198,21 @@ class _Validator:
             return default
         return value
 
+    def integer(self, mapping: dict, key: str, path: str, default: int, minimum: int, *,
+                power_of_two=False) -> int:
+        """An integer >= minimum, and a power of two if asked; default if
+        absent or null."""
+        value = mapping.get(key)
+        if value is None:
+            return default
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            self.error(f"{path}.{key}", f"must be an integer >= {minimum}, got {value!r}")
+            return default
+        if power_of_two and value & (value - 1):
+            self.error(f"{path}.{key}", f"must be a power of two, got {value}")
+            return default
+        return value
+
 
 def _parse_spin(raw, val: _Validator):
     if raw is None:
@@ -287,7 +303,7 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
 
     val.check_keys(raw, _TOP_KEYS, "scenario")
     units = val.mapping(raw, "units", _UNIT_KEYS)
-    to_time = _TIME_UNITS[val.choice(units, "time", "units", tuple(_TIME_UNITS))]
+    to_time, from_fs = _TIME_UNITS[val.choice(units, "time", "units", tuple(_TIME_UNITS))]
     to_length = _LENGTH_UNITS[val.choice(units, "length", "units", tuple(_LENGTH_UNITS))]
 
     electron = val.mapping(raw, "electron", _ELECTRON_KEYS)
@@ -298,25 +314,19 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
 
     prop = val.mapping(raw, "propagation", _PROP_KEYS, backend=backend,
                        mono_convention=convention, grid_points=grid_points,
-                       mode_halfwidth=mode_halfwidth)
+                       mode_halfwidth=mode_halfwidth,
+                       dt=None if dt_as is None else from_fs(dt_as * 1e-3),
+                       snapshot_every=None if snapshot_every_fs is None
+                       else from_fs(snapshot_every_fs))
     default = PropagationConfig()
     backend_name = val.choice(prop, "backend", "propagation", BACKENDS)
     convention_name = val.choice(prop, "mono_convention", "propagation", CONVENTIONS)
-    dt_file = val.number(prop, "dt", "propagation", default=None, positive=True)
-    snap_file = val.number(prop, "snapshot_every", "propagation", default=None, positive=True)
-    points = prop.get("grid_points", default.grid_points)
-    if not isinstance(points, int) or isinstance(points, bool) or points <= 0:
-        val.error("propagation.grid_points", f"bad value {points!r}")
-        points = default.grid_points
-    elif points & (points - 1):
-        val.error("propagation.grid_points", f"must be a power of two, got {points}")
-        points = default.grid_points
+    dt = val.number(prop, "dt", "propagation", default=None, positive=True)
+    snap = val.number(prop, "snapshot_every", "propagation", default=None, positive=True)
+    points = val.integer(prop, "grid_points", "propagation", default.grid_points, 1,
+                         power_of_two=True)
     glen = val.number(prop, "grid_length", "propagation", default=None, positive=True)
-    halfwidth = prop.get("mode_halfwidth", default.mode_halfwidth)
-    if not isinstance(halfwidth, int) or halfwidth < 4:
-        val.error("propagation.mode_halfwidth",
-                  f"must be an integer >= 4, got {halfwidth!r}")
-        halfwidth = default.mode_halfwidth
+    halfwidth = val.integer(prop, "mode_halfwidth", "propagation", default.mode_halfwidth, 4)
 
     duration = val.number(raw, "duration", "scenario", required=True, positive=True)
 
@@ -338,15 +348,11 @@ def parse_scenario_text(text: str, path: str = "<string>", *,
     if val.errors:
         raise ScenarioFileError(path, val.errors)
 
-    dt = attoseconds_to_natural(dt_as) if dt_as is not None else (
-        to_time(dt_file) if dt_file is not None else None)
-    snap = fs_to_natural(snapshot_every_fs) if snapshot_every_fs is not None else (
-        to_time(snap_file) if snap_file is not None else None)
     try:
         config = PropagationConfig(
             backend=backend_name,
-            dt=dt,
-            snapshot_every=snap,
+            dt=to_time(dt) if dt is not None else None,
+            snapshot_every=to_time(snap) if snap is not None else None,
             mode_halfwidth=halfwidth,
             grid_points=points,
             grid_length=to_length(glen) if glen is not None else default.grid_length,

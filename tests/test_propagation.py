@@ -24,10 +24,12 @@ from spinsplit.fields import (
     stage_envelope,
     vector_potential,
 )
+from spinsplit.observables import REPORT_COLUMNS
 from spinsplit.propagation import (
     _TAYLOR_BOUNDS,
     _TAYLOR_DEGREES,
     _TAYLOR_THETA,
+    BACKENDS,
     ModeLatticeEngine,
     _EffectiveModel,
     _expm_skew,
@@ -720,6 +722,20 @@ def test_fig2_ideal_mode_lattice_keeps_its_edge_modes_empty():
     assert result.warnings == []
     assert result.final_report.poldeg_plus == pytest.approx(0.3717, abs=1e-3)
     assert result.final_report.poldeg_minus == pytest.approx(0.3717, abs=1e-3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_last_observation_is_the_final_report(bundled_run, backend):
+    # the time series is filled by position: a column out of the TimeSeries
+    # order would land under another column's name
+    result = bundled_run("desk-mono", backend)
+    ts, report = result.timeseries, result.final_report
+    assert ts.t[-1] == result.scenario.duration
+    for name, value in zip(REPORT_COLUMNS, report.row()):
+        assert getattr(ts, name)[-1] == value, name
+    assert ts.sy_total[-1] == report.sy_total
+    assert ts.norm[-1] == report.total_norm
+    assert ts.norm_drift[-1] == ts.norm[-1] - ts.norm[0]
 
 
 @pytest.mark.parametrize("backend", ["full-field", "effective"])

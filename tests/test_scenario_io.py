@@ -188,7 +188,7 @@ class TestParsing:
         ("snapshot_every", "nan", "propagation.snapshot_every: must be finite, got nan"),
         ("a0", ".inf", "stages[0].a0: must be finite, got inf"),
         ("a0", "1" + "0" * 400, "stages[0].a0: must be finite, got inf"),
-        ("grid_points", "true", "propagation.grid_points: bad value True"),
+        ("grid_points", "true", "propagation.grid_points: must be an integer >= 1, got True"),
         ("grid_points", "3000", "propagation.grid_points: must be a power of two, got 3000"),
     ], ids=["plateau", "duration", "snapshot_every", "a0", "a0-int", "grid_points",
             "grid_points-3000"])
@@ -212,9 +212,41 @@ class TestParsing:
         with pytest.raises(ScenarioFileError) as err:
             load_scenario("desk-mono", grid_points=0, mode_halfwidth=0)
         assert err.value.errors == [
-            "line 28: propagation.grid_points: bad value 0",
+            "line 28: propagation.grid_points: must be an integer >= 1, got 0",
             "line 30: propagation.mode_halfwidth: must be an integer >= 4, got 0",
         ]
+
+    def test_null_counts_take_the_defaults(self):
+        # null used to be rejected as "bad value None" and "got None"
+        scn, _ = parse_scenario_text(MINIMAL.replace("grid_points: 1024", "grid_points: null")
+                                     + "  mode_halfwidth: null\n")
+        assert (scn.config.grid_points, scn.config.mode_halfwidth) == (16384, 8)
+
+    @pytest.mark.parametrize("units", ["fs", "natural"])
+    def test_step_overrides_replace_a_bad_file_value(self, units):
+        # the command line's dt and cadence replace the file's before the
+        # reader runs, as every other override does
+        text = (MINIMAL.replace("label: toy", f"label: toy\nunits: {{time: {units}}}")
+                + "  dt: -1.0\n  snapshot_every: .nan\n")
+        scn, _ = parse_scenario_text(text, dt_as=5.0, snapshot_every_fs=2.5)
+        assert scn.config.dt == fs_to_natural(0.005)
+        assert scn.config.snapshot_every == fs_to_natural(2.5)
+
+    @pytest.mark.parametrize("units, got", [("fs", "-0.005"), ("natural", "-0.00759")])
+    def test_bad_step_overrides_reported_at_the_file_line(self, units, got):
+        # --dt -5 used to fail after the reader, without a line; it is read
+        # in the units of the file, at the line of the value it replaces
+        text = (MINIMAL.replace("label: toy", f"label: toy\nunits: {{time: {units}}}")
+                + "  dt: 1.0\n")
+        rows = text.splitlines()
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text, dt_as=-5.0, snapshot_every_fs=0.0)
+        dt, snap = err.value.errors
+        assert dt.startswith(f"line {rows.index('  dt: 1.0') + 1}: propagation.dt: "
+                             f"must be positive, got {got}")
+        # a key the file lacks is reported at its section's line
+        assert snap == (f"line {rows.index('propagation:') + 1}: "
+                        "propagation.snapshot_every: must be positive, got 0.0")
 
     @pytest.mark.parametrize("name", ["../escaped.csv", "/tmp/escaped", "runs/../../up"])
     @pytest.mark.parametrize("key", ["timeseries", "snapshots"])

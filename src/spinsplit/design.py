@@ -57,10 +57,6 @@ class ToleranceBudget:
             raise ValueError("tolerances must be non-negative")
 
 
-def xi_from_amplitude(ea: float) -> float:
-    return ea / MC2_EV
-
-
 def intensity_from_xi(xi: float, hbar_omega: float) -> float:
     """Peak intensity in W/cm^2 of a traveling wave with strength xi.
 

@@ -153,8 +153,8 @@ class Scenario:
     source_hash: str = ""
 
     def validate(self):
-        for name in ("dt", "snapshot_every"):
-            value = getattr(self.config, name)
+        for name, value in (("duration", self.duration), ("dt", self.config.dt),
+                            ("snapshot_every", self.config.snapshot_every)):
             if value is not None and not 0.0 < value < math.inf:
                 raise ScenarioError(f"{name} must be positive and finite, "
                                     f"got {natural_to_fs(value):.6g} fs")

@@ -42,10 +42,6 @@ def natural_to_fs(t: float) -> float:
     return t * TIME_UNIT_FS
 
 
-def attoseconds_to_natural(t_as: float) -> float:
-    return t_as * 1e-3 / TIME_UNIT_FS
-
-
 def nm_to_natural(x_nm: float) -> float:
     return x_nm / LENGTH_UNIT_NM
 

@@ -16,14 +16,13 @@ from spinsplit.analytic import (
 from spinsplit.design import (
     ToleranceBudget,
     interaction_geometry,
-    no_flip_rabi,
     paper_design_report,
 )
 from spinsplit.observables import fit_rabi
-from spinsplit.propagation import run_scenario, stage_pulse_areas, with_backend
-from spinsplit.scenario import bundled_scenario_names, load_scenario
+from spinsplit.propagation import run_scenario, stage_pulse_areas
+from spinsplit.scenario import load_scenario
 from spinsplit.states import ID2, SIGMA_Y, unpolarized_density
-from spinsplit.units import MC2_EV, TIME_UNIT_FS, fs_to_natural, natural_to_fs
+from spinsplit.units import MC2_EV, TIME_UNIT_FS, fs_to_natural
 
 from taylor_expm import taylor_expm
 

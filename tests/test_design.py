@@ -13,7 +13,6 @@ from spinsplit.design import (
     paper_design_report,
     pulse_energy_mj,
     scatter_probability_uncertainty,
-    xi_from_amplitude,
 )
 from spinsplit.units import MC2_EV
 
@@ -173,8 +172,8 @@ class TestFullReport:
 
 
 def test_xi_amplitude_round_trip():
-    assert xi_from_amplitude(2.35e4) == pytest.approx(0.046, abs=2e-4)
     spec = LaserSpec.from_amplitude(2.35e4, 200.0)
+    assert spec.xi == pytest.approx(0.046, abs=2e-4)
     assert spec.ea == pytest.approx(2.35e4, rel=1e-12)
 
 

@@ -534,6 +534,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"{key} must be positive and finite"):
             run_scenario(scn)
 
+    @pytest.mark.parametrize("duration_fs", [-5.0, 0.0, math.inf, math.nan])
+    def test_nonpositive_or_nonfinite_duration_rejected(self, duration_fs):
+        # a negative duration used to run its snapshots backwards in time,
+        # zero to divide by zero and a non-finite one to fail in the cadence
+        scn = effective_scenario([])
+        scn.duration = fs_to_natural(duration_fs)
+        with pytest.raises(ScenarioError, match="duration must be positive and finite"):
+            run_scenario(scn)
+
     def test_bad_backend_rejected(self):
         with pytest.raises(ScenarioError):
             PropagationConfig(backend="magic")

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from spinsplit import units
@@ -30,10 +29,6 @@ def test_round_trip_sweep(rng):
     for value in rng.uniform(1e-6, 1e6, size=200):
         assert units.fs_to_natural(units.natural_to_fs(value)) == pytest.approx(value, rel=1e-12)
         assert units.nm_to_natural(units.natural_to_nm(value)) == pytest.approx(value, rel=1e-12)
-
-
-def test_attoseconds():
-    assert units.attoseconds_to_natural(1000.0) == pytest.approx(units.fs_to_natural(1.0), rel=1e-12)
 
 
 def test_nm_um_consistency():

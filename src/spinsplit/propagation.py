@@ -40,13 +40,16 @@ the z basis once per snapshot.
   4th-order Magnus expansion (Blanes, Casas, Oteo and Ros, Phys. Rep. 470,
   151 (2009)) in the Schroedinger picture, so it is unitary to rounding at
   any step size.  Steps lie on the carrier lattice t_i = i T/M,
-  T = 2 pi/omega.  On a pulse plateau H(t + T) = H(t), so a plateau's
-  record, its M step propagators by lattice phase and their product U_T
-  (Shirley, Phys. Rev. 138, B979 (1965)) that whole periods advance by, is
-  built once on entry, after the previous one is freed.  Only the sin^2
-  edges and the fractional steps at the ends of an interval are stepped
-  afresh, one ``gl2_step`` call per run.  Fresh steps depend only on t, not
-  on the state, so ``_fresh`` builds them, and a record, in batches: one
+  T = 2 pi/omega, M a multiple of 4.  On a pulse plateau
+  H(t + T/4) = S H(t) S^dagger with S = diag((-i)^n) (``_FullFieldModel``),
+  so a plateau's record (Shirley, Phys. Rev. 138, B979 (1965)) keeps one
+  quarter period: its M/4 step propagators in the frame of the first
+  quarter, the quarter operator F and the period propagator U_T = F^4.  It
+  is built once on entry, after the previous one is freed, and stepped in
+  the frame that moves with the lattice.  Only the sin^2 edges and the
+  fractional steps at the ends of an interval are stepped afresh, one
+  ``gl2_step`` call per run.  Fresh steps depend only on t, not on the
+  state, so ``_fresh`` builds them, and a record, in batches: one
   field-model call on the array of Gauss-node times, one stack of Magnus
   exponents and one stacked exponential each.  The exponents are written
   diagonal by diagonal from the band structure (H = diag(E_n) + Toeplitz,
@@ -295,7 +298,16 @@ class _FullFieldModel:
     (eA)^2/2m is the self-convolution of the alpha_j, and d/dz multiplies
     e^{ijkz} by i j k.  Its j = 0 term is (|alpha_1|^2 + |alpha_2|^2)/mc^2.
     An envelope is 0 outside its stage, so every stage contributes at every
-    time and a row is zero where no stage is on."""
+    time and a row is zero where no stage is on.
+
+    Every stage kind repeats a quarter carrier period later a quarter
+    wavelength further on: eA(z + lambda/4, t + T/4) = eA(z, t), with
+    T = 2 pi/omega and lambda = 2 pi/k.  The bichromatic phases w t - k z and
+    2 w t + 2 k z move by 0 and 2 pi; the standing wave's cos(2 w t) and
+    cos(2 k z + chi/2) both change sign.  So where every envelope is
+    constant, c_j(t + T/4) = (-i)^j c_j(t), and the mode-lattice Hamiltonian
+    obeys H(t + T/4) = S H(t) S^dagger with S = diag((-i)^n), which the
+    plateau record relies on (``ModeLatticeEngine._plateau_run``)."""
 
     def __init__(self, stages, wavenumber: float):
         self.stages = list(stages)
@@ -601,6 +613,9 @@ _TAYLOR_BOUNDS = tuple((2.0**-53 * math.factorial(d + 1)) ** (1.0 / (d + 1))
                        for d in _TAYLOR_DEGREES)
 _TAYLOR_THETA = _TAYLOR_BOUNDS[-1]
 _TAYLOR_C = [1.0 / math.factorial(n) for n in range(10)]
+# the diagonal of S^k = diag((-i)^(k n)) (``_FullFieldModel``) by k n mod 4:
+# exact, so a change of quarter frame adds no rounding
+_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
 # G[r, g] = v_{r+g+1} from v_1..v_4 and four zeros
 _HANKEL = np.add.outer(np.arange(4), np.arange(4))
 # Fresh Magnus steps are built in batches of about this many elements of the
@@ -697,7 +712,8 @@ class ModeLatticeEngine:
     ``fields.spatial_harmonics``.  The state is what the grid propagator
     holds: the sigma_y sectors (y+, y-), shape (2, 2N+1) with index n+N, in
     the Schroedinger picture, where the plateau Hamiltonian repeats every
-    carrier period T = 2 pi/omega.
+    quarter carrier period T/4 up to the shift S = diag((-i)^n)
+    (``_FullFieldModel``).
     """
 
     def __init__(self, wavenumber: float, halfwidth: int, stages=()):
@@ -718,8 +734,8 @@ class ModeLatticeEngine:
         self._field = _FullFieldModel(self.stages, wavenumber)
         self.monitors = (f"population {{:.2e}} at |n| = {halfwidth} at t={{:.6g}} fs; "
                          "increase mode_halfwidth",)
-        # ((stages on their plateau, M), steps by lattice phase, U_T)
-        self._plateau = (None, None, None)
+        # ((stages on their plateau, M), steps by phase mod M/4, U_T, F)
+        self._plateau = (None, None, None, None)
         _keep_scratch_on_heap()
 
     def initial_state(self, mode: int, spin) -> np.ndarray:
@@ -784,6 +800,11 @@ class ModeLatticeEngine:
         omega[..., -4:, -4:] += corner[..., ::-1, ::-1].conj()
         return _expm_skew(omega), acts
 
+    def _turn(self, k) -> np.ndarray:
+        """The diagonal of S^k = diag((-i)^(k n)); for an array of k, one
+        row per k."""
+        return _QUARTER_TURNS[(np.multiply.outer(k, self._n)) % 4]
+
     def _mirror(self, stages):
         """The phase exp(i n chi/2) of the mirrored frame when every stage
         given is a standing wave of one chi (or none is given), else None.
@@ -839,18 +860,19 @@ class ModeLatticeEngine:
         """Sector amplitudes at ta -> at tb: one ``drift`` where no stage
         overlaps [ta, tb].
 
-        Otherwise steps lie on the carrier lattice t_i = i T/M, with M the smallest
-        integer that makes them no longer than dt; fresh fractional steps
-        join ta and tb to it.  Between two stage boundaries every lattice
-        step has one class: a free run is one ``drift``, an edge run is one
-        ``gl2_step`` call, and a plateau run is one ``_plateau_run``, whole
-        periods as one U_T each.  Where a plateau's record would be built
-        with less than a period of it left, its run is an edge run, so that
-        every step of a record lies on its plateau.
+        Otherwise steps lie on the carrier lattice t_i = i T/M, with M the
+        smallest multiple of 4 that makes them no longer than dt; fresh
+        fractional steps join ta and tb to it.  Between two stage boundaries
+        every lattice step has one class: a free run is one ``drift``, an
+        edge run is one ``gl2_step`` call, and a plateau run is one
+        ``_plateau_run``, from its quarter-period record.  Where a plateau's
+        record would be built with less than a quarter period of it left,
+        its run is an edge run, so that every step of a record lies on its
+        plateau.
         """
         if self._step_class(ta, tb) == ():
             return self.drift(amps, tb - ta)
-        steps = max(1, math.ceil(self.period / dt - 1e-9))
+        steps = 4 * max(1, math.ceil(self.period / (4.0 * dt) - 1e-9))
         h = self.period / steps
         i = math.ceil(ta / h)
         j = math.floor(tb / h)
@@ -867,7 +889,7 @@ class ModeLatticeEngine:
             end = min([b for b in breaks if b > i] + [j])
             key = self._step_class(i * h, (i + 1) * h)
             if (key and self._plateau[0] != (key, steps)
-                    and self._step_class(i * h, (i + steps) * h) != key):
+                    and self._step_class(i * h, (i + steps // 4) * h) != key):
                 key = None
             if key == ():
                 amps = self.drift(amps, (end - i) * h)
@@ -884,27 +906,46 @@ class ModeLatticeEngine:
                      h: float) -> np.ndarray:
         """Sector amplitudes across the lattice steps i..end of the plateau
         of the stages ``key``.  On entry the previous record is freed and this
-        plateau's ((key, M), steps, U_T) built: the M step propagators by
-        lattice phase p mod M, from step i on, and their product from phase
-        0.  A standing wave's record holds sector + alone, and its run is
-        stepped in the mirrored frame."""
+        plateau's ((key, M), steps, U_T, F) built from the q = M/4 steps from
+        step i on.  H(t + T/4) = S H(t) S^dagger on a plateau
+        (``_FullFieldModel``), so the step U of lattice phase p, in quarter
+        k = (p mod M) // q, is kept at p mod q as S^-k U S^k; F = S^-1 W,
+        with W the ordered product of the q steps, and U_T = F^4.  The run
+        holds S^-k a in quarter k: it applies the cached step of each phase
+        and S^-1 at each quarter boundary, and from a quarter boundary a
+        whole quarter as F and a whole period as U_T.  A standing wave's
+        record holds sector + alone, and its run is stepped in the mirrored
+        frame."""
         phase = self._mirror([self.stages[idx] for idx in key])
+        q = steps // 4
         if self._plateau[0] != (key, steps):
-            self._plateau = (None, None, None)
+            self._plateau = (None, None, None, None)
             sectors = 2 if phase is None else 1
-            lattice = np.arange(i, i + steps)
-            cached = np.empty((steps, sectors) + self._n.shape * 2, dtype=complex)
+            lattice = np.arange(i, i + q)
+            cached = np.empty((q, sectors) + self._n.shape * 2, dtype=complex)
             for lo, us, _ in self._fresh(lattice * h, h, sectors):
-                cached[lattice[lo:lo + len(us)] % steps] = us
-            period = functools.reduce(lambda u, step: step @ u, cached)
-            self._plateau = ((key, steps), cached, period)
-        _, cached, period = self._plateau
+                p = lattice[lo:lo + len(us)]
+                turns = self._turn(p % steps // q)[:, None]
+                cached[p % q] = turns.conj()[..., None] * us * turns[..., None, :]
+            quarter = self._turn(-1)[:, None] * functools.reduce(
+                lambda u, step: step @ u, cached)
+            half = quarter @ quarter
+            self._plateau = ((key, steps), cached, half @ half, quarter)
+        _, cached, period, quarter = self._plateau
         if phase is not None:
             amps = _flip(amps, phase)
+        amps = amps * self._turn(-(i % steps // q))
         while i < end:
-            whole = i % steps == 0 and end - i >= steps
-            amps = np.matvec(period if whole else cached[i % steps], amps)
-            i += steps if whole else 1
+            if i % q == 0 and end - i >= q:
+                whole = end - i >= steps
+                amps = np.matvec(period if whole else quarter, amps)
+                i += steps if whole else q
+            else:
+                amps = np.matvec(cached[i % q], amps)
+                i += 1
+                if i % q == 0:
+                    amps = amps * self._turn(-1)
+        amps = amps * self._turn(end % steps // q)
         return amps if phase is None else _flip(amps, phase)
 
     def drift(self, amps: np.ndarray, tau: float) -> np.ndarray:

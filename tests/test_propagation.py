@@ -333,32 +333,25 @@ class TestModeLattice:
     def test_plateau_record_is_built_from_a_whole_period_of_its_plateau(self):
         # a standing wave's plateau from 1 T is cut after 0.5 T by a
         # bichromatic pulse with no plateau (on from 1.5 T to 3.5 T) and
-        # resumes after it.  A record built at 1 T would take half its
-        # steps from the bichromatic rise and serve them after 3.5 T; the
-        # first 0.5 T is stepped afresh instead, and the record is built
-        # at 3.5 T
-        period = 2 * np.pi / 1200.0
-        stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.4,
-                                   envelope=Envelope(period, 6 * period, period)),
-                  BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0,
-                                  envelope=Envelope(period, 0.0, period), start=1.5 * period)]
-        h = period / 32
-        engine = ModeLatticeEngine(1200.0, 8, stages=stages)
-        reference = ModeLatticeEngine(1200.0, 8, stages=stages)
-        c = c_ref = engine.initial_state(+2, "x+")
-        with _period_applies(engine) as products:
-            c = engine.advance(c, 0.0, 8 * period, h)
-        for i in range(8 * 32):
-            c_ref = reference.gl2_step(c_ref, i * h, h)
-        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
-        assert any(products)
+        # resumes after it.  The record is built at 1 T from the quarter
+        # period before the pulse and serves the plateau again after
+        # 3.5 T; a record that took steps from the bichromatic rise would
+        # serve them there
+        _advance_across_a_cut_plateau(1.5)
+
+    def test_plateau_record_needs_a_quarter_period_of_its_plateau_ahead(self):
+        # the pulse cuts the plateau after T/8 (on from 1.125 T to
+        # 3.125 T).  A record built at 1 T would take half its steps from
+        # the bichromatic rise and serve them after 3.125 T; the first T/8
+        # is stepped afresh instead, and the record is built at 3.125 T
+        _advance_across_a_cut_plateau(1.125)
 
     def test_one_plateau_record_at_a_time(self):
-        # a bichromatic plateau's record (M steps of both sectors and U_T)
-        # is freed before the next plateau, a standing wave's, builds its
-        # own (sector + alone): traced from just before the first plateau,
-        # the peak stays below the two records together (numpy reports its
-        # buffers to tracemalloc)
+        # a bichromatic plateau's record (M/4 steps of both sectors, F and
+        # U_T) is freed before the next plateau, a standing wave's, builds
+        # its own (sector + alone): traced from just before the first
+        # plateau, the peak stays below one whole period of two-sector
+        # steps and U_T (numpy reports its buffers to tracemalloc)
         period = 2 * np.pi / 1200.0
         env = Envelope(period, 2 * period, period)
         stages = [BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0, envelope=env),
@@ -367,7 +360,7 @@ class TestModeLattice:
         engine = ModeLatticeEngine(1200.0, 16, stages=stages)
         h = period / 256
         m = 2 * 16 + 1
-        records = (256 + 1) * (2 + 1) * m * m * 16
+        records = (256 + 1) * 2 * m * m * 16
         c = engine.advance(engine.initial_state(+2, "x+"), 0.0, period, h)
         gc.collect()
         tracemalloc.start()
@@ -378,6 +371,53 @@ class TestModeLattice:
             tracemalloc.stop()
         assert np.max(np.abs(c - engine.initial_state(+2, "x+"))) > 0.01  # the stages acted
         assert peak < records
+
+    @pytest.mark.parametrize("kind", ["bichromatic", "standing"])
+    def test_quarter_record_holds_the_period_propagator(self, kind):
+        # the record keeps the M/4 steps of one quarter period and forms U_T
+        # from them; it must equal the ordered product of the M fresh steps
+        # of one period of the plateau.  It is built from lattice phase 13,
+        # in the second quarter, and the standing wave's (chi = 0.4) holds
+        # sector + alone for its mirrored frame
+        period = 2 * np.pi / 1200.0
+        env = Envelope(period, 4 * period, period)
+        if kind == "bichromatic":
+            stage = BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0, envelope=env,
+                                    start=0.3 * period)
+        else:
+            stage = MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.4,
+                                     envelope=env, start=0.3 * period)
+        h = period / 32
+        engine = ModeLatticeEngine(1200.0, 8, stages=[stage])
+        engine.advance(engine.initial_state(+2, "x+"), 1.4 * period, 3 * period, h)
+        (_, steps), cached, u_t, _ = engine._plateau
+        assert steps == 32 and len(cached) == 32 // 4
+        assert cached.shape[1] == u_t.shape[0] == (2 if kind == "bichromatic" else 1)
+        us, acts = engine._magnus(np.arange(64, 96) * h, h)
+        assert acts.all()
+        product = functools.reduce(lambda u, step: step @ u, us)
+        np.testing.assert_allclose(u_t, product[:len(u_t)], rtol=0, atol=1e-13)
+
+
+def _advance_across_a_cut_plateau(cut):
+    """advance over 8 T across a standing wave's plateau from 1 T to 7 T
+    that a bichromatic pulse with no plateau, on from ``cut`` periods for
+    2 T, interrupts, against a chain of fresh steps; a U_T must apply."""
+    period = 2 * np.pi / 1200.0
+    stages = [MonoStandingWave(ea0=4952.57508777, photon_energy=1200.0, chi=0.4,
+                               envelope=Envelope(period, 6 * period, period)),
+              BichromaticWave(ea1=2.0e4, ea2=1.5e4, photon_energy=1200.0,
+                              envelope=Envelope(period, 0.0, period), start=cut * period)]
+    h = period / 32
+    engine = ModeLatticeEngine(1200.0, 8, stages=stages)
+    reference = ModeLatticeEngine(1200.0, 8, stages=stages)
+    c = c_ref = engine.initial_state(+2, "x+")
+    with _period_applies(engine) as products:
+        c = engine.advance(c, 0.0, 8 * period, h)
+    for i in range(8 * 32):
+        c_ref = reference.gl2_step(c_ref, i * h, h)
+    np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-13)
+    assert any(products)
 
 
 @contextlib.contextmanager
@@ -469,6 +509,35 @@ def test_band_written_magnus_exponent_matches_dense_build(step):
     assert acts[0]
     norm = np.abs(dense).sum(axis=-2).max()
     assert np.max(np.abs(omega[0] - dense)) <= 1e-15 * norm
+
+
+quarter_shift_fields = st.tuples(st.sampled_from(["standing", "bichromatic", "both"]),
+                                 st.floats(100.0, 1.0e4), st.floats(-np.pi, np.pi),
+                                 st.floats(1.0e3, 5.0e4), st.floats(1.0e3, 5.0e4),
+                                 st.floats(1.0, 100.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(quarter_shift_fields)
+def test_plateau_coefficients_repeat_a_quarter_period_later(fields):
+    # the plateau record rests on eA(z + lambda/4, t + T/4) = eA(z, t)
+    # (_FullFieldModel): c_j(t + T/4) = (-i)^j c_j(t) for each stage kind
+    # and their overlap, at plateau times within 100 periods of t = 0 (the
+    # rounding of w t grows with t)
+    kinds, ea0, chi, ea1, ea2, periods = fields
+    period = 2 * np.pi / 1200.0
+    env = Envelope(period, 101 * period, period)
+    stages = []
+    if kinds != "bichromatic":
+        stages.append(MonoStandingWave(ea0=ea0, photon_energy=1200.0, chi=chi, envelope=env))
+    if kinds != "standing":
+        stages.append(BichromaticWave(ea1=ea1, ea2=ea2, photon_energy=1200.0, envelope=env))
+    t = periods * period
+    c, later = _FullFieldModel(stages, 1200.0)(np.array([t, t + period / 4]))
+    scale = np.max(np.abs(c))
+    assert scale > 0
+    shift = np.array([1, -1j, -1, 1j, 1])   # (-i)^j, j = 0..4
+    np.testing.assert_allclose(later, shift * c, rtol=0, atol=1e-12 * scale)
 
 
 class TestScenarioValidation:

@@ -89,36 +89,25 @@ def coupling_matrix(kind: str, chi: float = 0.0) -> np.ndarray:
     raise ValueError(f"unknown stage kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class StageUnitary:
-    matrix: np.ndarray
-    kind: str
-    theta: float
-    chi: float = 0.0
-
-
-def stage_unitary(kind: str, theta: float, chi: float = 0.0) -> StageUnitary:
-    """exp(-i theta M / 2) for a pulse of area theta = Omega*T.
+def stage_unitary(kind: str, theta: float, chi: float = 0.0) -> np.ndarray:
+    """exp(-i theta M / 2), a 4x4 array, for a pulse of area theta = Omega*T.
 
     Since M^2 = 1 this is cos(theta/2) - i sin(theta/2) M exactly; at
     theta = pi/2 and pi it reduces to the familiar splitter/mirror forms.
     """
     m = coupling_matrix(kind, chi)
-    u = np.cos(0.5 * theta) * ID4 - 1j * np.sin(0.5 * theta) * m
-    return StageUnitary(u, kind, theta, chi)
+    return np.cos(0.5 * theta) * ID4 - 1j * np.sin(0.5 * theta) * m
 
 
-def total_evolution(chi: float, areas=(np.pi / 2, np.pi, np.pi / 2)) -> StageUnitary:
-    """Composite splitter: bichromatic splitter, standing-wave mirror, then
-    standing-wave splitter, with common phase chi on the two mono stages."""
+def total_evolution(chi: float, areas=(np.pi / 2, np.pi, np.pi / 2)) -> np.ndarray:
+    """Composite splitter U3 U2 U1: bichromatic splitter, standing-wave mirror,
+    then standing-wave splitter, with common phase chi on the two mono stages."""
     u1 = stage_unitary(KIND_BI, areas[0])
     u2 = stage_unitary(KIND_MONO, areas[1], chi)
     u3 = stage_unitary(KIND_MONO, areas[2], chi)
-    return StageUnitary(u3.matrix @ u2.matrix @ u1.matrix, "composite", float(sum(areas)), chi)
+    return u3 @ u2 @ u1
 
 
-def evolve_density(u: StageUnitary, rho: np.ndarray) -> np.ndarray:
+def evolve_density(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """U rho U(dagger); validates the input density matrix."""
-    rho = validate_density(rho)
-    m = u.matrix if isinstance(u, StageUnitary) else np.asarray(u)
-    return m @ rho @ m.conj().T
+    return u @ validate_density(rho) @ u.conj().T

@@ -30,7 +30,7 @@ from .observables import REPORT_COLUMNS, bragg_channel_report
 from .propagation import BACKENDS, run_scenario, stage_pulse_areas, with_backend
 from .scenario import (CONVENTIONS, FINAL_REPORT, FORMATS, ScenarioFileError, load_scenario,
                        standing_amplitude)
-from .states import MINUS_BLOCK, PLUS_BLOCK, BraggState, SpatialGrid, SpinorWavefunction
+from .states import MINUS_BLOCK, PLUS_BLOCK, SpatialGrid, SpinorWavefunction, bragg_state
 from .units import natural_to_fs, natural_to_um
 
 
@@ -220,15 +220,14 @@ def analytic_prediction(scenario):
     (stage rows under STAGE_COLUMNS, channel reports of the scenario's spin
     and of the unpolarized ensemble in the same mode).  The entropy column is
     the entanglement made from a pure input, so the ensemble's reads 0."""
-    u = ID4.copy()
+    u = ID4
     table = []
     for s, om, teff, theta in stage_pulse_areas(scenario.stages):
         chi = getattr(s, "chi", 0.0)
-        u = stage_unitary(s.kind, theta, chi).matrix @ u
+        u = stage_unitary(s.kind, theta, chi) @ u
         table.append((s.label or s.kind, s.kind, om, natural_to_fs(teff), theta, chi))
     mode = +2 if scenario.packet.momentum >= 0 else -2
-    vec = BraggState.from_spin(scenario.packet.spin, mode=mode)
-    pure = bragg_channel_report(u @ vec.amplitudes)
+    pure = bragg_channel_report(u @ bragg_state(scenario.packet.spin, mode=mode))
     # the ensemble's members are the two spin states of the mode, weight 1/2
     members = u[:, PLUS_BLOCK if mode == +2 else MINUS_BLOCK] / np.sqrt(2.0)
     unpolarized = dataclasses.replace(bragg_channel_report(members), entropy=0.0)
@@ -255,9 +254,10 @@ def design_csv(report) -> str:
 
 def compare_csv(scenario, backends) -> str:
     _, ref, _ = analytic_prediction(scenario)
+    # every backend's copy is checked before the first one runs
+    runs = [(backend, with_backend(scenario, backend).validate()) for backend in backends]
     reports = [("analytic", ref)] + [
-        (backend, run_scenario(with_backend(scenario, backend)).final_report)
-        for backend in backends]
+        (backend, run_scenario(copy).final_report) for backend, copy in runs]
     rows = [(name, *r.row(), r.pop_plus - ref.pop_plus, r.pop_minus - ref.pop_minus)
             for name, r in reports]
     return _header(scenario.source_hash) + _table(COMPARE_COLUMNS, rows)

@@ -7,7 +7,7 @@ happen here and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,17 +24,14 @@ class LaserSpec:
 
     photon_energy: float
     xi: float
-    waist_x: float | None = None   # um
-    waist_y: float | None = None   # um
-    duration: float | None = None  # fs
 
     def __post_init__(self):
         if self.photon_energy <= 0 or self.xi < 0:
             raise ValueError("photon energy must be positive and xi non-negative")
 
     @classmethod
-    def from_amplitude(cls, ea: float, photon_energy: float, **kw) -> "LaserSpec":
-        return cls(photon_energy=photon_energy, xi=ea / MC2_EV, **kw)
+    def from_amplitude(cls, ea: float, photon_energy: float) -> "LaserSpec":
+        return cls(photon_energy=photon_energy, xi=ea / MC2_EV)
 
     @property
     def ea(self) -> float:
@@ -53,8 +50,9 @@ class ToleranceBudget:
     dL_rel: float = 0.0
 
     def __post_init__(self):
-        if min(self.dp_z_rel, self.dp_y_rel, self.dp_x, self.dL_rel) < 0:
-            raise ValueError("tolerances must be non-negative")
+        for name, value in asdict(self).items():
+            if value < 0:
+                raise ValueError(f"tolerance {name} must be non-negative, got {value:g}")
 
 
 def intensity_from_xi(xi: float, hbar_omega: float) -> float:
@@ -83,8 +81,10 @@ def interaction_geometry(hbar_omega_b: float, kinetic_energy: float) -> tuple[fl
     T_b = pi/(2 Omega_b); Delta-y = v T_b with v the transverse electron
     velocity from the given kinetic energy.
     """
-    if hbar_omega_b <= 0 or kinetic_energy <= 0:
-        raise ValueError("inputs must be positive")
+    if hbar_omega_b <= 0:
+        raise ValueError(f"bichromatic Rabi energy must be positive, got {hbar_omega_b:g} eV")
+    if kinetic_energy <= 0:
+        raise ValueError(f"electron energy must be positive, got {kinetic_energy:g} eV")
     t_b_fs = 0.5 * np.pi / hbar_omega_b * TIME_UNIT_FS
     v = electron_velocity(kinetic_energy)
     dy_um = v * C_NM_PER_FS * t_b_fs * 1e-3
@@ -115,8 +115,12 @@ def scatter_probability_uncertainty(dp_y_rel: float, dL_rel: float) -> float:
 
 def no_flip_rabi(dp_x: float, hbar_k: float, hbar_omega_b: float) -> float:
     """Spin-preserving background Rabi energy (5 dp_x / 2 hbar k) * hbar Omega_b."""
-    if dp_x < 0 or hbar_k <= 0 or hbar_omega_b < 0:
-        raise ValueError("bad inputs")
+    if dp_x < 0:
+        raise ValueError(f"transverse momentum spread must be non-negative, got {dp_x:g} eV/c")
+    if hbar_k <= 0:
+        raise ValueError(f"photon momentum hbar k must be positive, got {hbar_k:g} eV/c")
+    if hbar_omega_b < 0:
+        raise ValueError(f"bichromatic Rabi energy must be non-negative, got {hbar_omega_b:g} eV")
     return 2.5 * dp_x / hbar_k * hbar_omega_b
 
 
@@ -192,9 +196,7 @@ def full_design_report(
     if v > VELOCITY_FLAG_LIMIT:
         flags.append(f"v/c = {v:.3f} beyond the nonrelativistic kinematics flag (0.05)")
 
-    dx = spec1.waist_x if spec1.waist_x is not None else dy
-    duration = spec1.duration if spec1.duration is not None else t_b
-    energy = pulse_energy_mj(i1 + i2, dx, dy, duration)
+    energy = pulse_energy_mj(i1 + i2, dy, dy, t_b)
 
     hbar_k = hw  # k = omega/c, in eV units
     dpz = momentum_acceptance(rabi_b, hbar_k)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BraggState, SpinorWavefunction, _bloch_from_spinors
+from .states import SpinorWavefunction, _bloch_from_spinors
 
 
 class AnalysisError(ValueError):
@@ -107,8 +107,8 @@ def mode_channel_report(amplitudes: np.ndarray) -> ChannelReport:
 
 
 def bragg_channel_report(amplitudes: np.ndarray) -> ChannelReport:
-    """Channel report of Bragg-subspace amplitudes (4,), ordered as in
-    BraggState, or of an ensemble given as its members' amplitudes (4, m),
+    """Channel report of Bragg-subspace amplitudes (4,), ordered
+    (c_-2^up, c_-2^down, c_+2^up, c_+2^down), or of an ensemble given as its members' amplitudes (4, m),
     each scaled by the square root of its weight."""
     a = np.asarray(amplitudes, dtype=complex).reshape(2, 2, -1)   # (mode, spin, member)
     plus = np.repeat([False, True], a.shape[2])
@@ -260,18 +260,19 @@ def _entropy_of_spin_density(rho: np.ndarray) -> float:
 def spin_momentum_entanglement(state) -> float:
     """Base-2 von Neumann entropy of the reduced spin state of a pure state.
 
-    Accepts a SpinorWavefunction (momentum is traced out exactly), a pure
-    BraggState or mode-lattice amplitudes (2N+1, 2).  0 for product states,
-    1 for maximal spin-momentum entanglement.
+    Accepts a SpinorWavefunction (momentum is traced out exactly), normalized
+    Bragg amplitudes (4,) or mode-lattice amplitudes (2N+1, 2).  0 for product
+    states, 1 for maximal spin-momentum entanglement.
     """
     if isinstance(state, SpinorWavefunction):
         # the entropy reads the whole spin density, not the channel bins
         return _channels(state.momentum_amplitudes(), state.grid.momentum_spacing,
                          slice(0), slice(0)).entropy
-    if isinstance(state, BraggState):
-        if abs(state.norm() - 1.0) > 1e-6:
-            raise AnalysisError("BraggState must be normalized and pure")
-        return bragg_channel_report(state.amplitudes).entropy
-    if isinstance(state, np.ndarray) and state.ndim == 2 and state.shape[1] == 2:
+    shape = state.shape if isinstance(state, np.ndarray) else ()
+    if shape == (4,):
+        if abs(np.vdot(state, state).real - 1.0) > 1e-6:
+            raise AnalysisError("Bragg amplitudes must be normalized and pure")
+        return bragg_channel_report(state).entropy
+    if len(shape) == 2 and shape[1] == 2:
         return mode_channel_report(state).entropy
     raise AnalysisError("unsupported state type for entanglement")

@@ -188,11 +188,15 @@ class Scenario:
             if any(abs(s.wavenumber - k0) > 1e-9 * k0 for s in self.stages):
                 raise ScenarioError("stages need one common photon energy")
             ratio = self.packet.momentum / k0
-            if self.config.backend == "mode-lattice" and abs(ratio - round(ratio)) > 0.01:
-                raise ScenarioError(
-                    "mode-lattice needs the packet momentum on the k-lattice; "
-                    f"got p/hbar k = {ratio:.4f}"
-                )
+            if self.config.backend == "mode-lattice":
+                if abs(ratio - round(ratio)) > 0.01:
+                    raise ScenarioError(
+                        "mode-lattice needs the packet momentum on the k-lattice; "
+                        f"got p/hbar k = {ratio:.4f}"
+                    )
+                if abs(round(ratio)) > self.config.mode_halfwidth:
+                    raise ScenarioError(f"initial mode {round(ratio)} outside "
+                                        f"|n| <= {self.config.mode_halfwidth}")
         return self
 
 

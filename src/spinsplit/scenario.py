@@ -265,10 +265,10 @@ def _build_stage(raw: dict, idx: int, to_time, convention: str, val: _Validator)
 
     if kind == MonoStandingWave.kind:
         a0 = val.number(raw, "a0", path, required=True, minimum=0.0)
-        if "chi" in raw and "chi_pi" in raw:
-            val.error(f"{path}.chi", "give chi or chi_pi, not both")
         chi = val.number(raw, "chi", path, default=None)
         chi_pi = val.number(raw, "chi_pi", path, default=None)
+        if chi is not None and chi_pi is not None:
+            val.error(f"{path}.chi", "give chi or chi_pi, not both")
         if chi is None:
             chi = np.pi * chi_pi if chi_pi is not None else 0.0
         if a0 is None:

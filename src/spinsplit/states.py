@@ -96,9 +96,6 @@ class SpinorWavefunction:
             raise PacketError("cannot normalize state with zero or non-finite norm")
         return SpinorWavefunction(self.grid, self.psi / np.sqrt(n))
 
-    def copy(self) -> "SpinorWavefunction":
-        return SpinorWavefunction(self.grid, self.psi.copy())
-
     def density(self) -> np.ndarray:
         return np.sum(np.abs(self.psi) ** 2, axis=0)
 
@@ -216,36 +213,11 @@ MINUS_BLOCK = slice(0, 2)
 PLUS_BLOCK = slice(2, 4)
 
 
-@dataclass
-class BraggState:
-    """4-amplitude state of the two Bragg-coupled momentum modes -2hk, +2hk."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(4)
-
-    @classmethod
-    def from_spin(cls, spin, mode: int = +2) -> "BraggState":
-        chi = normalize_spin(spin)
-        amps = np.zeros(4, dtype=complex)
-        block = PLUS_BLOCK if mode == +2 else MINUS_BLOCK
-        amps[block] = chi
-        return cls(amps)
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, np.conj(self.amplitudes))
-
-    def populations(self) -> tuple[float, float]:
-        """(pop at -2hk, pop at +2hk)."""
-        a = self.amplitudes
-        return (
-            float(np.sum(np.abs(a[MINUS_BLOCK]) ** 2)),
-            float(np.sum(np.abs(a[PLUS_BLOCK]) ** 2)),
-        )
+def bragg_state(spin, mode: int = +2) -> np.ndarray:
+    """The 4 amplitudes of a spin in one Bragg mode, -2hk or +2hk."""
+    amps = np.zeros(4, dtype=complex)
+    amps[PLUS_BLOCK if mode == +2 else MINUS_BLOCK] = normalize_spin(spin)
+    return amps
 
 
 def validate_density(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:

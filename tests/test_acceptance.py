@@ -40,7 +40,7 @@ def report(number, ok, detail):
 # -- 1 -----------------------------------------------------------------------
 
 def test_c1_unitary_algebra_exactness():
-    u = total_evolution(np.pi / 2).matrix
+    u = total_evolution(np.pi / 2)
     expected = 0.5 * np.block([[-ID2 - SIGMA_Y, -ID2 + SIGMA_Y],
                                [ID2 - SIGMA_Y, -ID2 - SIGMA_Y]])
     dev_matrix = np.max(np.abs(u - expected))
@@ -71,7 +71,7 @@ def test_c2_oracle_equivalence():
         for theta in (0.1, np.pi / 4, np.pi / 2, np.pi, 2 * np.pi):
             for chi in (0.0, np.pi / 10, -np.pi / 10, np.pi / 2):
                 oracle = taylor_expm(-0.5j * theta * coupling_matrix(kind, chi))
-                dev = np.max(np.abs(stage_unitary(kind, theta, chi).matrix - oracle))
+                dev = np.max(np.abs(stage_unitary(kind, theta, chi) - oracle))
                 worst = max(worst, dev)
     report(2, worst < 1e-10, f"worst closed-form vs Taylor-series deviation {worst:.2e}")
 
@@ -229,7 +229,7 @@ def test_c6_backend_cross_validation_desk_scale(bundled_run):
 
     scn, _ = load_scenario("desk-mono")
     areas = stage_pulse_areas(scn.stages)
-    u = stage_unitary("monochromatic", areas[0][3], 0.0).matrix
+    u = stage_unitary("monochromatic", areas[0][3], 0.0)
     vec = u @ np.array([0, 0, 1, 0], dtype=complex)
     analytic = (float(np.sum(np.abs(vec[2:4]) ** 2)), float(np.sum(np.abs(vec[0:2]) ** 2)))
 

@@ -23,7 +23,6 @@ from spinsplit.states import (
     MINUS_BLOCK,
     PLUS_BLOCK,
     SIGMA_Y,
-    BraggState,
     unpolarized_density,
 )
 from spinsplit.units import MC2_EV, TIME_UNIT_FS
@@ -130,25 +129,25 @@ class TestEffectivePotential:
 class TestStageUnitary:
     def test_identity_at_zero_area(self):
         for kind in ("monochromatic", "bichromatic"):
-            np.testing.assert_allclose(stage_unitary(kind, 0.0).matrix, ID4, atol=1e-15)
+            np.testing.assert_allclose(stage_unitary(kind, 0.0), ID4, atol=1e-15)
 
     def test_bichromatic_half_pi_matches_splitter(self):
-        np.testing.assert_allclose(stage_unitary("bichromatic", np.pi / 2).matrix,
+        np.testing.assert_allclose(stage_unitary("bichromatic", np.pi / 2),
                                    U1_SPLITTER, atol=1e-14)
 
     @pytest.mark.parametrize("chi", [0.0, np.pi / 2, -np.pi / 10, 1.234])
     def test_mono_pi_matches_mirror(self, chi):
-        np.testing.assert_allclose(stage_unitary("monochromatic", np.pi, chi).matrix,
+        np.testing.assert_allclose(stage_unitary("monochromatic", np.pi, chi),
                                    u2_mirror(chi), atol=1e-14)
 
     @pytest.mark.parametrize("chi", [0.0, np.pi / 2, -np.pi / 10])
     def test_mono_half_pi_matches_splitter(self, chi):
-        np.testing.assert_allclose(stage_unitary("monochromatic", np.pi / 2, chi).matrix,
+        np.testing.assert_allclose(stage_unitary("monochromatic", np.pi / 2, chi),
                                    u3_splitter(chi), atol=1e-14)
 
     def test_mono_pi_at_chi_half_pi_swaps_blocks(self):
         # -i e^{-i pi/2} = -1: U = [[0, -1], [1, 0]] in block form
-        u = stage_unitary("monochromatic", np.pi, np.pi / 2).matrix
+        u = stage_unitary("monochromatic", np.pi, np.pi / 2)
         expected = np.block([[ZERO2, -ID2], [ID2, ZERO2]])
         np.testing.assert_allclose(u, expected, atol=1e-14)
 
@@ -157,7 +156,7 @@ class TestStageUnitary:
     @pytest.mark.parametrize("chi", [0.0, np.pi / 10, -np.pi / 10, np.pi / 2])
     def test_matches_taylor_exponential_oracle(self, kind, theta, chi):
         oracle = taylor_expm(-0.5j * theta * coupling_matrix(kind, chi))
-        np.testing.assert_allclose(stage_unitary(kind, theta, chi).matrix, oracle, atol=1e-10)
+        np.testing.assert_allclose(stage_unitary(kind, theta, chi), oracle, atol=1e-10)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.sampled_from(["monochromatic", "bichromatic"]), st.floats(0.0, 2 * np.pi),
@@ -165,36 +164,36 @@ class TestStageUnitary:
     def test_composition_is_unitary_and_commutes_with_total_sigma_y(self, kind, t1, t2, chi):
         # two pulses of one kind and chi compose to one pulse of the summed
         # area; the product is unitary and conserves the total sigma_y
-        u = stage_unitary(kind, t1, chi).matrix @ stage_unitary(kind, t2, chi).matrix
-        np.testing.assert_allclose(u, stage_unitary(kind, t1 + t2, chi).matrix, atol=1e-12)
+        u = stage_unitary(kind, t1, chi) @ stage_unitary(kind, t2, chi)
+        np.testing.assert_allclose(u, stage_unitary(kind, t1 + t2, chi), atol=1e-12)
         np.testing.assert_allclose(u @ u.conj().T, ID4, atol=1e-12)
         np.testing.assert_allclose(u @ SIGMA_Y_TOTAL, SIGMA_Y_TOTAL @ u, atol=1e-12)
 
 
 class TestTotalEvolution:
     def test_matches_paper_at_chi_half_pi(self):
-        np.testing.assert_allclose(total_evolution(np.pi / 2).matrix,
+        np.testing.assert_allclose(total_evolution(np.pi / 2),
                                    SPIN_FILTER_TOTAL, atol=1e-12)
 
     def test_equals_explicit_product(self):
         for chi in (np.pi / 2, -np.pi / 10, 0.3):
             expected = u3_splitter(chi) @ u2_mirror(chi) @ U1_SPLITTER
-            np.testing.assert_allclose(total_evolution(chi).matrix, expected, atol=1e-13)
+            np.testing.assert_allclose(total_evolution(chi), expected, atol=1e-13)
 
     def test_y_plus_passes_with_sign_flip(self):
-        u = total_evolution(np.pi / 2).matrix
+        u = total_evolution(np.pi / 2)
         vec = np.concatenate([np.zeros(2), Y_PLUS])
         np.testing.assert_allclose(u @ vec, -vec, atol=1e-12)
 
     def test_y_minus_reflects_with_sign_flip(self):
-        u = total_evolution(np.pi / 2).matrix
+        u = total_evolution(np.pi / 2)
         vec = np.concatenate([np.zeros(2), Y_MINUS])
         expected = -np.concatenate([Y_MINUS, np.zeros(2)])
         np.testing.assert_allclose(u @ vec, expected, atol=1e-12)
 
     @pytest.mark.parametrize("chi", [0.0, np.pi / 2, -np.pi / 10, 2.2])
     def test_commutes_with_total_sigma_y(self, chi):
-        u = total_evolution(chi).matrix
+        u = total_evolution(chi)
         comm = u @ SIGMA_Y_TOTAL - SIGMA_Y_TOTAL @ u
         assert np.max(np.abs(comm)) < 1e-12
 
@@ -236,7 +235,7 @@ class TestDensityEvolution:
         # two pure members; it must equal the block traces of U rho U^dagger
         u = ID4
         for kind, theta, chi in stages:
-            u = stage_unitary(kind, theta, chi).matrix @ u
+            u = stage_unitary(kind, theta, chi) @ u
         members = u[:, PLUS_BLOCK if mode == 2 else MINUS_BLOCK] / np.sqrt(2.0)
         report = bragg_channel_report(members)
         blocks = block_traces(evolve_density(u, unpolarized_density(mode)))
@@ -250,7 +249,7 @@ class TestDensityEvolution:
         vec /= np.linalg.norm(vec)
         rho = np.outer(vec, vec.conj())
         u = total_evolution(-np.pi / 10)
-        direct = np.outer(u.matrix @ vec, (u.matrix @ vec).conj())
+        direct = np.outer(u @ vec, (u @ vec).conj())
         np.testing.assert_allclose(evolve_density(u, rho), direct, atol=1e-12)
 
     def test_non_hermitian_rejected(self):
@@ -269,7 +268,7 @@ class TestDensityEvolution:
 def test_bichromatic_full_transfer_phases():
     # A pi bichromatic pulse equals the square of the pi/2 splitter:
     # (0, |+>) -> (-|+>, 0) and (0, |->) -> (+|->, 0).
-    u = stage_unitary("bichromatic", np.pi).matrix
+    u = stage_unitary("bichromatic", np.pi)
     np.testing.assert_allclose(u, U1_SPLITTER @ U1_SPLITTER, atol=1e-14)
     plus_in = np.concatenate([np.zeros(2), Y_PLUS])
     np.testing.assert_allclose(u @ plus_in, np.concatenate([-Y_PLUS, np.zeros(2)]), atol=1e-13)
@@ -280,7 +279,7 @@ def test_bichromatic_full_transfer_phases():
 def test_entanglement_after_first_stage():
     from spinsplit.observables import spin_momentum_entanglement
 
-    u1 = stage_unitary("bichromatic", np.pi / 2).matrix
+    u1 = stage_unitary("bichromatic", np.pi / 2)
     vec = np.concatenate([np.zeros(2), np.array([1.0, 0.0])])  # (0, |up>)
-    out = BraggState(u1 @ vec)
+    out = u1 @ vec
     assert spin_momentum_entanglement(out) == pytest.approx(1.0, abs=1e-10)

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsplit import propagation
+from spinsplit import cli, propagation
 from spinsplit.cli import (_fmt, _header, main, read_snapshot_binary, snapshot_binary,
                            snapshot_csv)
-from spinsplit.scenario import ScenarioFileError, load_scenario, parse_scenario_text
+from spinsplit.scenario import (ScenarioFileError, bundled_scenario_path, load_scenario,
+                                parse_scenario_text)
 from spinsplit.states import SpatialGrid, SpinorWavefunction
 from spinsplit.units import natural_to_fs, natural_to_um, um_to_natural
 
@@ -433,6 +434,28 @@ class TestCompare:
         assert abs(float(rows[1]["dev_pop_minus"])) < 0.02
 
 
+    @pytest.mark.parametrize("momentum, backends, message", [
+        ("2500.0", "full-field,mode-lattice",
+         "mode-lattice needs the packet momentum on the k-lattice; got p/hbar k = 2.0833"),
+        ("24000.0", "effective,mode-lattice", "initial mode 20 outside |n| <= 8"),
+    ])
+    def test_every_backend_is_checked_before_any_runs(self, momentum, backends, message,
+                                                      tmp_path, capsys, monkeypatch):
+        # compare checks every backend's copy of the scenario before it runs
+        # any, so the backends listed first do not run for nothing
+        text = bundled_scenario_path("desk-mono").read_text()
+        assert "  momentum: 2400.0\n" in text
+        path = tmp_path / "desk-mono.scenario"
+        path.write_text(text.replace("  momentum: 2400.0\n", f"  momentum: {momentum}\n"))
+
+        def run_scenario(scenario):
+            raise AssertionError(f"ran {scenario.config.backend}")
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        assert main(["compare", "--scenario", str(path), "--backends", backends]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestDesign:
     def test_stdout_table(self, capsys):
         assert main(["design"]) == 0
@@ -456,6 +479,17 @@ class TestDesign:
         head = csv.splitlines()[-2].split(",")
         table = dict(zip(head, row))
         assert float(table["dpz_over_pz"]) == pytest.approx(0.031, abs=5e-4)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--xi2", "0"], "bichromatic Rabi energy must be positive, got 0 eV"),
+        (["--ea1", "0"], "bichromatic Rabi energy must be positive, got 0 eV"),
+        (["--electron-energy", "0"], "electron energy must be positive, got 0 eV"),
+        (["--electron-energy", "-3"], "electron energy must be positive, got -3 eV"),
+        (["--dpx", "-1"], "tolerance dp_x must be non-negative, got -1"),
+    ])
+    def test_bad_input_is_named(self, flags, message, capsys):
+        assert main(["design", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"

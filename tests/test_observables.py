@@ -17,9 +17,9 @@ from spinsplit.observables import (
 from spinsplit.states import (
     SPIN_Y_MINUS,
     SPIN_Y_PLUS,
-    BraggState,
     SpatialGrid,
     SpinorWavefunction,
+    bragg_state,
     gaussian_packet,
 )
 from spinsplit.units import fs_to_natural, um_to_natural
@@ -107,14 +107,14 @@ class TestModeChannelReport:
         assert rep.unassigned == pytest.approx(0.1, abs=1e-12)
 
     def test_bragg_state_matches_its_two_modes(self, rng):
-        # a BraggState is the modes n = -2, +2 of a lattice: the same state
-        # on an N = 4 lattice gives the same report
+        # Bragg amplitudes are the modes n = -2, +2 of a lattice: the same
+        # state on an N = 4 lattice gives the same report
         for _ in range(20):
             a = rng.normal(size=4) + 1j * rng.normal(size=4)
-            state = BraggState(a / np.linalg.norm(a))
+            state = a / np.linalg.norm(a)
             c = np.zeros((9, 2), dtype=complex)
-            c[4 - 2], c[4 + 2] = state.amplitudes[0:2], state.amplitudes[2:4]
-            bragg = bragg_channel_report(state.amplitudes)
+            c[4 - 2], c[4 + 2] = state[0:2], state[2:4]
+            bragg = bragg_channel_report(state)
             modes = mode_channel_report(c)
             for f in dataclasses.fields(bragg):
                 np.testing.assert_allclose(getattr(bragg, f.name), getattr(modes, f.name),
@@ -158,6 +158,7 @@ class TestFitRabi:
         assert fit.omega == pytest.approx(omega0, rel=1e-3)
         assert fit.visibility == pytest.approx(vis, rel=1e-3)
         assert fit.detuning_offset == pytest.approx(omega0 * np.sqrt(1 - vis), rel=2e-2)
+        assert fit.phase == pytest.approx(phase, abs=1e-6)
 
     def test_flat_trace_rejected(self):
         t = np.linspace(0, 100, 64)
@@ -202,27 +203,25 @@ class TestFitRabi:
 class TestEntanglement:
     def test_product_state_zero(self):
         assert spin_momentum_entanglement(packet(2 * K, "y+")) == pytest.approx(0.0, abs=1e-9)
-        assert spin_momentum_entanglement(BraggState.from_spin("up", +2)) == pytest.approx(
-            0.0, abs=1e-12)
+        assert spin_momentum_entanglement(bragg_state("up", +2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state_is_one(self):
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1 / np.sqrt(2)   # +2hk, up
         amps[1] = 1 / np.sqrt(2)   # -2hk, down
-        assert spin_momentum_entanglement(BraggState(amps)) == pytest.approx(1.0, abs=1e-12)
+        assert spin_momentum_entanglement(amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_spin_rotation(self, rng):
         from scipy.linalg import expm
 
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
-        state = BraggState(amps)
-        base = spin_momentum_entanglement(state)
+        base = spin_momentum_entanglement(amps)
         sy = np.array([[0, -1j], [1j, 0]])
         for theta in (0.3, 1.1, 2.9):
             rot = expm(0.5j * theta * sy)
             rotated = np.concatenate([rot @ amps[0:2], rot @ amps[2:4]])
-            assert spin_momentum_entanglement(BraggState(rotated)) == pytest.approx(
+            assert spin_momentum_entanglement(rotated) == pytest.approx(
                 base, abs=1e-10)
 
     @pytest.mark.parametrize("norm", [1.0, 3.0])
@@ -244,6 +243,18 @@ class TestEntanglement:
         modes = rng.normal(size=(17, 2)) + 1j * rng.normal(size=(17, 2))
         for state, report in ((wf, channel_report(wf, K)), (modes, mode_channel_report(modes))):
             assert spin_momentum_entanglement(state) == report.entropy
+
+    def test_bragg_amplitudes_must_be_normalized(self):
+        amps = np.sqrt(3.0) * bragg_state("y+", +2)     # norm 3
+        with pytest.raises(AnalysisError, match="normalized and pure"):
+            spin_momentum_entanglement(amps)
+        assert spin_momentum_entanglement(amps / np.sqrt(3.0)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("state", [np.zeros(3, dtype=complex), [0.0, 0.0, 1.0, 0.0]],
+                             ids=["shape-3", "list"])
+    def test_unsupported_state_rejected(self, state):
+        with pytest.raises(AnalysisError, match="unsupported state type"):
+            spin_momentum_entanglement(state)
 
     def test_pure_spin_density_has_entropy_plus_zero(self):
         # -log2(1) * 1 is -0.0, which the reports printed as "-0"

@@ -278,6 +278,19 @@ class TestParsing:
             parse_scenario_text(text)
         assert "chi" in str(err.value)
 
+    def test_null_chi_beside_chi_pi_is_the_default(self):
+        # a null means the key's default, so it does not clash with chi_pi
+        text = bundled_scenario_path("desk-mono").read_text()
+        assert "    chi: 0.0\n" in text
+
+        def with_chi(chi):
+            return text.replace("    chi: 0.0\n", f"    chi: {chi}\n    chi_pi: 0.5\n")
+
+        scn, _ = parse_scenario_text(with_chi("null"))
+        assert scn.stages[0].chi == pytest.approx(np.pi / 2, rel=1e-15)
+        with pytest.raises(ScenarioFileError, match="give chi or chi_pi, not both"):
+            parse_scenario_text(with_chi("0.1"))
+
     def test_spin_components(self):
         text = MINIMAL.replace("  momentum: 400.0",
                                "  momentum: 400.0\n  spin: [[0.0, 0.0], [1.0, 0.0]]")

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from spinsplit.states import (
-    BraggState,
+    MINUS_BLOCK,
+    PLUS_BLOCK,
     GridError,
     PacketError,
     SpatialGrid,
     SpinorWavefunction,
+    bragg_state,
     gaussian_packet,
     normalize_spin,
     spin_expectations,
@@ -140,13 +142,14 @@ class TestSpinExpectations:
 
 class TestBraggState:
     def test_pure_state_norm(self):
-        s = BraggState.from_spin("y+", mode=+2)
-        assert s.norm() == pytest.approx(1.0, abs=1e-12)
-        assert s.populations() == (pytest.approx(0.0), pytest.approx(1.0))
+        s = bragg_state("y+", mode=+2)
+        assert np.vdot(s, s).real == pytest.approx(1.0, abs=1e-12)
+        pops = [np.vdot(s[b], s[b]).real for b in (MINUS_BLOCK, PLUS_BLOCK)]
+        assert pops == [pytest.approx(0.0), pytest.approx(1.0)]
 
     def test_density_properties(self):
-        s = BraggState.from_spin("up", mode=-2)
-        rho = s.density()
+        s = bragg_state("up", mode=-2)
+        rho = np.outer(s, s.conj())
         validate_density(rho)
 
     def test_unpolarized_density(self):
